@@ -49,22 +49,15 @@ const PAPER_TABLE2_PCT: [f64; 3] = [1.3, 10.7, 11.9];
 /// (`bench.pool_idle_s`, traced).
 const POOL_THREADS: usize = 1;
 
-/// Grid repetitions for `--seconds`, from the one-thread grid wall on a
-/// 2-vCPU x86-64 virtual machine (suite ≈ 6–11 s, latency sweep ≈
-/// 11–16 s, depending on how busy the host is).
-/// The count depends on `--seconds` alone, so parent and child do the
-/// same work.
-fn reps_for(kind: Kind, seconds: u64) -> usize {
-    let nominal = match kind {
-        Kind::SuitePaper => 8.0,
-        Kind::LatencySweep => 12.0,
-    };
-    ((seconds as f64 / nominal).floor() as usize).max(1)
-}
+/// Set-up timings before each grid: generation and compile are cheap
+/// next to a grid, and timing them between grids spreads the samples
+/// over the run as the host's speed drifts.
+const SETUPS_PER_GRID: usize = 3;
 
-/// Set-up repetitions per run (rounded up to a multiple of the grid
-/// repetitions): generation and compile are cheap next to a grid.
-const SETUP_REPS: usize = 8;
+/// Spans that only group others: the grid and its pool phases. Their
+/// self time is pool idle or time no layer span covers.
+const GROUPING: [&str; 3] = ["bench.grid", "bench.pool_compile", "bench.pool_sim"];
+const POOL_PHASES: [&str; 2] = ["bench.pool_compile", "bench.pool_sim"];
 
 /// One grid cell: a workload index, a model and a machine configuration.
 struct Cell {
@@ -218,12 +211,27 @@ fn grid(kind: Kind, scale: Scale, seed: u64, t: &Tracer, run: u64) -> (Vec<Machi
                 })
             })
         });
+        t.span("bench.check", Some(root), run, |_| {
+            assert!(
+                models_agree(&stats),
+                "models computed different final memory"
+            )
+        });
         let names: Vec<&'static str> = prepared.iter().map(|p| p.name).collect();
         let csv = t.span("bench.render", Some(root), run, |_| {
             render(kind, &names, &stats)
         });
         (stats, csv)
     })
+}
+
+/// The cross-model check `run_suite` and `fig10` make on their grids:
+/// every model of a workload (at one latency point) ends with the same
+/// final memory. Cells run model-innermost, so each chunk is one point.
+fn models_agree(stats: &[MachineStats]) -> bool {
+    stats
+        .chunks(Model::ALL.len())
+        .all(|c| c.iter().all(|s| s.mem_checksum == c[0].mem_checksum))
 }
 
 /// One untraced repetition through the public entry point users run.
@@ -237,6 +245,7 @@ fn timed_rep(kind: Kind, seed: u64) -> (Vec<MachineStats>, String) {
             (stats, csv)
         }
         // `fig10` returns IPCs only; the benchmark's copy of its loop
+        // makes the same calls, its cross-model check included, and
         // returns every statistic (the copy is checked against `fig10`
         // in `drift_check`).
         Kind::LatencySweep => grid(kind, kind.scale(), seed, &Tracer::new(false), 0),
@@ -301,24 +310,9 @@ fn drift_check(seed: u64, rep: &mut Report) {
     });
 }
 
-/// Σ over pool phases of (threads × phase wall − Σ child spans).
-fn pool_idle_s(spans: &[trace::Span], threads: usize) -> f64 {
-    spans
-        .iter()
-        .filter(|s| s.name.starts_with("bench.pool_"))
-        .map(|p| {
-            let busy: u64 = spans
-                .iter()
-                .filter(|c| c.parent == Some(p.id))
-                .map(|c| c.dur_ns())
-                .sum();
-            (threads as f64 * p.dur_ns() as f64 - busy as f64) / 1e9
-        })
-        .sum()
-}
-
 /// Runs one batch workload and fills `rep`.
 pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
+    let start = Instant::now();
     pool::set_threads(POOL_THREADS);
     let threads = pool::threads();
     rep.note(format!("pool threads: {threads}"));
@@ -354,7 +348,6 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
         drift_check(seed, rep);
     }
 
-    let reps = reps_for(kind, seconds);
     let mut walls = Vec::new();
     let mut traced_walls = Vec::new();
     let mut cell_ms = Vec::new();
@@ -378,12 +371,15 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
             }
         }
     };
-    // Traced runs alternate untraced and traced grids so the overhead
-    // is measured under the same conditions.
-    let untraced_reps = if traced { reps.div_ceil(2) } else { reps };
-    let traced_reps = (reps / 2).max(1);
-    for i in 0..untraced_reps {
-        time_setups(SETUP_REPS.div_ceil(untraced_reps));
+    // Rounds of set-ups and a grid repeat while the median round still
+    // fits in `--seconds`, counted from the start of the run. Traced runs
+    // add a traced grid to each round, so the overhead is measured under
+    // the same conditions.
+    let mut rounds = Vec::new();
+    let mut round = 0u64;
+    while rounds.is_empty() || start.elapsed().as_secs_f64() + median(&rounds) <= seconds as f64 {
+        let round_start = Instant::now();
+        time_setups(SETUPS_PER_GRID);
         let t0 = Instant::now();
         let (stats, csv) = timed_rep(kind, seed);
         walls.push(t0.elapsed().as_secs_f64());
@@ -396,13 +392,15 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
         }
         digests.push(digest(&stats));
         first.get_or_insert(stats);
-        if traced && i < traced_reps {
+        round += 1;
+        if traced {
             let t0 = Instant::now();
-            let (stats, _) = grid(kind, kind.scale(), seed, &tracer, i as u64 + 1);
+            let (stats, _) = grid(kind, kind.scale(), seed, &tracer, round);
             traced_walls.push(t0.elapsed().as_secs_f64());
             check_cells(&stats, rep);
             digests.push(digest(&stats));
         }
+        rounds.push(round_start.elapsed().as_secs_f64());
     }
     rep.set("setup_s", median(&setups), "s", setups.len());
     let stats = first.expect("at least one repetition");
@@ -470,7 +468,7 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
             spans.len(),
         );
         sim_layer(&spans, k, &stats, rep);
-        let idle = pool_idle_s(&spans, threads);
+        let idle = trace::pool_idle_s(&spans, &POOL_PHASES, threads);
         rep.set("bench.pool_idle_s", per(idle), "s", traced_walls.len());
         rep.set(
             "bench.render_s",
@@ -478,35 +476,28 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
             "s",
             traced_walls.len(),
         );
-        let overhead = median(&traced_walls) - median(&walls);
+        let untraced = median(&walls);
+        let overhead = median(&traced_walls) - untraced;
         rep.set("trace.overhead_s", overhead, "s", traced_walls.len());
-        // Capacity: one thread outside the pool phases, `threads` inside.
+        // Thread-seconds of one grid: its wall, plus the other pool
+        // threads over the pool phases.
         let pool_wall: f64 = spans
             .iter()
-            .filter(|s| s.name.starts_with("bench.pool_"))
+            .filter(|s| POOL_PHASES.contains(&s.name))
             .map(|s| s.dur_ns() as f64 / 1e9)
             .sum();
-        let traced_total: f64 = traced_walls.iter().sum();
-        let capacity = traced_total + (threads as f64 - 1.0) * pool_wall;
-        let by_layer = trace::self_by_layer(&spans);
-        let self_sum: f64 = by_layer.values().sum();
-        rep.set(
-            "trace.accounted_share",
-            (self_sum + idle) / capacity,
-            "share",
-            spans.len(),
-        );
-        self_time_table(&by_layer, traced_walls.len(), rep);
+        let capacity = untraced + overhead + (threads as f64 - 1.0) * per(pool_wall);
+        let by_layer = trace::self_by_layer(&spans, &GROUPING);
+        let share = self_time_table(&by_layer, per(idle), capacity, k, rep);
+        rep.set("trace.accounted_share", share, "share", spans.len());
         rep.note(format!(
-            "traced grid {:.3} s vs untraced {:.3} s: tracing overhead {overhead:.3} s; \
-             self times {:.3} s + pool idle {:.3} s over capacity {:.3} s per grid; \
-             compile is {:.1}% of it",
+            "traced grid {:.3} s vs untraced {untraced:.3} s: tracing overhead {overhead:.3} s; \
+             layers and pool idle account for {:.3} s per grid, {:.3} s off the untraced wall; \
+             compile is {:.1}% of the traced grids",
             median(&traced_walls),
-            median(&walls),
-            self_sum / k,
-            idle / k,
-            capacity / k,
-            100.0 * trace::total_s(&spans, "slicer.compile") / traced_total
+            share * capacity,
+            share * capacity - untraced,
+            100.0 * trace::total_s(&spans, "slicer.compile") / traced_walls.iter().sum::<f64>()
         ));
         write_spans(&tracer, kind.name(), seed);
     }
@@ -645,20 +636,37 @@ pub fn counts(stats: &[MachineStats], rep: &mut Report) {
     );
 }
 
-/// Prints each layer's self time per grid.
+/// Prints each layer's self time per run, the pool's idle time and the
+/// time no layer span covers, as shares of `capacity_s` (the
+/// thread-seconds of one run: untraced wall plus tracing overhead), and
+/// returns the share the layers and the pool's idle time account for.
 pub fn self_time_table(
     by_layer: &std::collections::BTreeMap<&'static str, f64>,
-    runs: usize,
+    idle_s: f64,
+    capacity_s: f64,
+    runs: f64,
     rep: &mut Report,
-) {
-    let total: f64 = by_layer.values().sum();
+) -> f64 {
+    let pct = |s: f64| 100.0 * s / capacity_s.max(1e-12);
+    let mut accounted = idle_s;
     for (layer, s) in by_layer {
+        let s = s / runs;
+        accounted += s;
         rep.note(format!(
-            "self time {layer:<10} {:>10.4} s per run  {:>5.1}%",
-            s / runs.max(1) as f64,
-            100.0 * s / total.max(1e-12)
+            "self time {layer:<10} {s:>10.4} s per run  {:>5.1}%",
+            pct(s)
         ));
     }
+    rep.note(format!(
+        "pool idle            {idle_s:>10.4} s per run  {:>5.1}%",
+        pct(idle_s)
+    ));
+    let uncovered = capacity_s - accounted;
+    rep.note(format!(
+        "uncovered            {uncovered:>10.4} s per run  {:>5.1}% (of {capacity_s:.4} s)",
+        pct(uncovered)
+    ));
+    accounted / capacity_s.max(1e-12)
 }
 
 /// Writes the spans to `.perfbench_out/` in the working directory.

@@ -43,10 +43,11 @@ const LIMIT_HIT_MS: f64 = 50.0;
 const LIMIT_RUN_MS: f64 = 500.0;
 const LIMIT_SWEEP_MS: f64 = 2_000.0;
 
-/// An outstanding job is polled after a quarter of its age, within
-/// these bounds: latency is observed to within 25%, and a backlog of
-/// queued jobs does not turn into a poll storm on the reactor.
-const POLL_MIN: Duration = Duration::from_millis(2);
+/// An outstanding job is polled after an eighth of its age, within
+/// these bounds: latency is observed to within 12.5% (a coarser poll
+/// makes the median snap between poll times from run to run), and a
+/// backlog of queued jobs does not turn into a poll storm on the reactor.
+const POLL_MIN: Duration = Duration::from_millis(1);
 const POLL_MAX: Duration = Duration::from_millis(10);
 
 /// A request still unanswered this long after its phase ends fails.
@@ -56,11 +57,16 @@ const DRAIN: Duration = Duration::from_secs(15);
 /// and the run is reported as invalid.
 const LATE_BOUND_MS: f64 = 25.0;
 
-/// Requests per class in one second of each phase. On a 2-core x86-64
-/// host one worker simulates about 150 new Test-scale jobs per second
-/// (the `wall_s` probe); `busy` offers about a quarter of that and
-/// `light` a tenth, so queueing stays moderate and the latencies follow
-/// the service rather than amplifying host-speed noise.
+/// Requests per class in one second of the `busy` phase. The mix is
+/// assumed, not taken from observed traffic: the service has no
+/// production request log to draw it from. It puts every class in one
+/// phase, mostly cache hits, with enough new, duplicate and program jobs
+/// and sweeps per run for their latencies to have samples. Only the load
+/// level is measured: on a 2-core x86-64 host one worker simulates
+/// 135–190 new Test-scale jobs per second (the `wall_s` probe), and
+/// `busy` asks for about 37 simulations per second, so the worker is
+/// 15–21% busy and the latencies follow the service rather than
+/// amplifying host noise.
 #[derive(Clone, Copy)]
 struct Mix {
     hit: f64,
@@ -70,15 +76,7 @@ struct Mix {
     sweep: f64,
 }
 
-const LIGHT: Mix = Mix {
-    hit: 40.0,
-    new: 10.0,
-    dup: 4.0,
-    program: 4.0,
-    sweep: 2.0,
-};
-
-const BUSY: Mix = Mix {
+const MIX: Mix = Mix {
     hit: 100.0,
     new: 25.0,
     dup: 10.0,
@@ -86,11 +84,16 @@ const BUSY: Mix = Mix {
     sweep: 1.0,
 };
 
-/// Capacity probes: Test-scale grids of every workload × model at a
-/// fresh seed, each one `/v1/sweep` whose points all simulate.
+/// The `light` phase offers the same mix at this share of the `busy` rate.
+const LIGHT_SHARE: f64 = 0.4;
+
+/// Capacity probes: Test-scale grids of every workload × model at two
+/// fresh seeds (56 points), each one `/v1/sweep` whose points all
+/// simulate.
 const PROBES: usize = 12;
-/// Service starts (each with the repeat-pool pre-fill) timed as set-up.
-const SETUP_REPS: usize = 7;
+/// Service starts (each with the repeat-pool pre-fill) timed as set-up,
+/// in the three rounds of a run.
+const SETUP_ROUNDS: [usize; 3] = [3, 2, 2];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Class {
@@ -212,8 +215,13 @@ impl Specs {
     /// Runs every spec directly: generation, compile (and, for custom
     /// programs, assembly and the verifier preflight), simulation.
     fn precompute(&mut self, t: &Tracer) {
-        let results =
-            pool::run_indexed(self.list.len(), |i| direct(&self.list[i].body, t, i as u64));
+        let results = t.span(DIRECT_PHASE, None, 0, |phase| {
+            pool::run_indexed(self.list.len(), |i| {
+                t.span(DIRECT_JOB, Some(phase), i as u64, |job| {
+                    direct(&self.list[i].body, t, job, i as u64)
+                })
+            })
+        });
         for (s, r) in self.list.iter_mut().zip(results) {
             s.expect = r.as_ref().map(MachineStats::to_json);
             s.stats = r;
@@ -221,15 +229,22 @@ impl Specs {
     }
 }
 
+/// The pool phase of the direct runs and the span around one job in it.
+/// They only group the layer spans: their self time is pool idle and the
+/// benchmark's own parsing, which no layer span covers.
+const DIRECT_PHASE: &str = "bench.pool_direct";
+const DIRECT_JOB: &str = "perfbench.job";
+
 /// A direct run of one job body, through the same public calls the
-/// service makes. `None` when the job cannot run (a benchmark bug,
-/// reported by the caller as a failed check).
-fn direct(body: &str, t: &Tracer, run: u64) -> Option<MachineStats> {
+/// service makes, its spans under `parent`. `None` when the job cannot
+/// run (a benchmark bug, reported by the caller as a failed check).
+fn direct(body: &str, t: &Tracer, parent: u64, run: u64) -> Option<MachineStats> {
+    let parent = Some(parent);
     let spec = JobSpec::from_json(body.as_bytes()).ok()?;
     let cfg = spec.config().ok()?;
     let (compiled, env) = match &spec.program {
         Some(src) => {
-            let prog = t.span("isa.assemble", None, run, |_| {
+            let prog = t.span("isa.assemble", parent, run, |_| {
                 hidisc_isa::asm::assemble(&spec.workload, src)
             });
             let env = ExecEnv {
@@ -237,10 +252,10 @@ fn direct(body: &str, t: &Tracer, run: u64) -> Option<MachineStats> {
                 mem: hidisc_isa::mem::Memory::new(),
                 max_steps: 10_000_000,
             };
-            let compiled = t.span("slicer.compile", None, run, |_| {
+            let compiled = t.span("slicer.compile", parent, run, |_| {
                 compile(prog.as_ref().ok()?, &env, &CompilerConfig::default()).ok()
             })?;
-            let clean = t.span("verify.verify", None, run, |_| {
+            let clean = t.span("verify.verify", parent, run, |_| {
                 let input =
                     hidisc_verify::VerifyInput::of(&compiled, hidisc_bench::depths_of(&cfg));
                 hidisc_verify::verify(&input).errors().next().is_none()
@@ -251,18 +266,18 @@ fn direct(body: &str, t: &Tracer, run: u64) -> Option<MachineStats> {
             (compiled, env)
         }
         None => {
-            let w = t.span("workloads.gen", None, run, |_| {
+            let w = t.span("workloads.gen", parent, run, |_| {
                 hidisc_workloads::by_name(&spec.workload, spec.scale, spec.seed)
             })?;
             let env = hidisc_bench::env_of(&w);
-            let compiled = t.span("slicer.compile", None, run, |_| {
+            let compiled = t.span("slicer.compile", parent, run, |_| {
                 compile(&w.prog, &env, &CompilerConfig::default()).ok()
             })?;
             (compiled, env)
         }
     };
     let mi = Model::ALL.iter().position(|&m| m == spec.model)?;
-    t.span(crate::batch::SIM_SPANS[mi], None, run, |_| {
+    t.span(crate::batch::SIM_SPANS[mi], parent, run, |_| {
         run_model(spec.model, &compiled, &env, cfg).ok()
     })
 }
@@ -347,13 +362,13 @@ fn fresh_seed(rng: &mut Rng, used: &mut HashSet<u64>) -> u64 {
     }
 }
 
-/// A phase's requests: fixed counts per class in a seeded order, one per
-/// equal time slot at a random offset within it (open loop, bounded
+/// A phase's requests: [`MIX`] at `rate` times its rate for `secs`
+/// seconds, as fixed counts per class in a seeded order, one per equal
+/// time slot at a random offset within it (open loop, bounded
 /// burstiness); duplicates trail a random new job by 1 ms so they find
 /// it in flight.
-#[allow(clippy::too_many_arguments)]
 fn phase(
-    mix: Mix,
+    rate: f64,
     secs: f64,
     rng: &mut Rng,
     used: &mut HashSet<u64>,
@@ -361,13 +376,13 @@ fn phase(
     specs: &mut Specs,
     pool: &Pool,
 ) -> Vec<Req> {
-    let count = |r: f64| (r * secs).round() as usize;
+    let count = |r: f64| (r * rate * secs).round() as usize;
     let mut reqs = Vec::new();
-    for _ in 0..count(mix.hit) {
+    for _ in 0..count(MIX.hit) {
         let s = pool.specs[rng.below(pool.specs.len() as u64) as usize];
         reqs.push(Req::new(Class::Hit, s, Duration::ZERO));
     }
-    for i in 0..count(mix.new) {
+    for i in 0..count(MIX.new) {
         // Stratified over workload × model so every seed offers the same
         // composition of work.
         let w = WORKLOADS[i % WORKLOADS.len()];
@@ -375,7 +390,7 @@ fn phase(
         let s = specs.add(run_body(w, m, fresh_seed(rng, used)));
         reqs.push(Req::new(Class::New, s, Duration::ZERO));
     }
-    for _ in 0..count(mix.program) {
+    for _ in 0..count(MIX.program) {
         let src = loop {
             let src = program_source(rng);
             if programs.insert(src.clone()) {
@@ -385,7 +400,7 @@ fn phase(
         let s = specs.add(program_body(&src));
         reqs.push(Req::new(Class::Program, s, Duration::ZERO));
     }
-    for i in 0..count(mix.sweep) {
+    for i in 0..count(MIX.sweep) {
         let wi = i % WORKLOADS.len();
         let w = WORKLOADS[wi];
         let m1 = Model::ALL[i % 4];
@@ -418,7 +433,7 @@ fn phase(
         .filter(|r| r.class == Class::New)
         .map(|r| (r.spec, r.due))
         .collect();
-    for _ in 0..count(mix.dup) {
+    for _ in 0..count(MIX.dup) {
         let (s, d) = news[rng.below(news.len() as u64) as usize];
         reqs.push(Req::new(Class::Dup, s, d + Duration::from_millis(1)));
     }
@@ -766,7 +781,7 @@ fn drive(
                             let every = if r.sweep_id.is_some() {
                                 POLL_MIN
                             } else {
-                                (age / 4).clamp(POLL_MIN, POLL_MAX)
+                                (age / 8).clamp(POLL_MIN, POLL_MAX)
                             };
                             polls.push(Reverse((now + every, i)));
                         }
@@ -875,13 +890,14 @@ struct Client {
     poller: Poller,
 }
 
+/// Keep-alive connections: runs and polls share connection 0, streamed
+/// sweeps have connection 1 to themselves (see [`drive`]).
+const CONNS: usize = 2;
+
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
-        let n = std::thread::available_parallelism()
-            .map_or(2, |n| n.get())
-            .clamp(1, 2);
         let poller = Poller::new().expect("poller");
-        let conns: Vec<Conn> = (0..n)
+        let conns: Vec<Conn> = (0..CONNS)
             .map(|i| {
                 let c = Conn::open(addr).expect("connect to the service");
                 poller
@@ -997,18 +1013,24 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     let all_workloads: Vec<String> = WORKLOADS.iter().map(|w| format!("\"{w}\"")).collect();
     let mut probes: Vec<Req> = (0..PROBES)
         .map(|_| {
-            let fresh = fresh_seed(&mut rng, &mut used);
+            let fresh = [0; 2].map(|_| fresh_seed(&mut rng, &mut used));
             let points: Vec<usize> = WORKLOADS
                 .iter()
-                .flat_map(|w| Model::ALL.map(|m| run_body(w, m, fresh)))
+                .flat_map(|w| {
+                    fresh
+                        .iter()
+                        .flat_map(move |&seed| Model::ALL.map(|m| run_body(w, m, seed)))
+                })
                 .map(|b| specs.add(b))
                 .collect();
             let mut r = Req::new(Class::Sweep, points[0], Duration::ZERO);
             r.sweep_body = Some(format!(
-                "{{\"workloads\":[{}],\"models\":[{}],\"scales\":[\"test\"],\"seeds\":[{fresh}],\
-                 \"stream\":false}}",
+                "{{\"workloads\":[{}],\"models\":[{}],\"scales\":[\"test\"],\
+                 \"seeds\":[{},{}],\"stream\":false}}",
                 all_workloads.join(","),
-                all_models.join(",")
+                all_models.join(","),
+                fresh[0],
+                fresh[1]
             ));
             r.points = points;
             r
@@ -1016,7 +1038,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         .collect();
     let (light_s, busy_s) = (seconds as f64 * 0.25, seconds as f64 * 0.5);
     let mut light = phase(
-        LIGHT,
+        LIGHT_SHARE,
         light_s,
         &mut rng,
         &mut used,
@@ -1025,7 +1047,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         &pool,
     );
     let mut busy = phase(
-        BUSY,
+        1.0,
         busy_s,
         &mut rng,
         &mut used,
@@ -1034,61 +1056,74 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         &pool,
     );
 
-    // Expected results, untimed.
-    let tracer = Tracer::new(traced);
+    // Expected results, outside the timed phases. A traced run makes the
+    // direct runs again, traced: they are the part of the workload whose
+    // wall is the traced code's own work (the open-loop phases' wall is
+    // set by the schedule), so the layers' self times are accounted
+    // against it.
     let t0 = Instant::now();
-    specs.precompute(&tracer);
+    specs.precompute(&Tracer::new(false));
+    let direct_s = t0.elapsed().as_secs_f64();
     rep.note(format!(
-        "{} distinct jobs simulated directly in {:.2} s",
-        specs.list.len(),
-        t0.elapsed().as_secs_f64()
+        "{} distinct jobs simulated directly in {direct_s:.2} s",
+        specs.list.len()
     ));
+    let direct_t = Tracer::new(traced);
+    let mut traced_direct_s = 0.0;
+    if traced {
+        let t0 = Instant::now();
+        specs.precompute(&direct_t);
+        traced_direct_s = t0.elapsed().as_secs_f64();
+    }
+    let tracer = Tracer::new(traced);
     let broken = specs.list.iter().filter(|s| s.expect.is_none()).count();
     rep.check(broken == 0, || {
         format!("{broken} benchmark jobs do not run directly")
     });
 
-    // Set-up: service start plus the repeat-pool pre-fill, several times.
+    // Set-up (service start plus the repeat-pool pre-fill) and the
+    // capacity probes are each timed in three rounds, before, between and
+    // after the open-loop phases, so their medians span the run as the
+    // host's speed drifts. The last service of the first round serves
+    // the run; the others are shut down.
     let mut setups = Vec::new();
-    let mut live = None;
-    for _ in 0..SETUP_REPS {
-        if let Some((svc, _)) = live.take() {
-            Service::shutdown(svc);
+    let mut setup_round = |n: usize, rep: &mut Report| {
+        let mut live = None;
+        for _ in 0..n {
+            if let Some((svc, _)) = live.take() {
+                Service::shutdown(svc);
+            }
+            let t0 = Instant::now();
+            let (svc, client, ok) = start_filled(&pool, &specs);
+            setups.push(t0.elapsed().as_secs_f64());
+            rep.check(ok, || "repeat-pool pre-fill failed".into());
+            live = Some((svc, client));
         }
-        let t0 = Instant::now();
-        let (svc, client, ok) = start_filled(&pool, &specs);
-        setups.push(t0.elapsed().as_secs_f64());
-        rep.check(ok, || "repeat-pool pre-fill failed".into());
-        live = Some((svc, client));
-    }
-    let (svc, mut client) = live.expect("a service");
+        live.expect("a round starts at least one service")
+    };
+    let (svc, mut client) = setup_round(SETUP_ROUNDS[0], rep);
     let addr = svc.addr();
-    rep.set("setup_s", median(&setups), "s", setups.len());
-
-    // Capacity probes, one grid at a time: the wall until each sweep's
-    // summary line.
     let mut probe_walls = Vec::new();
-    for probe in probes.chunks_mut(1) {
-        let epoch = drive(
-            &mut client.conns,
-            &client.poller,
-            probe,
-            &specs,
-            &Tracer::new(false),
-            &mut Rtts::new(),
-            0,
-        );
-        let r = &probe[0];
-        probe_walls.push(r.done.unwrap_or(epoch).duration_since(epoch).as_secs_f64());
-        rep.attempted += 1;
-        rep.failed += u64::from(!r.ok);
-    }
-    rep.set("wall_s", median(&probe_walls), "s", probe_walls.len());
-    let grid = probes[0].points.len() as f64;
-    rep.note(format!(
-        "capacity: {:.0} new Test-scale points/s on one worker (grids of {grid})",
-        grid / median(&probe_walls)
-    ));
+    let mut probe_round = |probes: &mut [Req], client: &mut Client, rep: &mut Report| {
+        for probe in probes.chunks_mut(1) {
+            let epoch = drive(
+                &mut client.conns,
+                &client.poller,
+                probe,
+                &specs,
+                &Tracer::new(false),
+                &mut Rtts::new(),
+                0,
+            );
+            let r = &probe[0];
+            probe_walls.push(r.done.unwrap_or(epoch).duration_since(epoch).as_secs_f64());
+            rep.attempted += 1;
+            rep.failed += u64::from(!r.ok);
+        }
+    };
+    let (round1, rest) = probes.split_at_mut(PROBES / 3);
+    let (round2, round3) = rest.split_at_mut(PROBES / 3);
+    probe_round(round1, &mut client, rep);
 
     // The two open-loop phases.
     let light_epoch = drive(
@@ -1100,6 +1135,8 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         &mut Rtts::new(),
         1 << 20,
     );
+    Service::shutdown(setup_round(SETUP_ROUNDS[1], rep).0);
+    probe_round(round2, &mut client, rep);
     let before = scrape(addr);
     let busy_started = Instant::now();
     let mut busy_rtts = Rtts::new();
@@ -1114,6 +1151,23 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     );
     let busy_wall = busy_started.elapsed().as_secs_f64();
     let after = scrape(addr);
+    Service::shutdown(setup_round(SETUP_ROUNDS[2], rep).0);
+    probe_round(round3, &mut client, rep);
+    rep.set("setup_s", median(&setups), "s", setups.len());
+    rep.set("wall_s", median(&probe_walls), "s", probe_walls.len());
+    rep.note(format!(
+        "probe walls (s): {}",
+        probe_walls
+            .iter()
+            .map(|w| format!("{w:.3}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    ));
+    let grid = probes[0].points.len() as f64;
+    rep.note(format!(
+        "capacity: {:.0} new Test-scale points/s on one worker (grids of {grid})",
+        grid / median(&probe_walls)
+    ));
 
     // Sweep points: every new point's stored result must match too.
     let mut sweep_ok = true;
@@ -1236,8 +1290,8 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     }
     let share = |c: Class| busy.iter().filter(|r| r.class == c).count() as f64 / busy.len() as f64;
     rep.note(format!(
-        "busy mix: {:.0} req/s; hit {:.1}%, new {:.1}%, dup {:.1}%, program {:.1}%, sweep {:.1}%; \
-         light {:.0} req/s",
+        "assumed request mix (configured, not observed): busy {:.0} req/s; hit {:.1}%, \
+         new {:.1}%, dup {:.1}%, program {:.1}%, sweep {:.1}%; light {:.0} req/s",
         busy.len() as f64 / busy_s,
         100.0 * share(Class::Hit),
         100.0 * share(Class::New),
@@ -1307,15 +1361,21 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             rep.set(metric, value(&end, key), "count", 1);
         }
         rep.set("client.late_p99_ms", late_p99, "ms", late.len());
-        per_layer_direct(&tracer, &specs, rep);
-        crate::batch::write_spans(&tracer, "serve_mix", seed);
+        per_layer_direct(&direct_t, direct_s, traced_direct_s, &specs, rep);
+        rep.note(format!(
+            "client tracing cost {:.4} s over {} spans",
+            tracer.cost_s(),
+            tracer.spans().len()
+        ));
+        crate::batch::write_spans(&direct_t, "serve_mix", seed);
+        crate::batch::write_spans(&tracer, "serve_mix-client", seed);
     }
 }
 
-/// Per-layer costs of the jobs the service ran, from the direct runs
-/// (the same public calls the service's workers and preflight make),
-/// and the client's own spans.
-fn per_layer_direct(t: &Tracer, specs: &Specs, rep: &mut Report) {
+/// Per-layer costs of the jobs the service ran, from the traced direct
+/// runs (the same public calls the service's workers and preflight
+/// make), accounted against the untraced direct runs' wall `untraced_s`.
+fn per_layer_direct(t: &Tracer, untraced_s: f64, traced_s: f64, specs: &Specs, rep: &mut Report) {
     let spans = t.spans();
     let n = specs.list.len();
     for (metric, name) in [
@@ -1329,25 +1389,17 @@ fn per_layer_direct(t: &Tracer, specs: &Specs, rep: &mut Report) {
     let stats: Vec<MachineStats> = specs.list.iter().filter_map(|s| s.stats.clone()).collect();
     crate::batch::sim_layer(&spans, 1.0, &stats, rep);
     crate::batch::counts(&stats, rep);
-    let by_layer = trace::self_by_layer(&spans);
-    crate::batch::self_time_table(&by_layer, 1, rep);
-    // Client requests: their self time plus their exchanges' must be
-    // their whole duration.
-    let requests = trace::total_s(&spans, "client.request");
-    let client: f64 = ["client", "serve", "sweep"]
-        .iter()
-        .filter_map(|l| by_layer.get(l))
-        .sum();
-    rep.set(
-        "trace.accounted_share",
-        client / requests.max(1e-12),
-        "share",
-        spans.len(),
-    );
-    rep.set("trace.overhead_s", t.cost_s(), "s", spans.len());
+    let threads = pool::threads();
+    let overhead = traced_s - untraced_s;
+    rep.set("trace.overhead_s", overhead, "s", spans.len());
+    let grouping = [DIRECT_PHASE, DIRECT_JOB];
+    let by_layer = trace::self_by_layer(&spans, &grouping);
+    let idle = trace::pool_idle_s(&spans, &grouping[..1], threads);
+    let capacity = threads as f64 * (untraced_s + overhead);
+    let share = crate::batch::self_time_table(&by_layer, idle, capacity, 1.0, rep);
+    rep.set("trace.accounted_share", share, "share", spans.len());
     rep.note(format!(
-        "tracing cost {:.4} s of client time over {} spans (the open-loop schedule fixes the wall)",
-        t.cost_s(),
-        spans.len()
+        "direct runs on {threads} pool threads: traced {traced_s:.3} s vs untraced \
+         {untraced_s:.3} s, tracing overhead {overhead:.3} s"
     ));
 }

@@ -220,13 +220,34 @@ pub fn self_ns(spans: &[Span]) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Self time summed per layer, in seconds.
-pub fn self_by_layer(spans: &[Span]) -> BTreeMap<&'static str, f64> {
+/// Self time summed per layer, in seconds, leaving out the `grouping`
+/// spans (a grid, a pool phase, a job's wrapper): their self time is
+/// pool idle or time that no layer span covers, not a layer's work.
+pub fn self_by_layer(spans: &[Span], grouping: &[&str]) -> BTreeMap<&'static str, f64> {
     let mut out = BTreeMap::new();
     for (i, ns) in self_ns(spans) {
-        *out.entry(spans[i].layer()).or_insert(0.0) += ns as f64 / 1e9;
+        if !grouping.contains(&spans[i].name) {
+            *out.entry(spans[i].layer()).or_insert(0.0) += ns as f64 / 1e9;
+        }
     }
     out
+}
+
+/// Idle worker time of the pool phases named in `phases`, in seconds:
+/// Σ (threads × phase wall − Σ the phase's child spans).
+pub fn pool_idle_s(spans: &[Span], phases: &[&str], threads: usize) -> f64 {
+    spans
+        .iter()
+        .filter(|p| phases.contains(&p.name))
+        .map(|p| {
+            let busy: u64 = spans
+                .iter()
+                .filter(|c| c.parent == Some(p.id))
+                .map(Span::dur_ns)
+                .sum();
+            (threads as f64 * p.dur_ns() as f64 - busy as f64) / 1e9
+        })
+        .sum()
 }
 
 /// Total duration of the spans named `name`, in seconds.
@@ -266,10 +287,37 @@ mod tests {
         let st: Vec<u64> = self_ns(&spans).into_iter().map(|(_, ns)| ns).collect();
         // Root: 100 - |[10,80)| = 30, not 100 - 50 - 50 = 0.
         assert_eq!(st, vec![30, 50, 40, 10]);
-        let by = self_by_layer(&spans);
+        let by = self_by_layer(&spans, &[]);
         assert!((by["bench"] - 30e-9).abs() < 1e-15);
         assert!((by["core"] - 90e-9).abs() < 1e-15);
         assert!((by["mem"] - 10e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn uncovered_time_is_not_accounted() {
+        // A one-thread grid [0,100): a pool phase [10,90) whose only cell
+        // runs [10,80), then a render [90,95). The grid's [0,10) and
+        // [95,100) are covered by no span; the pool sits idle on [80,90).
+        let spans = vec![
+            span(1, None, "bench.grid", 0, 100),
+            span(2, Some(1), "bench.pool_sim", 10, 90),
+            span(3, Some(2), "core.sim", 10, 80),
+            span(4, Some(1), "bench.render", 90, 95),
+        ];
+        let grouping = ["bench.grid", "bench.pool_sim"];
+        let by = self_by_layer(&spans, &grouping);
+        assert!((by["core"] - 70e-9).abs() < 1e-15);
+        assert!((by["bench"] - 5e-9).abs() < 1e-15);
+        let idle = pool_idle_s(&spans, &grouping[1..], 1);
+        assert!((idle - 10e-9).abs() < 1e-15);
+        // 85 of the grid's 100 ns are accounted for; with every span's
+        // self time counted, the gaps would hide in the grid's own.
+        let layers: f64 = by.values().sum();
+        assert!(((layers + idle) / 100e-9 - 0.85).abs() < 1e-9);
+        let all: f64 = self_by_layer(&spans, &[]).values().sum();
+        assert!((all / 100e-9 - 1.0).abs() < 1e-9);
+        // Two threads: the phase offers 160 ns, the cell uses 70.
+        assert!((pool_idle_s(&spans, &grouping[1..], 2) - 90e-9).abs() < 1e-15);
     }
 
     #[test]
