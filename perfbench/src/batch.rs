@@ -1,43 +1,21 @@
-//! The batch workloads: `suite_paper` (the seven kernels × four models at
-//! Paper scale, through `hidisc_bench::run_suite`) and `latency_sweep`
-//! (the Figure-10 grid at Large scale on the same pool).
+//! The batch workload `suite_paper`: the seven kernels × four models at
+//! Paper scale and Table-1 latencies, through `hidisc_bench::run_suite`,
+//! with Figures 8 and 9 and Table 2 rendered.
 
 use std::time::Instant;
 
 use hidisc::{run_model, MachineConfig, MachineStats, Model};
-use hidisc_bench::{pool, prepare, Prepared, Report as _, FIG10_LATENCIES};
+use hidisc_bench::{pool, prepare, Prepared, Report as _};
 use hidisc_isa::interp::Interp;
 use hidisc_workloads::{Scale, Workload};
 
+use crate::calib;
 use crate::report::{peak_rss_mb, Fnv, Report, MODELS};
 use crate::stats::{median, percentile};
 use crate::trace::{self, Tracer};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    SuitePaper,
-    LatencySweep,
-}
-
-impl Kind {
-    fn name(self) -> &'static str {
-        match self {
-            Kind::SuitePaper => "suite_paper",
-            Kind::LatencySweep => "latency_sweep",
-        }
-    }
-
-    /// The workload scale the benchmark runs the grid at.
-    fn scale(self) -> Scale {
-        match self {
-            Kind::SuitePaper => Scale::Paper,
-            Kind::LatencySweep => Scale::Large,
-        }
-    }
-}
-
-/// The Figure-10 benchmarks.
-const FIG10_NAMES: [&str; 2] = ["pointer", "neighborhood"];
+/// The scale the grid runs at.
+const SCALE: Scale = Scale::Paper;
 
 /// Table 2 of the paper: average speed-up (%) of CP+AP, CP+CMP, HiDISC.
 const PAPER_TABLE2_PCT: [f64; 3] = [1.3, 10.7, 11.9];
@@ -59,41 +37,12 @@ const SETUPS_PER_GRID: usize = 3;
 const GROUPING: [&str; 3] = ["bench.grid", "bench.pool_compile", "bench.pool_sim"];
 const POOL_PHASES: [&str; 2] = ["bench.pool_compile", "bench.pool_sim"];
 
-/// One grid cell: a workload index, a model and a machine configuration.
-struct Cell {
-    w: usize,
-    model: Model,
-    cfg: MachineConfig,
-}
-
-/// The cells of a grid, in the order the harness runs them.
-fn cells(kind: Kind, n_workloads: usize) -> Vec<Cell> {
-    let mut out = Vec::new();
-    for w in 0..n_workloads {
-        match kind {
-            Kind::SuitePaper => {
-                for model in Model::ALL {
-                    out.push(Cell {
-                        w,
-                        model,
-                        cfg: MachineConfig::paper(),
-                    });
-                }
-            }
-            Kind::LatencySweep => {
-                for (l2, mem) in FIG10_LATENCIES {
-                    for model in Model::ALL {
-                        out.push(Cell {
-                            w,
-                            model,
-                            cfg: MachineConfig::paper_with_latency(l2, mem),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
+/// The cells of a grid as (workload index, model), in the order
+/// `run_suite` runs them: model innermost.
+fn cells(n_workloads: usize) -> Vec<(usize, Model)> {
+    (0..n_workloads)
+        .flat_map(|w| Model::ALL.map(|m| (w, m)))
+        .collect()
 }
 
 fn model_index(m: Model) -> usize {
@@ -110,63 +59,26 @@ pub const SIM_SPANS: [&str; 4] = [
     "core.sim.hidisc",
 ];
 
-/// Generation and compile, as the harness does them before the first
-/// simulation: `suite` then a pooled `prepare` for the suite, a pooled
-/// `by_name` + `prepare` per benchmark for Figure 10.
-fn setup(
-    kind: Kind,
-    scale: Scale,
-    seed: u64,
-    t: &Tracer,
-    parent: Option<u64>,
-    run: u64,
-) -> Vec<Prepared> {
-    match kind {
-        Kind::SuitePaper => {
-            let ws = t.span("workloads.gen", parent, run, |_| {
-                hidisc_workloads::suite(scale, seed)
-            });
-            t.span("bench.pool_compile", parent, run, |pc| {
-                pool::run_indexed(ws.len(), |i| {
-                    t.span("slicer.compile", Some(pc), run, |_| prepare(&ws[i]))
-                })
-            })
-        }
-        Kind::LatencySweep => t.span("bench.pool_compile", parent, run, |pc| {
-            pool::run_indexed(FIG10_NAMES.len(), |i| {
-                let w = t.span("workloads.gen", Some(pc), run, |_| {
-                    hidisc_workloads::by_name(FIG10_NAMES[i], scale, seed)
-                        .expect("fig10 workload exists")
-                });
-                t.span("slicer.compile", Some(pc), run, |_| prepare(&w))
-            })
-        }),
-    }
-}
-
-/// The workloads themselves, for the untimed reference checks.
-fn generate(kind: Kind, seed: u64) -> Vec<Workload> {
-    match kind {
-        Kind::SuitePaper => hidisc_workloads::suite(kind.scale(), seed),
-        Kind::LatencySweep => FIG10_NAMES
-            .iter()
-            .map(|n| hidisc_workloads::by_name(n, kind.scale(), seed).expect("fig10 workload"))
-            .collect(),
-    }
+/// Generation and compile, as `run_suite` does them before the first
+/// simulation: `suite`, then a pooled `prepare` per workload.
+fn setup(scale: Scale, seed: u64, t: &Tracer, parent: Option<u64>, run: u64) -> Vec<Prepared> {
+    let ws = t.span("workloads.gen", parent, run, |_| {
+        hidisc_workloads::suite(scale, seed)
+    });
+    t.span("bench.pool_compile", parent, run, |pc| {
+        pool::run_indexed(ws.len(), |i| {
+            t.span("slicer.compile", Some(pc), run, |_| prepare(&ws[i]))
+        })
+    })
 }
 
 /// Renders the artifacts a user of the grid reads.
-fn render(kind: Kind, names: &[&'static str], stats: &[MachineStats]) -> String {
-    match kind {
-        Kind::SuitePaper => {
-            let results = suite_results(names, stats);
-            let mut out = hidisc_bench::Fig8Report(hidisc_bench::fig8(&results)).render_csv();
-            out.push_str(&hidisc_bench::Fig9Report(hidisc_bench::fig9(&results)).render_csv());
-            out.push_str(&hidisc_bench::Table2Report(hidisc_bench::table2(&results)).render_csv());
-            out
-        }
-        Kind::LatencySweep => hidisc_bench::Fig10Report(fig10_series(names, stats)).render_csv(),
-    }
+fn render(names: &[&'static str], stats: &[MachineStats]) -> String {
+    let results = suite_results(names, stats);
+    let mut out = hidisc_bench::Fig8Report(hidisc_bench::fig8(&results)).render_csv();
+    out.push_str(&hidisc_bench::Fig9Report(hidisc_bench::fig9(&results)).render_csv());
+    out.push_str(&hidisc_bench::Table2Report(hidisc_bench::table2(&results)).render_csv());
+    out
 }
 
 fn suite_results(names: &[&'static str], stats: &[MachineStats]) -> Vec<hidisc_bench::SuiteResult> {
@@ -180,34 +92,19 @@ fn suite_results(names: &[&'static str], stats: &[MachineStats]) -> Vec<hidisc_b
         .collect()
 }
 
-fn fig10_series(names: &[&'static str], stats: &[MachineStats]) -> Vec<hidisc_bench::Fig10Series> {
-    let per_w = FIG10_LATENCIES.len() * Model::ALL.len();
-    names
-        .iter()
-        .zip(stats.chunks(per_w))
-        .map(|(&name, cells)| hidisc_bench::Fig10Series {
-            name,
-            ipc: cells
-                .chunks(Model::ALL.len())
-                .map(|m| [m[0].ipc(), m[1].ipc(), m[2].ipc(), m[3].ipc()])
-                .collect(),
-        })
-        .collect()
-}
-
-/// One grid through the benchmark's own copy of the harness loop: the
-/// same public calls `run_suite`/`fig10` make, each inside a span.
-fn grid(kind: Kind, scale: Scale, seed: u64, t: &Tracer, run: u64) -> (Vec<MachineStats>, String) {
+/// One traced grid through the benchmark's own copy of the harness
+/// loop: the same public calls `run_suite` makes, each inside a span.
+fn grid(seed: u64, t: &Tracer, run: u64) -> Vec<MachineStats> {
     t.span("bench.grid", None, run, |root| {
-        let prepared = setup(kind, scale, seed, t, Some(root), run);
-        let cells = cells(kind, prepared.len());
+        let prepared = setup(SCALE, seed, t, Some(root), run);
+        let cells = cells(prepared.len());
         let stats = t.span("bench.pool_sim", Some(root), run, |ps| {
             pool::run_indexed(cells.len(), |k| {
-                let c = &cells[k];
-                let p = &prepared[c.w];
-                t.span(SIM_SPANS[model_index(c.model)], Some(ps), run, |_| {
-                    run_model(c.model, &p.compiled, &p.env, c.cfg)
-                        .unwrap_or_else(|e| panic!("{} on {}: {e}", p.name, c.model))
+                let (w, model) = cells[k];
+                let p = &prepared[w];
+                t.span(SIM_SPANS[model_index(model)], Some(ps), run, |_| {
+                    run_model(model, &p.compiled, &p.env, MachineConfig::paper())
+                        .unwrap_or_else(|e| panic!("{} on {model}: {e}", p.name))
                 })
             })
         });
@@ -218,38 +115,63 @@ fn grid(kind: Kind, scale: Scale, seed: u64, t: &Tracer, run: u64) -> (Vec<Machi
             )
         });
         let names: Vec<&'static str> = prepared.iter().map(|p| p.name).collect();
-        let csv = t.span("bench.render", Some(root), run, |_| {
-            render(kind, &names, &stats)
-        });
-        (stats, csv)
+        std::hint::black_box(t.span("bench.render", Some(root), run, |_| render(&names, &stats)));
+        stats
     })
 }
 
-/// The cross-model check `run_suite` and `fig10` make on their grids:
-/// every model of a workload (at one latency point) ends with the same
-/// final memory. Cells run model-innermost, so each chunk is one point.
+/// The cross-model check `run_suite` makes on its grid: every model of a
+/// workload ends with the same final memory. Cells run model-innermost,
+/// so each chunk is one workload.
 fn models_agree(stats: &[MachineStats]) -> bool {
     stats
         .chunks(Model::ALL.len())
         .all(|c| c.iter().all(|s| s.mem_checksum == c[0].mem_checksum))
 }
 
-/// One untraced repetition through the public entry point users run.
-fn timed_rep(kind: Kind, seed: u64) -> (Vec<MachineStats>, String) {
-    match kind {
-        Kind::SuitePaper => {
-            let results = hidisc_bench::run_suite(kind.scale(), seed, MachineConfig::paper());
-            let names: Vec<&'static str> = results.iter().map(|r| r.name).collect();
-            let stats: Vec<MachineStats> = results.into_iter().flat_map(|r| r.per_model).collect();
-            let csv = render(kind, &names, &stats);
-            (stats, csv)
-        }
-        // `fig10` returns IPCs only; the benchmark's copy of its loop
-        // makes the same calls, its cross-model check included, and
-        // returns every statistic (the copy is checked against `fig10`
-        // in `drift_check`).
-        Kind::LatencySweep => grid(kind, kind.scale(), seed, &Tracer::new(false), 0),
+/// One untimed grid through `run_suite`, the public entry point users
+/// run.
+fn public_grid(scale: Scale, seed: u64) -> Vec<MachineStats> {
+    hidisc_bench::run_suite(scale, seed, MachineConfig::paper())
+        .into_iter()
+        .flat_map(|r| r.per_model)
+        .collect()
+}
+
+/// One timed grid: the calls `run_suite` makes, on one thread, in its
+/// order — generation and compile, each cell, the cross-model check —
+/// then the rendering, with the calibration kernel timed between each
+/// two (see [`calib`]). Returns the cells' statistics, the grid's host
+/// and reference seconds, and each cell's reference seconds.
+fn timed_grid(
+    scale: Scale,
+    seed: u64,
+    clock: &mut calib::Clock,
+) -> (Vec<MachineStats>, f64, f64, Vec<f64>) {
+    let quiet = Tracer::new(false);
+    let (prepared, mut host, mut reference) = clock.time(|| setup(scale, seed, &quiet, None, 0));
+    let mut stats = Vec::new();
+    let mut cell_s = Vec::new();
+    for (w, model) in cells(prepared.len()) {
+        let p = &prepared[w];
+        let (s, h, r) = clock.time(|| {
+            run_model(model, &p.compiled, &p.env, MachineConfig::paper())
+                .unwrap_or_else(|e| panic!("{} on {model}: {e}", p.name))
+        });
+        stats.push(s);
+        cell_s.push(r);
+        host += h;
+        reference += r;
     }
+    let names: Vec<&'static str> = prepared.iter().map(|p| p.name).collect();
+    let (_, h, r) = clock.time(|| {
+        assert!(
+            models_agree(&stats),
+            "models computed different final memory"
+        );
+        std::hint::black_box(render(&names, &stats))
+    });
+    (stats, host + h, reference + r, cell_s)
 }
 
 /// The sequential interpreter's final-memory checksum for `w`, after
@@ -284,34 +206,8 @@ fn digest(stats: &[MachineStats]) -> u64 {
     h.0
 }
 
-/// Checks that `hidisc_bench::fig10` and the benchmark's copy of its
-/// loop agree bit for bit, at Paper scale to keep it cheap.
-fn drift_check(seed: u64, rep: &mut Report) {
-    let public = hidisc_bench::fig10(&FIG10_NAMES, Scale::Paper, seed);
-    let (stats, _) = grid(
-        Kind::LatencySweep,
-        Scale::Paper,
-        seed,
-        &Tracer::new(false),
-        0,
-    );
-    let copy = fig10_series(&FIG10_NAMES, &stats);
-    let same = public.len() == copy.len()
-        && public.iter().zip(&copy).all(|(a, b)| {
-            a.name == b.name
-                && a.ipc.len() == b.ipc.len()
-                && a.ipc
-                    .iter()
-                    .zip(&b.ipc)
-                    .all(|(x, y)| x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()))
-        });
-    rep.check(same, || {
-        "hidisc_bench::fig10 and the benchmark's copy of its grid disagree".into()
-    });
-}
-
-/// Runs one batch workload and fills `rep`.
-pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
+/// Runs `suite_paper` and fills `rep`.
+pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     let start = Instant::now();
     pool::set_threads(POOL_THREADS);
     let threads = pool::threads();
@@ -319,40 +215,35 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
 
     // Set-up time: generation plus compile, timed several times before
     // each grid so the median spans the run, as the host's speed drifts.
+    let mut clock = calib::Clock::new();
     let mut setups = Vec::new();
-    let mut time_setups = |n: usize| {
-        for _ in 0..n {
-            let t0 = Instant::now();
-            drop(setup(
-                kind,
-                kind.scale(),
-                seed,
-                &Tracer::new(false),
-                None,
-                0,
-            ));
-            setups.push(t0.elapsed().as_secs_f64());
-        }
-    };
 
     // Untimed references: the interpreter's checksum per workload.
-    let workloads = generate(kind, seed);
+    let workloads = hidisc_workloads::suite(SCALE, seed);
     let refs: Vec<Result<u64, String>> = workloads.iter().map(reference_checksum).collect();
     for r in &refs {
         if let Err(e) = r {
             rep.check(false, || e.clone());
         }
     }
-    let wl_of: Vec<usize> = cells(kind, workloads.len()).iter().map(|c| c.w).collect();
-    if kind == Kind::LatencySweep {
-        drift_check(seed, rep);
-    }
+    let wl_of: Vec<usize> = cells(workloads.len()).iter().map(|c| c.0).collect();
 
+    // The timed grid makes `run_suite`'s calls itself, to calibrate
+    // between cells; at Test scale, both must give the same statistics.
+    let (copy, ..) = timed_grid(Scale::Test, seed, &mut clock);
+    rep.check(
+        digest(&copy) == digest(&public_grid(Scale::Test, seed)),
+        || "run_suite and the benchmark's copy of its grid disagree".into(),
+    );
+
+    // Grid walls in host seconds (for the tracing overhead) and in
+    // reference seconds; cell times and speeds in reference units.
     let mut walls = Vec::new();
+    let mut ref_walls = Vec::new();
+    let mut factors = Vec::new();
     let mut traced_walls = Vec::new();
     let mut cell_ms = Vec::new();
-    let mut committed = 0u64;
-    let mut host_ns = 0u64;
+    let mut grid_msips = Vec::new();
     let mut digests = Vec::new();
     let mut first: Option<Vec<MachineStats>> = None;
     let tracer = Tracer::new(traced);
@@ -379,23 +270,27 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
     let mut round = 0u64;
     while rounds.is_empty() || start.elapsed().as_secs_f64() + median(&rounds) <= seconds as f64 {
         let round_start = Instant::now();
-        time_setups(SETUPS_PER_GRID);
-        let t0 = Instant::now();
-        let (stats, csv) = timed_rep(kind, seed);
-        walls.push(t0.elapsed().as_secs_f64());
-        std::hint::black_box(csv);
-        check_cells(&stats, rep);
-        for s in &stats {
-            cell_ms.push(s.host_wall_ns as f64 / 1e6);
-            committed += s.total_committed();
-            host_ns += s.host_wall_ns;
+        for _ in 0..SETUPS_PER_GRID {
+            setups.push(
+                clock
+                    .time(|| setup(SCALE, seed, &Tracer::new(false), None, 0))
+                    .2,
+            );
         }
+        let (stats, wall, ref_wall, cell_s) = timed_grid(SCALE, seed, &mut clock);
+        walls.push(wall);
+        ref_walls.push(ref_wall);
+        factors.push(ref_wall / wall);
+        check_cells(&stats, rep);
+        cell_ms.extend(cell_s.iter().map(|s| s * 1e3));
+        let committed: u64 = stats.iter().map(MachineStats::total_committed).sum();
+        grid_msips.push(committed as f64 / 1e6 / cell_s.iter().sum::<f64>());
         digests.push(digest(&stats));
         first.get_or_insert(stats);
         round += 1;
         if traced {
             let t0 = Instant::now();
-            let (stats, _) = grid(kind, kind.scale(), seed, &tracer, round);
+            let stats = grid(seed, &tracer, round);
             traced_walls.push(t0.elapsed().as_secs_f64());
             check_cells(&stats, rep);
             digests.push(digest(&stats));
@@ -408,23 +303,19 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
         format!("simulated statistics differ between repetitions: {digests:x?}")
     });
     rep.note(format!("stats digest: {:016x}", digests[0]));
-    rep.note(format!(
-        "grid walls (s): {}",
-        walls
-            .iter()
+    let list = |v: &[f64]| {
+        v.iter()
             .map(|w| format!("{w:.3}"))
             .collect::<Vec<_>>()
             .join(" ")
-    ));
+    };
+    rep.note(format!("grid walls (host s): {}", list(&walls)));
+    rep.note(format!("grid walls (reference s): {}", list(&ref_walls)));
+    rep.note(format!("host speed over reference: {}", list(&factors)));
 
     let n = cell_ms.len();
-    rep.set("wall_s", median(&walls), "s", walls.len());
-    rep.set(
-        "msips",
-        committed as f64 * 1e3 / host_ns.max(1) as f64,
-        "Minstr/s",
-        n,
-    );
+    rep.set("wall_s", median(&ref_walls), "s", ref_walls.len());
+    rep.set("msips", median(&grid_msips), "Minstr/s", grid_msips.len());
     rep.set("p50_ms", median(&cell_ms), "ms", n);
     rep.note(format!(
         "cell simulation p90: {:.1} ms of {n}",
@@ -439,17 +330,14 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
     );
 
     let names: Vec<&'static str> = workloads.iter().map(|w| w.name).collect();
-    shares(kind, &names, &stats, rep);
+    shares(&names, &stats, rep);
     counts(&stats, rep);
-    if kind == Kind::SuitePaper {
-        let results = suite_results(&names, &stats);
-        let avg = hidisc_bench::table2(&results);
-        let err = (1..4)
-            .map(|i| ((avg[i] - 1.0) * 100.0 - PAPER_TABLE2_PCT[i - 1]).abs())
-            .sum::<f64>()
-            / 3.0;
-        rep.set("bench.table2_err_pp", err, "pp", 3);
-    }
+    let avg = hidisc_bench::table2(&suite_results(&names, &stats));
+    let err = (1..4)
+        .map(|i| ((avg[i] - 1.0) * 100.0 - PAPER_TABLE2_PCT[i - 1]).abs())
+        .sum::<f64>()
+        / 3.0;
+    rep.set("bench.table2_err_pp", err, "pp", 3);
 
     if traced {
         let spans = tracer.spans();
@@ -499,22 +387,18 @@ pub fn run(kind: Kind, seed: u64, seconds: u64, traced: bool, rep: &mut Report) 
             share * capacity - untraced,
             100.0 * trace::total_s(&spans, "slicer.compile") / traced_walls.iter().sum::<f64>()
         ));
-        write_spans(&tracer, kind.name(), seed);
+        write_spans(&tracer, "suite_paper", seed);
     }
     rep.set("peak_rss_mb", peak_rss_mb(), "MB", 1);
 }
 
 /// The property shares later claims cite: each benchmark's share of the
 /// simulation CPU and the share of its cycles fast-forward skipped.
-fn shares(kind: Kind, names: &[&'static str], stats: &[MachineStats], rep: &mut Report) {
+fn shares(names: &[&'static str], stats: &[MachineStats], rep: &mut Report) {
     let total: u64 = stats.iter().map(|s| s.host_wall_ns).sum();
-    let per_w = match kind {
-        Kind::SuitePaper => Model::ALL.len(),
-        Kind::LatencySweep => Model::ALL.len() * FIG10_LATENCIES.len(),
-    };
     let parts: Vec<String> = names
         .iter()
-        .zip(stats.chunks(per_w))
+        .zip(stats.chunks(Model::ALL.len()))
         .map(|(n, c)| {
             let ns: u64 = c.iter().map(|s| s.host_wall_ns).sum();
             let cyc: u64 = c.iter().map(|s| s.cycles).sum();

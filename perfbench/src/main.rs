@@ -2,7 +2,7 @@
 //! simulator, its experiment harness and its HTTP service.
 //!
 //! ```text
-//! perfbench --workload <suite_paper|latency_sweep|serve_mix> --seed N --seconds S --trace <0|1>
+//! perfbench --workload <suite_paper|serve_mix> --seed N --seconds S --trace <0|1>
 //! ```
 //!
 //! Prints one `metric <name> = <value> <unit> (n=<samples>)` line per
@@ -11,6 +11,7 @@
 //! per-layer metrics with `--trace 1`. See README.md in this directory.
 
 mod batch;
+mod calib;
 mod report;
 mod serve;
 mod stats;
@@ -72,25 +73,10 @@ fn main() {
     };
     let mut rep = Report::default();
     match args.workload.as_str() {
-        "suite_paper" => batch::run(
-            batch::Kind::SuitePaper,
-            args.seed,
-            args.seconds,
-            args.trace,
-            &mut rep,
-        ),
-        "latency_sweep" => batch::run(
-            batch::Kind::LatencySweep,
-            args.seed,
-            args.seconds,
-            args.trace,
-            &mut rep,
-        ),
+        "suite_paper" => batch::run(args.seed, args.seconds, args.trace, &mut rep),
         "serve_mix" => serve::run(args.seed, args.seconds, args.trace, &mut rep),
         other => {
-            eprintln!(
-                "perfbench: unknown workload `{other}` (use suite_paper|latency_sweep|serve_mix)"
-            );
+            eprintln!("perfbench: unknown workload `{other}` (use suite_paper|serve_mix)");
             std::process::exit(2);
         }
     }
@@ -137,7 +123,7 @@ mod tests {
         let listed = json.matches("\"name\": ").count();
         assert_eq!(
             listed,
-            3 + super::END_TO_END.len() + layers.len(),
+            json.matches("\"why\": ").count() + super::END_TO_END.len() + layers.len(),
             "no extra metrics"
         );
     }

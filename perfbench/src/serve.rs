@@ -23,6 +23,7 @@ use hidisc_serve::json::Json;
 use hidisc_serve::{JobSpec, ServeConfig, Service};
 use hidisc_slicer::{compile, CompilerConfig, ExecEnv};
 
+use crate::calib;
 use crate::report::{peak_rss_mb, Report};
 use crate::stats::{median, percentile, tail_percentile, Outcome};
 use crate::trace::{self, Tracer};
@@ -87,13 +88,19 @@ const MIX: Mix = Mix {
 /// The `light` phase offers the same mix at this share of the `busy` rate.
 const LIGHT_SHARE: f64 = 0.4;
 
-/// Capacity probes: Test-scale grids of every workload × model at two
-/// fresh seeds (56 points), each one `/v1/sweep` whose points all
+/// A run is this many rounds, each a set-up, capacity probes, a `light`
+/// segment and a `busy` segment, so that every timed quantity has
+/// samples spread over the whole run: the host's speed drifts over tens
+/// of seconds, and a metric measured in one contiguous block of the run
+/// takes whatever speed that block had.
+const ROUNDS: usize = 10;
+/// Capacity probes per round: Test-scale grids of every workload × model
+/// at two fresh seeds (56 points), each one `/v1/sweep` whose points all
 /// simulate.
-const PROBES: usize = 12;
-/// Service starts (each with the repeat-pool pre-fill) timed as set-up,
-/// in the three rounds of a run.
-const SETUP_ROUNDS: [usize; 3] = [3, 2, 2];
+const PROBES_PER_ROUND: usize = 2;
+/// Service starts (each with the repeat-pool pre-fill) timed as set-up
+/// per round.
+const SETUPS_PER_ROUND: usize = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Class {
@@ -362,27 +369,37 @@ fn fresh_seed(rng: &mut Rng, used: &mut HashSet<u64>) -> u64 {
     }
 }
 
-/// A phase's requests: [`MIX`] at `rate` times its rate for `secs`
-/// seconds, as fixed counts per class in a seeded order, one per equal
-/// time slot at a random offset within it (open loop, bounded
+/// Segment `k` of `of` of a phase: [`MIX`] at `rate` times its rate for
+/// `secs` seconds, whose fixed counts per class are split evenly over the
+/// segments. Within a segment, requests come in a seeded order, one per
+/// equal time slot at a random offset within it (open loop, bounded
 /// burstiness); duplicates trail a random new job by 1 ms so they find
 /// it in flight.
-fn phase(
+#[allow(clippy::too_many_arguments)]
+fn segment(
     rate: f64,
     secs: f64,
+    (k, of): (usize, usize),
     rng: &mut Rng,
     used: &mut HashSet<u64>,
     programs: &mut HashSet<String>,
     specs: &mut Specs,
     pool: &Pool,
 ) -> Vec<Req> {
-    let count = |r: f64| (r * rate * secs).round() as usize;
+    // This segment's share of the phase's requests of a class, as the
+    // phase-wide indices it takes (so stratification runs across
+    // segments).
+    let count = |r: f64| {
+        let n = (r * rate * secs).round() as usize;
+        k * n / of..(k + 1) * n / of
+    };
+    let secs = secs / of as f64;
     let mut reqs = Vec::new();
-    for _ in 0..count(MIX.hit) {
+    for _ in count(MIX.hit) {
         let s = pool.specs[rng.below(pool.specs.len() as u64) as usize];
         reqs.push(Req::new(Class::Hit, s, Duration::ZERO));
     }
-    for i in 0..count(MIX.new) {
+    for i in count(MIX.new) {
         // Stratified over workload × model so every seed offers the same
         // composition of work.
         let w = WORKLOADS[i % WORKLOADS.len()];
@@ -390,7 +407,7 @@ fn phase(
         let s = specs.add(run_body(w, m, fresh_seed(rng, used)));
         reqs.push(Req::new(Class::New, s, Duration::ZERO));
     }
-    for _ in 0..count(MIX.program) {
+    for _ in count(MIX.program) {
         let src = loop {
             let src = program_source(rng);
             if programs.insert(src.clone()) {
@@ -400,7 +417,7 @@ fn phase(
         let s = specs.add(program_body(&src));
         reqs.push(Req::new(Class::Program, s, Duration::ZERO));
     }
-    for i in 0..count(MIX.sweep) {
+    for i in count(MIX.sweep) {
         let wi = i % WORKLOADS.len();
         let w = WORKLOADS[wi];
         let m1 = Model::ALL[i % 4];
@@ -433,7 +450,8 @@ fn phase(
         .filter(|r| r.class == Class::New)
         .map(|r| (r.spec, r.due))
         .collect();
-    for _ in 0..count(MIX.dup) {
+    // A short run's segment may have no new job to duplicate.
+    for _ in count(MIX.dup).filter(|_| !news.is_empty()) {
         let (s, d) = news[rng.below(news.len() as u64) as usize];
         reqs.push(Req::new(Class::Dup, s, d + Duration::from_millis(1)));
     }
@@ -939,20 +957,15 @@ fn value(m: &Metrics, key: &str) -> f64 {
     m.get(key).copied().unwrap_or(0.0)
 }
 
-fn delta(a: &Metrics, b: &Metrics, key: &str) -> f64 {
-    value(b, key) - value(a, key)
-}
-
-/// Mean of a job-phase histogram between two scrapes, in ms.
-fn phase_mean_ms(a: &Metrics, b: &Metrics, phase: &str) -> f64 {
-    let sum = delta(
-        a,
-        b,
+/// Mean of a job-phase histogram over `d`, the differences between
+/// scrapes, in ms.
+fn phase_mean_ms(d: &Metrics, phase: &str) -> f64 {
+    let sum = value(
+        d,
         &format!("hidisc_serve_job_phase_seconds_sum{{phase=\"{phase}\"}}"),
     );
-    let n = delta(
-        a,
-        b,
+    let n = value(
+        d,
         &format!("hidisc_serve_job_phase_seconds_count{{phase=\"{phase}\"}}"),
     );
     if n > 0.0 {
@@ -960,6 +973,22 @@ fn phase_mean_ms(a: &Metrics, b: &Metrics, phase: &str) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Pins the only live simulation worker thread (`hidisc-worker-0`, the
+/// serving service's) to `cpu`, where the calibration kernel runs.
+fn pin_worker(cpu: usize) -> bool {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return false;
+    };
+    let workers: Vec<i32> = tasks
+        .filter_map(|t| {
+            let t = t.ok()?;
+            let comm = std::fs::read_to_string(t.path().join("comm")).ok()?;
+            (comm.trim() == "hidisc-worker-0").then(|| t.file_name().to_str()?.parse().ok())?
+        })
+        .collect();
+    workers.len() == 1 && calib::pin(workers[0], cpu)
 }
 
 /// Starts a service and fills the repeat pool through it.
@@ -1011,7 +1040,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         .map(|&m| format!("\"{}\"", model_json(m)))
         .collect();
     let all_workloads: Vec<String> = WORKLOADS.iter().map(|w| format!("\"{w}\"")).collect();
-    let mut probes: Vec<Req> = (0..PROBES)
+    let mut probes: Vec<Req> = (0..ROUNDS * PROBES_PER_ROUND)
         .map(|_| {
             let fresh = [0; 2].map(|_| fresh_seed(&mut rng, &mut used));
             let points: Vec<usize> = WORKLOADS
@@ -1036,25 +1065,28 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             r
         })
         .collect();
-    let (light_s, busy_s) = (seconds as f64 * 0.25, seconds as f64 * 0.5);
-    let mut light = phase(
-        LIGHT_SHARE,
-        light_s,
-        &mut rng,
-        &mut used,
-        &mut programs,
-        &mut specs,
-        &pool,
-    );
-    let mut busy = phase(
-        1.0,
-        busy_s,
-        &mut rng,
-        &mut used,
-        &mut programs,
-        &mut specs,
-        &pool,
-    );
+    // A fifth of the run offers `light`, two fifths `busy`, each split
+    // evenly over the rounds; the direct runs, probes and set-ups take
+    // most of the rest.
+    let (light_s, busy_s) = (seconds as f64 * 0.2, seconds as f64 * 0.4);
+    let mut segments = |share: f64, secs: f64| -> Vec<Vec<Req>> {
+        (0..ROUNDS)
+            .map(|k| {
+                segment(
+                    share,
+                    secs,
+                    (k, ROUNDS),
+                    &mut rng,
+                    &mut used,
+                    &mut programs,
+                    &mut specs,
+                    &pool,
+                )
+            })
+            .collect()
+    };
+    let mut light = segments(LIGHT_SHARE, light_s);
+    let mut busy = segments(1.0, busy_s);
 
     // Expected results, outside the timed phases. A traced run makes the
     // direct runs again, traced: they are the part of the workload whose
@@ -1081,31 +1113,63 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         format!("{broken} benchmark jobs do not run directly")
     });
 
-    // Set-up (service start plus the repeat-pool pre-fill) and the
-    // capacity probes are each timed in three rounds, before, between and
-    // after the open-loop phases, so their medians span the run as the
-    // host's speed drifts. The last service of the first round serves
-    // the run; the others are shut down.
+    // The rounds. The first round's service serves the run; the other
+    // set-ups are shut down once timed. Timings are converted to
+    // reference seconds with the calibration kernel timed around them on
+    // the CPU the serving service's simulation worker is pinned to: the
+    // benchmark cannot calibrate between the worker's jobs, so these
+    // factors track the host less closely than `suite_paper`'s per-cell
+    // ones.
+    let cpu = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
     let mut setups = Vec::new();
-    let mut setup_round = |n: usize, rep: &mut Report| {
+    let mut setup_round = |rep: &mut Report| {
         let mut live = None;
-        for _ in 0..n {
+        let mut host = Vec::new();
+        let before = calib::sample3_on(cpu);
+        for _ in 0..SETUPS_PER_ROUND {
             if let Some((svc, _)) = live.take() {
                 Service::shutdown(svc);
             }
             let t0 = Instant::now();
             let (svc, client, ok) = start_filled(&pool, &specs);
-            setups.push(t0.elapsed().as_secs_f64());
+            host.push(t0.elapsed().as_secs_f64());
             rep.check(ok, || "repeat-pool pre-fill failed".into());
             live = Some((svc, client));
         }
+        let f = calib::factor(before, calib::sample3_on(cpu));
+        setups.extend(host.iter().map(|s| s * f));
         live.expect("a round starts at least one service")
     };
-    let (svc, mut client) = setup_round(SETUP_ROUNDS[0], rep);
-    let addr = svc.addr();
+    let mut serving: Option<(Service, Client)> = None;
     let mut probe_walls = Vec::new();
-    let mut probe_round = |probes: &mut [Req], client: &mut Client, rep: &mut Report| {
+    let mut probe_msips = Vec::new();
+    let mut factors = Vec::new();
+    let (mut light_epochs, mut busy_epochs) = (Vec::new(), Vec::new());
+    // Each busy segment's reference-seconds factor.
+    let mut busy_factors = Vec::new();
+    // `/metrics` deltas over the busy segments, and their wall.
+    let mut busy_delta = Metrics::new();
+    let mut busy_wall = 0.0;
+    let mut busy_rtts = Rtts::new();
+    let sim_run_key = "hidisc_serve_job_phase_seconds_sum{phase=\"sim_run\"}";
+    for (r, probes) in probes.chunks_mut(PROBES_PER_ROUND).enumerate() {
+        let started = setup_round(rep);
+        let (svc, client) = match &mut serving {
+            Some((svc, client)) => {
+                Service::shutdown(started.0);
+                (&*svc, client)
+            }
+            None => {
+                let pinned = pin_worker(cpu);
+                rep.note(format!("simulation worker pinned to CPU {cpu}: {pinned}"));
+                let (svc, client) = serving.insert(started);
+                (&*svc, client)
+            }
+        };
+        let addr = svc.addr();
+        let mut cal = calib::sample3_on(cpu);
         for probe in probes.chunks_mut(1) {
+            let m0 = scrape(addr);
             let epoch = drive(
                 &mut client.conns,
                 &client.poller,
@@ -1115,57 +1179,70 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
                 &mut Rtts::new(),
                 0,
             );
-            let r = &probe[0];
-            probe_walls.push(r.done.unwrap_or(epoch).duration_since(epoch).as_secs_f64());
+            let p = &probe[0];
+            let wall = p.done.unwrap_or(epoch).duration_since(epoch).as_secs_f64();
+            let sim_s = value(&scrape(addr), sim_run_key) - value(&m0, sim_run_key);
+            let after = calib::sample3_on(cpu);
+            let f = calib::factor(cal, after);
+            cal = after;
+            factors.push(f);
+            probe_walls.push(wall * f);
+            let committed: u64 = p
+                .points
+                .iter()
+                .filter_map(|&k| specs.list[k].stats.as_ref())
+                .map(MachineStats::total_committed)
+                .sum();
+            probe_msips.push(committed as f64 / 1e6 / sim_s.max(1e-9) / f);
             rep.attempted += 1;
-            rep.failed += u64::from(!r.ok);
+            rep.failed += u64::from(!p.ok);
         }
-    };
-    let (round1, rest) = probes.split_at_mut(PROBES / 3);
-    let (round2, round3) = rest.split_at_mut(PROBES / 3);
-    probe_round(round1, &mut client, rep);
-
-    // The two open-loop phases.
-    let light_epoch = drive(
-        &mut client.conns,
-        &client.poller,
-        &mut light,
-        &specs,
-        &tracer,
-        &mut Rtts::new(),
-        1 << 20,
-    );
-    Service::shutdown(setup_round(SETUP_ROUNDS[1], rep).0);
-    probe_round(round2, &mut client, rep);
-    let before = scrape(addr);
-    let busy_started = Instant::now();
-    let mut busy_rtts = Rtts::new();
-    let busy_epoch = drive(
-        &mut client.conns,
-        &client.poller,
-        &mut busy,
-        &specs,
-        &tracer,
-        &mut busy_rtts,
-        2 << 20,
-    );
-    let busy_wall = busy_started.elapsed().as_secs_f64();
-    let after = scrape(addr);
-    Service::shutdown(setup_round(SETUP_ROUNDS[2], rep).0);
-    probe_round(round3, &mut client, rep);
+        let id_base = (2 * r as u64 + 1) << 20;
+        light_epochs.push(drive(
+            &mut client.conns,
+            &client.poller,
+            &mut light[r],
+            &specs,
+            &tracer,
+            &mut Rtts::new(),
+            id_base,
+        ));
+        let cal = calib::sample3_on(cpu);
+        let before = scrape(addr);
+        let started = Instant::now();
+        busy_epochs.push(drive(
+            &mut client.conns,
+            &client.poller,
+            &mut busy[r],
+            &specs,
+            &tracer,
+            &mut busy_rtts,
+            id_base + (1 << 20),
+        ));
+        busy_wall += started.elapsed().as_secs_f64();
+        let after = scrape(addr);
+        busy_factors.push(calib::factor(cal, calib::sample3_on(cpu)));
+        for (k, v) in &after {
+            *busy_delta.entry(k.clone()).or_default() += v - value(&before, k);
+        }
+    }
+    let (svc, client) = serving.expect("at least one round");
+    let addr = svc.addr();
     rep.set("setup_s", median(&setups), "s", setups.len());
     rep.set("wall_s", median(&probe_walls), "s", probe_walls.len());
-    rep.note(format!(
-        "probe walls (s): {}",
-        probe_walls
-            .iter()
+    rep.set("msips", median(&probe_msips), "Minstr/s", probe_msips.len());
+    let list = |v: &[f64]| {
+        v.iter()
             .map(|w| format!("{w:.3}"))
             .collect::<Vec<_>>()
             .join(" ")
-    ));
+    };
+    rep.note(format!("probe walls (reference s): {}", list(&probe_walls)));
+    rep.note(format!("host speed over reference: {}", list(&factors)));
     let grid = probes[0].points.len() as f64;
     rep.note(format!(
-        "capacity: {:.0} new Test-scale points/s on one worker (grids of {grid})",
+        "capacity: {:.0} new Test-scale points/s on one worker at the reference speed \
+         (grids of {grid})",
         grid / median(&probe_walls)
     ));
 
@@ -1173,8 +1250,8 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     let mut sweep_ok = true;
     for r in probes
         .iter()
-        .chain(&light)
-        .chain(&busy)
+        .chain(light.iter().flatten())
+        .chain(busy.iter().flatten())
         .filter(|r| r.class == Class::Sweep && r.ok)
     {
         for &k in &r.points {
@@ -1218,28 +1295,31 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         .filter_map(|s| s.stats.as_ref())
         .map(MachineStats::total_committed)
         .sum();
-    rep.set(
-        "msips",
-        committed as f64 / 1e6 / sim_run_s.max(1e-9),
-        "Minstr/s",
-        sims as usize,
-    );
+    rep.note(format!(
+        "all {sims} simulations: {:.3} Minstr/s of host sim_run time",
+        committed as f64 / 1e6 / sim_run_s.max(1e-9)
+    ));
 
-    // Outcomes.
-    let outs = |reqs: &[Req], epoch: Instant, f: &dyn Fn(Class) -> bool| -> Vec<Outcome> {
-        reqs.iter()
-            .filter(|r| f(r.class))
-            .map(|r| r.outcome(epoch))
+    // Outcomes, each against its segment's epoch.
+    let outs = |segs: &[Vec<Req>], epochs: &[Instant], f: &dyn Fn(Class) -> bool| -> Vec<Outcome> {
+        segs.iter()
+            .zip(epochs)
+            .flat_map(|(reqs, &epoch)| {
+                reqs.iter()
+                    .filter(|r| f(r.class))
+                    .map(move |r| r.outcome(epoch))
+            })
             .collect()
     };
-    for (reqs, epoch) in [(&light, light_epoch), (&busy, busy_epoch)] {
-        let all = outs(reqs, epoch, &|_| true);
+    for (segs, epochs) in [(&light, &light_epochs), (&busy, &busy_epochs)] {
+        let all = outs(segs, epochs, &|_| true);
         rep.attempted += all.len() as u64;
         rep.failed += all.iter().filter(|o| !o.ok).count() as u64;
     }
     let mut whys: Vec<String> = light
         .iter()
         .chain(&busy)
+        .flatten()
         .filter_map(|r| r.why.as_ref().map(|w| format!("{:?}: {w}", r.class)))
         .collect();
     whys.sort();
@@ -1260,15 +1340,27 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         rep.note(format!("{what} tail is p{p} of {}", v.len()));
         percentile(v, p)
     };
-    let run_busy = lat(&outs(&busy, busy_epoch, &|c: Class| c.is_run()));
-    let run_light = lat(&outs(&light, light_epoch, &|c: Class| c.is_run()));
-    let hit_busy = lat(&outs(&busy, busy_epoch, &|c| c == Class::Hit));
-    let mut sweeps = lat(&outs(&light, light_epoch, &|c| c == Class::Sweep));
-    sweeps.extend(lat(&outs(&busy, busy_epoch, &|c| c == Class::Sweep)));
-    rep.set("p50_ms", median(&run_busy), "ms", run_busy.len());
-    let busy_all: Vec<Outcome> = busy.iter().map(|r| r.outcome(busy_epoch)).collect();
+    let run_busy = lat(&outs(&busy, &busy_epochs, &|c: Class| c.is_run()));
+    let run_light = lat(&outs(&light, &light_epochs, &|c: Class| c.is_run()));
+    let hit_busy = lat(&outs(&busy, &busy_epochs, &|c| c == Class::Hit));
+    let mut sweeps = lat(&outs(&light, &light_epochs, &|c| c == Class::Sweep));
+    sweeps.extend(lat(&outs(&busy, &busy_epochs, &|c| c == Class::Sweep)));
+    // In reference ms, by the factor of each result's busy segment.
+    let run_busy_ref: Vec<f64> = busy
+        .iter()
+        .zip(&busy_epochs)
+        .zip(&busy_factors)
+        .flat_map(|((reqs, &epoch), &f)| {
+            reqs.iter()
+                .filter(|r| r.class.is_run())
+                .map(move |r| r.outcome(epoch).latency_ms().map_or(fail_ms, |ms| ms * f))
+        })
+        .collect();
+    rep.set("p50_ms", median(&run_busy_ref), "ms", run_busy_ref.len());
+    let busy_all = outs(&busy, &busy_epochs, &|_| true);
     let good = busy
         .iter()
+        .flatten()
         .zip(&busy_all)
         .filter(|(r, o)| o.within(r.class.limit_ms()))
         .count();
@@ -1288,17 +1380,18 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
              {LATE_BOUND_MS} ms), so the host stalled the client; its latencies are suspect"
         ));
     }
-    let share = |c: Class| busy.iter().filter(|r| r.class == c).count() as f64 / busy.len() as f64;
+    let busy_n = busy_all.len() as f64;
+    let share = |c: Class| busy.iter().flatten().filter(|r| r.class == c).count() as f64 / busy_n;
     rep.note(format!(
         "assumed request mix (configured, not observed): busy {:.0} req/s; hit {:.1}%, \
          new {:.1}%, dup {:.1}%, program {:.1}%, sweep {:.1}%; light {:.0} req/s",
-        busy.len() as f64 / busy_s,
+        busy_n / busy_s,
         100.0 * share(Class::Hit),
         100.0 * share(Class::New),
         100.0 * share(Class::Dup),
         100.0 * share(Class::Program),
         100.0 * share(Class::Sweep),
-        light.len() as f64 / light_s,
+        light.iter().flatten().count() as f64 / light_s,
     ));
 
     if traced {
@@ -1322,18 +1415,16 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
         for phase in ["queue_wait", "sim_run", "serialize"] {
             rep.set(
                 &format!("serve.{phase}_ms"),
-                phase_mean_ms(&before, &after, phase),
+                phase_mean_ms(&busy_delta, phase),
                 "ms",
                 1,
             );
         }
-        let busy_work = delta(
-            &before,
-            &after,
+        let busy_work = value(
+            &busy_delta,
             "hidisc_serve_job_phase_seconds_sum{phase=\"sim_run\"}",
-        ) + delta(
-            &before,
-            &after,
+        ) + value(
+            &busy_delta,
             "hidisc_serve_job_phase_seconds_sum{phase=\"serialize\"}",
         );
         rep.set("serve.worker_busy_share", busy_work / busy_wall, "share", 1);
