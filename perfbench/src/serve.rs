@@ -94,6 +94,10 @@ const LIGHT_SHARE: f64 = 0.4;
 /// of seconds, and a metric measured in one contiguous block of the run
 /// takes whatever speed that block had.
 const ROUNDS: usize = 10;
+/// Each round's `busy` segment is driven in this many pieces, with the
+/// calibration kernel timed between them: the kernel's time at the ends
+/// of a whole segment tracked the host's speed over it less closely.
+const BUSY_PIECES: usize = 4;
 /// Capacity probes per round: Test-scale grids of every workload × model
 /// at two fresh seeds (56 points), each one `/v1/sweep` whose points all
 /// simulate.
@@ -1069,13 +1073,13 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     // evenly over the rounds; the direct runs, probes and set-ups take
     // most of the rest.
     let (light_s, busy_s) = (seconds as f64 * 0.2, seconds as f64 * 0.4);
-    let mut segments = |share: f64, secs: f64| -> Vec<Vec<Req>> {
-        (0..ROUNDS)
+    let mut segments = |share: f64, secs: f64, of: usize| -> Vec<Vec<Req>> {
+        (0..of)
             .map(|k| {
                 segment(
                     share,
                     secs,
-                    (k, ROUNDS),
+                    (k, of),
                     &mut rng,
                     &mut used,
                     &mut programs,
@@ -1085,8 +1089,8 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             })
             .collect()
     };
-    let mut light = segments(LIGHT_SHARE, light_s);
-    let mut busy = segments(1.0, busy_s);
+    let mut light = segments(LIGHT_SHARE, light_s, ROUNDS);
+    let mut busy = segments(1.0, busy_s, ROUNDS * BUSY_PIECES);
 
     // Expected results, outside the timed phases. A traced run makes the
     // direct runs again, traced: they are the part of the workload whose
@@ -1114,18 +1118,24 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
     });
 
     // The rounds. The first round's service serves the run; the other
-    // set-ups are shut down once timed. Timings are converted to
-    // reference seconds with the calibration kernel timed around them on
-    // the CPU the serving service's simulation worker is pinned to: the
-    // benchmark cannot calibrate between the worker's jobs, so these
-    // factors track the host less closely than `suite_paper`'s per-cell
-    // ones.
-    let cpu = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+    // set-ups are shut down once timed. The client (this thread, and the
+    // threads of every service it starts) stays on the first CPU and the
+    // serving service's simulation worker on the last, so the two do not
+    // take turns on one CPU. Timings are converted to reference seconds
+    // with the calibration kernel timed around them on the CPU their work
+    // ran on: the benchmark cannot calibrate between the worker's jobs,
+    // so these factors track the host less closely than `suite_paper`'s
+    // per-cell ones.
+    let (client_cpu, cpu) = (
+        0,
+        std::thread::available_parallelism().map_or(1, |n| n.get()) - 1,
+    );
+    let pinned = calib::pin(0, client_cpu);
     let mut setups = Vec::new();
     let mut setup_round = |rep: &mut Report| {
         let mut live = None;
         let mut host = Vec::new();
-        let before = calib::sample3_on(cpu);
+        let before = calib::sample3_on(client_cpu);
         for _ in 0..SETUPS_PER_ROUND {
             if let Some((svc, _)) = live.take() {
                 Service::shutdown(svc);
@@ -1136,7 +1146,7 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             rep.check(ok, || "repeat-pool pre-fill failed".into());
             live = Some((svc, client));
         }
-        let f = calib::factor(before, calib::sample3_on(cpu));
+        let f = calib::factor(before, calib::sample3_on(client_cpu));
         setups.extend(host.iter().map(|s| s * f));
         live.expect("a round starts at least one service")
     };
@@ -1160,8 +1170,10 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
                 (&*svc, client)
             }
             None => {
-                let pinned = pin_worker(cpu);
-                rep.note(format!("simulation worker pinned to CPU {cpu}: {pinned}"));
+                let pinned = pinned && pin_worker(cpu);
+                rep.note(format!(
+                    "client pinned to CPU {client_cpu}, simulation worker to CPU {cpu}: {pinned}"
+                ));
                 let (svc, client) = serving.insert(started);
                 (&*svc, client)
             }
@@ -1197,7 +1209,8 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             rep.attempted += 1;
             rep.failed += u64::from(!p.ok);
         }
-        let id_base = (2 * r as u64 + 1) << 20;
+        // Request span ids: one block of 2^20 per drive.
+        let id_base = |drive: usize| ((r * (1 + BUSY_PIECES) + drive + 1) as u64) << 20;
         light_epochs.push(drive(
             &mut client.conns,
             &client.poller,
@@ -1205,25 +1218,32 @@ pub fn run(seed: u64, seconds: u64, traced: bool, rep: &mut Report) {
             &specs,
             &tracer,
             &mut Rtts::new(),
-            id_base,
+            id_base(0),
         ));
-        let cal = calib::sample3_on(cpu);
-        let before = scrape(addr);
-        let started = Instant::now();
-        busy_epochs.push(drive(
-            &mut client.conns,
-            &client.poller,
-            &mut busy[r],
-            &specs,
-            &tracer,
-            &mut busy_rtts,
-            id_base + (1 << 20),
-        ));
-        busy_wall += started.elapsed().as_secs_f64();
-        let after = scrape(addr);
-        busy_factors.push(calib::factor(cal, calib::sample3_on(cpu)));
-        for (k, v) in &after {
-            *busy_delta.entry(k.clone()).or_default() += v - value(&before, k);
+        let mut cal = calib::sample3_on(cpu);
+        for (p, piece) in busy[r * BUSY_PIECES..(r + 1) * BUSY_PIECES]
+            .iter_mut()
+            .enumerate()
+        {
+            let before = scrape(addr);
+            let started = Instant::now();
+            busy_epochs.push(drive(
+                &mut client.conns,
+                &client.poller,
+                piece,
+                &specs,
+                &tracer,
+                &mut busy_rtts,
+                id_base(p + 1),
+            ));
+            busy_wall += started.elapsed().as_secs_f64();
+            let after = scrape(addr);
+            let next = calib::sample3_on(cpu);
+            busy_factors.push(calib::factor(cal, next));
+            cal = next;
+            for (k, v) in &after {
+                *busy_delta.entry(k.clone()).or_default() += v - value(&before, k);
+            }
         }
     }
     let (svc, client) = serving.expect("at least one round");
