@@ -4,7 +4,7 @@
 //! the hot pipeline loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hidisc::{Machine, MachineConfig, Model, Scheduler};
+use hidisc::{Machine, MachineConfig, Model};
 use hidisc_bench::env_of;
 use hidisc_mem::{AccessKind, MemConfig, MemSystem};
 use hidisc_slicer::{compile, CompilerConfig};
@@ -44,10 +44,8 @@ fn bench_machine(c: &mut Criterion) {
     }
     // The seed scan scheduler on the commit-heavy case, as the reference
     // point for the ready-list speed-up (asserted bit-identical first).
-    let scan_cfg = MachineConfig::builder()
-        .scheduler(Scheduler::Scan)
-        .build()
-        .expect("paper preset with scan scheduler is valid");
+    let mut scan_cfg = MachineConfig::paper();
+    scan_cfg.superscalar.scheduler = hidisc_ooo::Scheduler::Scan;
     let run = |cfg: MachineConfig| {
         let mut m = Machine::new(Model::Superscalar, &compiled, &env, cfg);
         m.run(compiled.profile.dyn_instrs).unwrap()

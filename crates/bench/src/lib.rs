@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 
-use hidisc::telemetry::{Category, ChromeTraceSink, IntervalMetrics, StreamingSink, TraceConfig};
+use hidisc::telemetry::{json_escape, Category, IntervalMetrics, StreamingSink, TraceConfig};
 use hidisc::{run_model, Machine, MachineConfig, MachineStats, Model};
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
@@ -849,20 +849,6 @@ pub fn speculation_workload(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SpecCheckReport {
     /// The whole analysis as a JSON document (`--format json`).
     pub fn to_json(&self) -> String {
@@ -1667,27 +1653,28 @@ pub fn pipeline_trace(name: &str, scale: Scale, seed: u64, cycles: u64) -> Strin
 // Structured telemetry: Chrome-trace export and interval-metrics report
 // ---------------------------------------------------------------------------
 
-/// One traced HiDISC run behind `repro telemetry`: the Chrome-trace JSON
-/// document plus enough bookkeeping to summarise what was recorded.
-#[derive(Debug, Clone)]
-pub struct TelemetryRun {
-    /// Chrome-trace JSON (load into <https://ui.perfetto.dev>).
-    pub json: String,
+/// One traced HiDISC run behind `repro telemetry`: the trace went to the
+/// writer as the machine ran, so only the summary counters remain here.
+#[derive(Debug)]
+pub struct StreamedRun<W> {
+    /// The writer, returned after the document tail was flushed.
+    pub out: W,
     /// End-of-run statistics of the traced machine.
     pub stats: MachineStats,
-    /// Recorded events per category, in [`Category::ALL`] order.
+    /// Events serialised per category, in [`Category::ALL`] order.
     pub counts: [u64; 5],
-    /// Events discarded once the recorder's buffer filled.
+    /// Events discarded before a flush could happen (only possible when
+    /// one cycle emits more than half the buffer cap).
     pub dropped: u64,
-    /// The buffer cap the run was recorded under.
+    /// The buffer cap the run streamed under.
     pub cap: usize,
     /// Interval metrics, when `trace.metrics_interval > 0`.
     pub metrics: Option<IntervalMetrics>,
 }
 
-impl TelemetryRun {
+impl<W> StreamedRun<W> {
     /// One summary line per category plus the drop counter — the stderr
-    /// companion of the JSON document.
+    /// companion of the trace document.
     pub fn summary(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -1700,69 +1687,12 @@ impl TelemetryRun {
 }
 
 /// Runs one workload on the HiDISC model with the given trace
-/// configuration and exports the recording as Chrome-trace JSON, with the
-/// interval metrics (when sampled) embedded as the `hidiscMetrics` side
-/// table.
-pub fn telemetry_run(
-    name: &str,
-    scale: Scale,
-    seed: u64,
-    mut cfg: MachineConfig,
-    trace: TraceConfig,
-) -> TelemetryRun {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
-    cfg.trace = trace;
-    let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
-    let stats = m
-        .run(compiled.profile.dyn_instrs)
-        .unwrap_or_else(|e| panic!("{} traced run failed: {e}", w.name));
-    let core_names: Vec<&str> = stats.cores.iter().map(|(n, _)| *n).collect();
-    let mut sink = ChromeTraceSink::new(&core_names);
-    let tel = m.telemetry();
-    tel.replay(&mut sink);
-    let mut counts = [0u64; 5];
-    for e in tel.events() {
-        counts[e.data.category() as usize] += 1;
-    }
-    TelemetryRun {
-        json: sink.finish(tel.metrics()),
-        stats,
-        counts,
-        dropped: tel.dropped(),
-        cap: tel.config().event_cap,
-        metrics: tel.metrics().cloned(),
-    }
-}
-
-/// One streamed traced run behind `repro telemetry --stream`: the trace
-/// went to the writer as the machine ran, so only the summary counters
-/// remain here.
-#[derive(Debug)]
-pub struct StreamedRun<W> {
-    /// The writer, returned after the document tail was flushed.
-    pub out: W,
-    /// End-of-run statistics of the traced machine.
-    pub stats: MachineStats,
-    /// Events serialised over the run (flushed batches + final drain).
-    pub streamed_events: u64,
-    /// Events discarded before a flush could happen (only possible when
-    /// one cycle emits more than the whole buffer cap).
-    pub dropped: u64,
-    /// The buffer cap the run streamed under.
-    pub cap: usize,
-    /// Interval metrics, when `trace.metrics_interval > 0`.
-    pub metrics: Option<IntervalMetrics>,
-}
-
-/// Streamed variant of [`telemetry_run`]: the Chrome-trace document is
-/// serialised into `out` *while* the machine runs — the event buffer is
-/// drained at half its cap instead of growing for the whole run, so
-/// arbitrarily long traces stream in bounded memory. The bytes produced
-/// are identical to the buffered exporter's.
+/// configuration and serialises the recording as Chrome-trace JSON into
+/// `out` *while* the machine runs, with the interval metrics (when
+/// sampled) embedded as the `hidiscMetrics` side table. The event buffer
+/// is drained at half its cap instead of growing for the whole run, so
+/// arbitrarily long traces stream in bounded memory, and the bytes do not
+/// depend on the cap.
 pub fn telemetry_stream<W: std::io::Write>(
     name: &str,
     scale: Scale,
@@ -1784,18 +1714,15 @@ pub fn telemetry_stream<W: std::io::Write>(
         .run_streamed(compiled.profile.dyn_instrs, &mut sink)
         .unwrap_or_else(|e| panic!("{} streamed run failed: {e}", w.name));
     let tel = m.telemetry();
-    let streamed_events = tel.total_events();
-    let dropped = tel.dropped();
-    let cap = tel.config().event_cap;
-    let metrics = tel.metrics().cloned();
+    let counts = sink.counts();
     let out = sink.finish(tel.metrics())?;
     Ok(StreamedRun {
         out,
         stats,
-        streamed_events,
-        dropped,
-        cap,
-        metrics,
+        counts,
+        dropped: tel.dropped(),
+        cap: tel.config().event_cap,
+        metrics: tel.metrics().cloned(),
     })
 }
 
@@ -1974,12 +1901,25 @@ mod related_tests {
 mod telemetry_tests {
     use super::*;
 
+    fn stream(trace: TraceConfig) -> (StreamedRun<Vec<u8>>, String) {
+        let run = telemetry_stream(
+            "dm",
+            Scale::Test,
+            7,
+            MachineConfig::paper(),
+            trace,
+            Vec::new(),
+        )
+        .expect("stream to a Vec cannot fail");
+        let json = String::from_utf8(run.out.clone()).unwrap();
+        (run, json)
+    }
+
     #[test]
-    fn telemetry_run_exports_and_summarises() {
-        let trace = TraceConfig::ALL_EVENTS.with_metrics_interval(500);
-        let run = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert!(run.json.starts_with("{\"displayTimeUnit\""));
-        assert!(run.json.contains("\"hidiscMetrics\":"));
+    fn telemetry_stream_exports_and_summarises() {
+        let (run, json) = stream(TraceConfig::ALL_EVENTS.with_metrics_interval(500));
+        assert!(json.starts_with("{\"displayTimeUnit\""));
+        assert!(json.contains("\"hidiscMetrics\":"));
         assert!(run.counts[Category::Pipeline as usize] > 0);
         assert!(run.counts[Category::Queue as usize] > 0);
         assert!(
@@ -1995,45 +1935,32 @@ mod telemetry_tests {
     }
 
     #[test]
-    fn streamed_trace_is_byte_identical_to_the_buffered_export() {
-        // Buffered: record everything, export at the end.
+    fn trace_bytes_do_not_depend_on_the_event_cap() {
+        // Default cap: the whole dm run fits in one buffer.
         let trace = TraceConfig::ALL_EVENTS.with_metrics_interval(500);
-        let buffered = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert_eq!(buffered.dropped, 0, "cap too small for this workload");
+        let (whole, expect) = stream(trace);
+        assert_eq!(whole.dropped, 0, "cap too small for this workload");
 
-        // Streamed: small cap so the buffer flushes many times mid-run
-        // (a busy cycle can emit a few dozen events, so the half-cap
-        // flush threshold must stay comfortably above that).
-        let trace = trace.with_event_cap(1024);
-        let streamed = telemetry_stream(
-            "dm",
-            Scale::Test,
-            7,
-            MachineConfig::paper(),
-            trace,
-            Vec::new(),
-        )
-        .expect("stream to a Vec cannot fail");
-        assert_eq!(streamed.dropped, 0, "streaming must flush, not drop");
+        // Small cap so the buffer flushes many times mid-run (a busy
+        // cycle can emit a few dozen events, so the half-cap flush
+        // threshold must stay comfortably above that).
+        let (flushed, got) = stream(trace.with_event_cap(1024));
+        assert_eq!(flushed.dropped, 0, "streaming must flush, not drop");
         assert!(
-            streamed.streamed_events > 1024,
+            flushed.counts.iter().sum::<u64>() > 1024,
             "expected multiple flush batches"
         );
-        assert!(streamed.stats.sim_eq(&buffered.stats), "runs diverged");
-        assert_eq!(
-            String::from_utf8(streamed.out).unwrap(),
-            buffered.json,
-            "streamed bytes differ from the buffered export"
-        );
+        assert_eq!(flushed.counts, whole.counts);
+        assert!(flushed.stats.sim_eq(&whole.stats), "runs diverged");
+        assert_eq!(got, expect, "trace bytes depend on the event cap");
     }
 
     #[test]
     fn forced_event_drops_are_counted_and_surfaced() {
-        // A buffered run with a tiny cap must drop events and say so in
-        // the `repro telemetry` stderr summary.
-        let trace = TraceConfig::ALL_EVENTS.with_event_cap(16);
-        let run = telemetry_run("dm", Scale::Test, 7, MachineConfig::paper(), trace);
-        assert!(run.dropped > 0, "a 16-event cap cannot hold a dm run");
+        // A cap too small for one busy cycle must drop events and say so
+        // in the `repro telemetry` stderr summary.
+        let (run, _) = stream(TraceConfig::ALL_EVENTS.with_event_cap(16));
+        assert!(run.dropped > 0, "a 16-event cap cannot hold a dm cycle");
         assert_eq!(run.cap, 16);
         assert!(
             run.summary()

@@ -3,7 +3,7 @@
 
 use crate::cmp::CmpConfig;
 use hidisc_mem::{CacheConfig, MemConfig};
-use hidisc_ooo::{CoreConfig, QueueConfig, Scheduler};
+use hidisc_ooo::{CoreConfig, QueueConfig};
 use hidisc_telemetry::TraceConfig;
 
 /// One FNV-1a 64-bit step over `bytes`, continuing from `state` (seed
@@ -205,14 +205,6 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Issue-stage scheduler for every core of the machine.
-    pub fn scheduler(mut self, s: Scheduler) -> Self {
-        self.cfg.superscalar.scheduler = s;
-        self.cfg.cp.scheduler = s;
-        self.cfg.ap.scheduler = s;
-        self
-    }
-
     /// Progress-watchdog threshold in commit-free cycles.
     pub fn deadlock_cycles(mut self, n: u64) -> Self {
         self.cfg.deadlock_cycles = n;
@@ -228,12 +220,6 @@ impl MachineConfigBuilder {
     /// Enables or disables idle-cycle fast-forward.
     pub fn fast_forward(mut self, on: bool) -> Self {
         self.cfg.fast_forward = on;
-        self
-    }
-
-    /// Enables the differential fast-forward check (slow; tests only).
-    pub fn ff_check(mut self, on: bool) -> Self {
-        self.cfg.ff_check = on;
         self
     }
 
@@ -367,10 +353,12 @@ impl MachineConfig {
     /// Canonical byte serialisation of every simulation-relevant field,
     /// for content-addressed result caching: two configurations with the
     /// same field values always produce the same bytes, regardless of
-    /// how or in what order they were built. The `trace` block is
-    /// excluded — telemetry is proven simulation-invisible
-    /// (`telemetry_equiv.rs`), so tracing a run must not change its
-    /// cache identity.
+    /// how or in what order they were built. Three fields are excluded
+    /// because they cannot change results: the `trace` block (telemetry
+    /// is proven simulation-invisible by `telemetry_equiv.rs`), each
+    /// core's `scheduler` (the scan scheduler is proven issue-identical
+    /// by `readylist_equiv.rs`) and `ff_check` (the checker only
+    /// asserts).
     ///
     /// Every struct is destructured exhaustively, so adding a field
     /// anywhere in the configuration tree is a compile error here until
@@ -426,7 +414,7 @@ impl MachineConfig {
                 predictor_kind,
                 hw_prefetcher,
                 frontend_penalty,
-                scheduler,
+                scheduler: _,
                 lat: latencies,
             } = *c;
             for v in [
@@ -462,10 +450,6 @@ impl MachineConfig {
                 }
             }
             u32_(out, frontend_penalty);
-            out.push(match scheduler {
-                Scheduler::ReadyList => 0,
-                Scheduler::Scan => 1,
-            });
             lat(out, &latencies);
         }
         fn cache(out: &mut Vec<u8>, c: &CacheConfig) {
@@ -490,12 +474,12 @@ impl MachineConfig {
             deadlock_cycles,
             max_cycles,
             fast_forward,
-            ff_check,
+            ff_check: _,
             trace: _,
         } = self;
 
         let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(b"HDC1");
+        out.extend_from_slice(b"HDC2");
         core(&mut out, superscalar);
         core(&mut out, cp);
         core(&mut out, ap);
@@ -560,7 +544,6 @@ impl MachineConfig {
         u64_(&mut out, *deadlock_cycles);
         u64_(&mut out, *max_cycles);
         bool_(&mut out, *fast_forward);
-        bool_(&mut out, *ff_check);
         out
     }
 
@@ -638,16 +621,12 @@ mod tests {
     fn builder_accepts_paper_overrides() {
         let c = MachineConfig::builder()
             .latency(16, 160)
-            .scheduler(Scheduler::Scan)
             .deadlock_cycles(5_000)
             .fast_forward(false)
             .build()
             .unwrap();
         assert_eq!(c.mem.l2.latency, 16);
         assert_eq!(c.mem.mem_latency, 160);
-        assert_eq!(c.superscalar.scheduler, Scheduler::Scan);
-        assert_eq!(c.cp.scheduler, Scheduler::Scan);
-        assert_eq!(c.ap.scheduler, Scheduler::Scan);
         assert_eq!(c.deadlock_cycles, 5_000);
         assert!(!c.fast_forward);
     }

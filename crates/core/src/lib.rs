@@ -41,7 +41,6 @@ pub use cmp::{CmpConfig, CmpEngine, CmpStats};
 pub use config::{fnv1a, ConfigError, MachineConfig, MachineConfigBuilder, Model, FNV_OFFSET};
 pub use dynamic::DynamicConfig;
 pub use error::RunError;
-pub use hidisc_ooo::Scheduler;
 pub use hidisc_telemetry as telemetry;
 pub use hidisc_telemetry::{Category, Telemetry, TraceConfig};
 pub use machine::{run_model, Machine, MachineSnapshot, Observer, SampledStats};

@@ -5,16 +5,16 @@
 //! alias to one cache slot.
 
 use hidisc::telemetry::TraceConfig;
-use hidisc::{MachineConfig, Scheduler};
+use hidisc::MachineConfig;
+use hidisc_ooo::Scheduler;
 use proptest::prelude::*;
 
-fn build(l2: u32, mem: u32, scq: usize, sched: Scheduler, max_cycles: u64) -> MachineConfig {
+fn build(l2: u32, mem: u32, scq: usize, max_cycles: u64) -> MachineConfig {
     let mut q = MachineConfig::paper().queues;
     q.scq = scq;
     MachineConfig::builder()
         .latency(l2, mem)
         .queues(q)
-        .scheduler(sched)
         .max_cycles(max_cycles)
         .build()
         .expect("valid config")
@@ -30,57 +30,45 @@ proptest! {
         l2 in 1u32..64,
         mem in 50u32..300,
         scq in 1usize..64,
-        ready in any::<bool>(),
         max_cycles in 1_000u64..1_000_000_000,
     ) {
-        let sched = if ready { Scheduler::ReadyList } else { Scheduler::Scan };
-        let a = build(l2, mem, scq, sched, max_cycles);
-        let b = build(l2, mem, scq, sched, max_cycles);
+        let a = build(l2, mem, scq, max_cycles);
+        let b = build(l2, mem, scq, max_cycles);
         prop_assert_eq!(a.canonical_bytes(), b.canonical_bytes());
         prop_assert_eq!(a.canonical_hash(), b.canonical_hash());
     }
 
     /// Sensitivity on the swept axes: a change to the L2 latency, memory
-    /// latency, SCQ depth, or scheduler always changes the key.
+    /// latency, or SCQ depth always changes the key.
     #[test]
     fn sweep_axis_changes_change_the_key(
         l2 in 1u32..64,
         mem in 50u32..300,
         scq in 1usize..64,
-        ready in any::<bool>(),
     ) {
-        let sched = if ready { Scheduler::ReadyList } else { Scheduler::Scan };
-        let other_sched = if ready { Scheduler::Scan } else { Scheduler::ReadyList };
-        let base = build(l2, mem, scq, sched, 1_000_000).canonical_hash();
-        prop_assert!(base != build(l2 + 1, mem, scq, sched, 1_000_000).canonical_hash());
-        prop_assert!(base != build(l2, mem + 1, scq, sched, 1_000_000).canonical_hash());
-        prop_assert!(base != build(l2, mem, scq + 1, sched, 1_000_000).canonical_hash());
-        prop_assert!(base != build(l2, mem, scq, other_sched, 1_000_000).canonical_hash());
+        let base = build(l2, mem, scq, 1_000_000).canonical_hash();
+        prop_assert!(base != build(l2 + 1, mem, scq, 1_000_000).canonical_hash());
+        prop_assert!(base != build(l2, mem + 1, scq, 1_000_000).canonical_hash());
+        prop_assert!(base != build(l2, mem, scq + 1, 1_000_000).canonical_hash());
     }
 }
 
-/// Every simulation-relevant field class perturbs the key; telemetry
-/// settings (excluded by design — they are proven simulation-invisible)
-/// do not.
+/// Every simulation-relevant field class perturbs the key; settings
+/// excluded by design because they cannot change results (telemetry, the
+/// issue scheduler, the fast-forward checker) do not.
 #[test]
 fn single_field_mutations_change_the_key() {
     let base = MachineConfig::paper();
     let base_key = base.canonical_hash();
 
     type Mutation = (&'static str, fn(&mut MachineConfig));
-    let mutations: [Mutation; 12] = [
+    let mutations: [Mutation; 11] = [
         ("mem.l2.latency", |c| c.mem.l2.latency += 1),
         ("mem.mem_latency", |c| c.mem.mem_latency += 1),
         ("mem.l1.ways", |c| c.mem.l1.ways *= 2),
         ("mem.l1.sets", |c| c.mem.l1.sets *= 2),
         ("queues.scq", |c| c.queues.scq += 1),
         ("queues.ldq", |c| c.queues.ldq += 1),
-        ("cp.scheduler", |c| {
-            c.cp.scheduler = match c.cp.scheduler {
-                Scheduler::ReadyList => Scheduler::Scan,
-                Scheduler::Scan => Scheduler::ReadyList,
-            }
-        }),
         ("ap.ruu_size", |c| c.ap.ruu_size += 1),
         ("cmp.max_threads", |c| c.cmp.max_threads += 1),
         ("deadlock_cycles", |c| c.deadlock_cycles += 1),
@@ -100,9 +88,23 @@ fn single_field_mutations_change_the_key() {
     let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
     assert_eq!(distinct.len(), keys.len(), "two mutants collided");
 
-    // Telemetry is simulation-invisible and deliberately not hashed: a
-    // traced run may reuse an untraced run's cached result.
-    let mut traced = base;
-    traced.trace = TraceConfig::ALL_EVENTS.with_metrics_interval(100);
-    assert_eq!(traced.canonical_hash(), base_key);
+    // Telemetry, the scan scheduler (issue-identical to the ready list)
+    // and the fast-forward checker (it only asserts) are deliberately not
+    // hashed: such a run may reuse a plain run's cached result.
+    let invisible: [Mutation; 3] = [
+        ("trace", |c| {
+            c.trace = TraceConfig::ALL_EVENTS.with_metrics_interval(100)
+        }),
+        ("cp.scheduler", |c| c.cp.scheduler = Scheduler::Scan),
+        ("ff_check", |c| c.ff_check = !c.ff_check),
+    ];
+    for (what, mutate) in invisible {
+        let mut c = base;
+        mutate(&mut c);
+        assert_eq!(
+            c.canonical_hash(),
+            base_key,
+            "mutating {what} changed the key"
+        );
+    }
 }

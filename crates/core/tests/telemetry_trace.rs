@@ -1,6 +1,6 @@
 //! Chrome-trace export and observer early-stop semantics.
 //!
-//! The golden test pins the exact JSON the [`ChromeTraceSink`] emits for
+//! The golden test pins the exact JSON the [`StreamingSink`] emits for
 //! a hand-built event sequence; the workload test validates a full run's
 //! trace with a minimal JSON grammar checker (no parser dependency) and
 //! proves the export is deterministic. The observer tests pin the
@@ -8,7 +8,7 @@
 //! observation point to fast-forward.
 
 use hidisc::telemetry::{
-    ChromeTraceSink, EventData, MissKind, Telemetry, TraceConfig, SOURCE_CMP, SOURCE_MACHINE,
+    EventData, MissKind, StreamingSink, Telemetry, TraceConfig, SOURCE_CMP, SOURCE_MACHINE,
 };
 use hidisc::{Machine, MachineConfig, Model};
 use hidisc_isa::Queue;
@@ -180,9 +180,9 @@ fn chrome_sink_golden_fixture() {
     tel.set_source(SOURCE_MACHINE);
     tel.emit(EventData::FastForward { skipped: 40 });
 
-    let mut sink = ChromeTraceSink::new(&["CP"]);
-    tel.replay(&mut sink);
-    let got = sink.finish(None);
+    let mut sink = StreamingSink::new(Vec::new(), &["CP"]);
+    tel.drain_into(&mut sink);
+    let got = String::from_utf8(sink.finish(None).unwrap()).unwrap();
 
     let want = concat!(
         "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
@@ -222,10 +222,12 @@ fn dm_workload_trace_is_valid_and_deterministic() {
 
     let export = || {
         let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
-        let stats = m.run(compiled.profile.dyn_instrs).unwrap();
-        let mut sink = ChromeTraceSink::new(&["CP", "AP"]);
-        m.telemetry().replay(&mut sink);
-        (sink.finish(m.telemetry().metrics()), stats)
+        let mut sink = StreamingSink::new(Vec::new(), &["CP", "AP"]);
+        let stats = m
+            .run_streamed(compiled.profile.dyn_instrs, &mut sink)
+            .unwrap();
+        let doc = sink.finish(m.telemetry().metrics()).unwrap();
+        (String::from_utf8(doc).unwrap(), stats)
     };
     let (doc, stats) = export();
 

@@ -9,7 +9,8 @@
 //! (wakeup completeness, oldest-first order, completion-heap/next_event
 //! agreement) this test pins down.
 
-use hidisc::{Machine, MachineConfig, Model, Scheduler};
+use hidisc::{Machine, MachineConfig, Model};
+use hidisc_ooo::Scheduler;
 use hidisc_slicer::{compile, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
 
@@ -26,12 +27,13 @@ fn env_of(w: &Workload) -> ExecEnv {
 /// grid then also covers the ready-list × fast-forward interaction
 /// (DESIGN.md §11 ↔ §10).
 fn config_with(scheduler: Scheduler, fast_forward: bool) -> MachineConfig {
-    MachineConfig::builder()
-        .scheduler(scheduler)
-        .fast_forward(fast_forward)
-        .ff_check(fast_forward)
-        .build()
-        .expect("paper preset with scheduler override is valid")
+    let mut cfg = MachineConfig::paper();
+    cfg.superscalar.scheduler = scheduler;
+    cfg.cp.scheduler = scheduler;
+    cfg.ap.scheduler = scheduler;
+    cfg.fast_forward = fast_forward;
+    cfg.ff_check = fast_forward;
+    cfg
 }
 
 /// Every `Scale::Test` workload × every model: the ready-list scheduler

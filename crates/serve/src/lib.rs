@@ -30,8 +30,6 @@
 //!   interval metrics in Prometheus text format.
 //! - `POST /v1/shutdown` initiates graceful shutdown: in-flight jobs
 //!   finish, queued jobs are failed, the listener closes.
-//! - Legacy unversioned paths (`/run`, `/jobs/<id>`, `/shutdown`) answer
-//!   `308 Permanent Redirect` to their `/v1/` twin.
 //!
 //! Every error body is one structured envelope
 //! `{"code","message","retry_after_ms"?,"request_id"}`; `code` carries
@@ -69,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use hidisc::telemetry::log::{Level, LogFormat, Logger};
 use hidisc::telemetry::{metrics_prometheus, IntervalMetrics};
-use hidisc::{ConfigError, Machine, MachineConfig, Model, RunError, Scheduler};
+use hidisc::{ConfigError, Machine, MachineConfig, Model, RunError};
 use hidisc_bench::pool::{SubmitError, Workers};
 use hidisc_slicer::{compile, CompilerConfig};
 use hidisc_workloads::Scale;
@@ -120,8 +118,6 @@ pub struct JobSpec {
     pub mem_lat: Option<u32>,
     /// SCQ depth override.
     pub scq_depth: Option<usize>,
-    /// Issue-scheduler override.
-    pub scheduler: Option<Scheduler>,
     /// Per-request cycle budget (maps onto [`RunError::CycleBudget`]).
     pub max_cycles: Option<u64>,
     /// Per-request wall-clock timeout in milliseconds.
@@ -167,14 +163,6 @@ fn parse_model(s: &str) -> Result<Model, String> {
         })
 }
 
-fn parse_scheduler(s: &str) -> Result<Scheduler, String> {
-    match s {
-        "ready" => Ok(Scheduler::ReadyList),
-        "scan" => Ok(Scheduler::Scan),
-        other => Err(format!("unknown scheduler `{other}` (use ready|scan)")),
-    }
-}
-
 impl JobSpec {
     /// Parses and validates a request body. Unknown fields, unknown
     /// workload names and type mismatches are rejected with a message
@@ -186,7 +174,7 @@ impl JobSpec {
         if !matches!(v, Json::Obj(_)) {
             return Err("request body must be a JSON object".to_string());
         }
-        const KNOWN: [&str; 12] = [
+        const KNOWN: [&str; 11] = [
             "workload",
             "scale",
             "seed",
@@ -194,7 +182,6 @@ impl JobSpec {
             "l2_lat",
             "mem_lat",
             "scq_depth",
-            "scheduler",
             "max_cycles",
             "timeout_ms",
             "metrics_interval",
@@ -252,10 +239,6 @@ impl JobSpec {
             None => Model::HiDisc,
             Some(s) => parse_model(&s)?,
         };
-        let scheduler = match str_field("scheduler")? {
-            None => None,
-            Some(s) => Some(parse_scheduler(&s)?),
-        };
         Ok(JobSpec {
             workload,
             scale,
@@ -264,7 +247,6 @@ impl JobSpec {
             l2_lat: num_field("l2_lat")?.map(|v| v as u32),
             mem_lat: num_field("mem_lat")?.map(|v| v as u32),
             scq_depth: num_field("scq_depth")?.map(|v| v as usize),
-            scheduler,
             max_cycles: num_field("max_cycles")?,
             timeout_ms: num_field("timeout_ms")?,
             metrics_interval: num_field("metrics_interval")?.unwrap_or(0),
@@ -282,7 +264,6 @@ impl JobSpec {
             self.l2_lat,
             self.mem_lat,
             self.scq_depth,
-            self.scheduler,
             self.max_cycles,
             self.metrics_interval,
         )
@@ -340,15 +321,6 @@ impl JobSpec {
         }
         if let Some(v) = self.scq_depth {
             s.push_str(&format!(",\"scq_depth\":{v}"));
-        }
-        if let Some(v) = self.scheduler {
-            s.push_str(&format!(
-                ",\"scheduler\":\"{}\"",
-                match v {
-                    Scheduler::ReadyList => "ready",
-                    Scheduler::Scan => "scan",
-                }
-            ));
         }
         if let Some(v) = self.max_cycles {
             s.push_str(&format!(",\"max_cycles\":{v}"));
@@ -1139,29 +1111,8 @@ pub(crate) fn overcap_reply(rid: &str) -> Reply {
     r
 }
 
-/// The `/v1/` twin of a legacy unversioned path, when there is one.
-pub(crate) fn legacy_twin(path: &str) -> Option<String> {
-    match path {
-        "/run" => Some("/v1/run".to_string()),
-        "/shutdown" => Some("/v1/shutdown".to_string()),
-        "/sweep" => Some("/v1/sweep".to_string()),
-        p if p.starts_with("/jobs/") => Some(format!("/v1{p}")),
-        _ => None,
-    }
-}
-
 pub(crate) fn route(req: &http::Request, rid: &str, state: &Arc<State>) -> Reply {
     state.counters.requests.fetch_add(1, Ordering::Relaxed);
-    // Legacy unversioned paths answer 308 to their /v1/ twin (308 keeps
-    // the method and body across the redirect, unlike 301).
-    if let Some(twin) = legacy_twin(req.path.as_str()) {
-        let mut r = json_reply(
-            308,
-            envelope("moved_permanently", &format!("moved to {twin}"), None, rid),
-        );
-        r.extra.push(("Location", twin));
-        return r;
-    }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => json_reply(
             200,

@@ -64,21 +64,18 @@ pub(crate) enum Route {
     Jobs,
     Sweep,
     Shutdown,
-    /// Legacy unversioned paths answering `308` to their `/v1/` twin.
-    Legacy,
     /// Everything else (404s, probes, parse errors).
     Other,
 }
 
 impl Route {
-    pub const ALL: [Route; 8] = [
+    pub const ALL: [Route; 7] = [
         Route::Healthz,
         Route::Metrics,
         Route::Run,
         Route::Jobs,
         Route::Sweep,
         Route::Shutdown,
-        Route::Legacy,
         Route::Other,
     ];
 
@@ -92,7 +89,6 @@ impl Route {
             "/v1/shutdown" => Route::Shutdown,
             p if p.starts_with("/v1/jobs/") => Route::Jobs,
             p if p.starts_with("/v1/sweeps/") => Route::Sweep,
-            p if crate::legacy_twin(p).is_some() => Route::Legacy,
             _ => Route::Other,
         }
     }
@@ -106,7 +102,6 @@ impl Route {
             Route::Jobs => "jobs",
             Route::Sweep => "sweep",
             Route::Shutdown => "shutdown",
-            Route::Legacy => "legacy",
             Route::Other => "other",
         }
     }
@@ -340,8 +335,8 @@ mod tests {
         assert_eq!(Route::of("/v1/sweep"), Route::Sweep);
         assert_eq!(Route::of("/v1/sweeps/0123abc"), Route::Sweep);
         assert_eq!(Route::of("/v1/sweeps/0123abc/render"), Route::Sweep);
-        assert_eq!(Route::of("/run"), Route::Legacy);
-        assert_eq!(Route::of("/jobs/0123abc"), Route::Legacy);
+        assert_eq!(Route::of("/run"), Route::Other);
+        assert_eq!(Route::of("/jobs/0123abc"), Route::Other);
         assert_eq!(Route::of("/nope"), Route::Other);
     }
 

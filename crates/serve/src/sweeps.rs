@@ -242,14 +242,13 @@ fn parse_request(body: &[u8]) -> Result<(Grid, Option<Render>, bool), String> {
     if !matches!(v, Json::Obj(_)) {
         return Err("request body must be a JSON object".to_string());
     }
-    const KNOWN: [&str; 10] = [
+    const KNOWN: [&str; 9] = [
         "workloads",
         "models",
         "scales",
         "seeds",
         "latencies",
         "scq_depths",
-        "schedulers",
         "max_cycles",
         "render",
         "stream",
@@ -340,21 +339,6 @@ fn parse_request(body: &[u8]) -> Result<(Grid, Option<Render>, bool), String> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(items) = axis("schedulers")? {
-        grid.schedulers = items
-            .iter()
-            .map(|j| match j {
-                Json::Null => Ok(None),
-                _ => j
-                    .as_str()
-                    .ok_or_else(|| {
-                        "field `schedulers` must be an array of strings or nulls".to_string()
-                    })
-                    .and_then(crate::parse_scheduler)
-                    .map(Some),
-            })
-            .collect::<Result<_, _>>()?;
-    }
     grid.max_cycles = match v.get("max_cycles") {
         None | Some(Json::Null) => None,
         Some(j) => Some(
@@ -391,7 +375,6 @@ fn spec_of(p: &Point) -> JobSpec {
         l2_lat: p.latency.map(|(l2, _)| l2),
         mem_lat: p.latency.map(|(_, mem)| mem),
         scq_depth: p.scq_depth,
-        scheduler: p.scheduler,
         max_cycles: p.max_cycles,
         timeout_ms: None,
         metrics_interval: 0,

@@ -1,7 +1,7 @@
 //! Keep-alive, pipelining and versioned-API behavior of the reactor:
 //! N sequential requests down one connection are byte-identical to N
-//! fresh-connection runs, pipelined requests come back in order, legacy
-//! unversioned paths answer `308` to their `/v1/` twin, and the
+//! fresh-connection runs, pipelined requests come back in order, the
+//! retired unversioned API paths answer the `404` envelope, and the
 //! structured error envelope carries stable codes.
 
 use std::io::{ErrorKind, Read, Write};
@@ -171,15 +171,11 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
-fn legacy_paths_redirect_to_their_v1_twin() {
+fn legacy_unversioned_paths_are_not_found() {
     let svc = start();
     let addr = svc.addr();
 
-    for (path, twin) in [
-        ("/run", "/v1/run"),
-        ("/jobs/abc", "/v1/jobs/abc"),
-        ("/shutdown", "/v1/shutdown"),
-    ] {
+    for path in ["/run", "/jobs/abc", "/sweep", "/shutdown"] {
         let mut s = TcpStream::connect(addr).expect("connect");
         let req = format!(
             "POST {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
@@ -189,11 +185,11 @@ fn legacy_paths_redirect_to_their_v1_twin() {
         let resp = split_responses(&raw);
         assert_eq!(resp.len(), 1, "{path}");
         let r = &resp[0];
-        assert!(r.starts_with("HTTP/1.1 308 "), "{path}: {r}");
-        assert!(r.contains(&format!("Location: {twin}\r\n")), "{path}: {r}");
-        assert!(r.contains("\"code\":\"moved_permanently\""), "{path}: {r}");
+        assert!(r.starts_with("HTTP/1.1 404 "), "{path}: {r}");
+        assert!(r.contains("\"code\":\"not_found\""), "{path}: {r}");
+        assert!(!r.contains("Location:"), "{path}: {r}");
     }
-    // The probes stay unversioned — no redirect.
+    // The probes stay unversioned.
     let mut s = TcpStream::connect(addr).expect("connect");
     s.write_all(get("/healthz").as_bytes()).expect("write");
     let raw = read_responses(&mut s, 1);

@@ -227,14 +227,14 @@ fn bad_requests_get_typed_400s() {
     assert_eq!(r.status, 400);
     assert!(r.body.contains("unknown workload"), "{}", r.body);
 
-    let r = request(
-        addr,
-        "POST",
-        "/v1/run",
+    for body in [
         r#"{"workload":"dm","typo_field":1}"#,
-    );
-    assert_eq!(r.status, 400);
-    assert!(r.body.contains("unknown field"), "{}", r.body);
+        r#"{"workload":"dm","scheduler":"scan"}"#,
+    ] {
+        let r = request(addr, "POST", "/v1/run", body);
+        assert_eq!(r.status, 400, "{body}");
+        assert!(r.body.contains("unknown field"), "{}", r.body);
+    }
 
     // Config validation surfaces the same typed ConfigError message the
     // CLI prints before exiting with code 2, with its stable code as the

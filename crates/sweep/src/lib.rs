@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 
 use hidisc::telemetry::TraceConfig;
-use hidisc::{fnv1a, ConfigError, MachineConfig, MachineStats, Model, Scheduler, FNV_OFFSET};
+use hidisc::{fnv1a, ConfigError, MachineConfig, MachineStats, Model, FNV_OFFSET};
 use hidisc_bench::{
     fig8, fig9, Fig10Report, Fig10Series, Fig8Report, Fig9Report, Report, SuiteResult,
     Table1Report, FIG10_LATENCIES,
@@ -53,7 +53,6 @@ pub fn build_config(
     l2_lat: Option<u32>,
     mem_lat: Option<u32>,
     scq_depth: Option<usize>,
-    scheduler: Option<Scheduler>,
     max_cycles: Option<u64>,
     metrics_interval: u64,
 ) -> Result<MachineConfig, ConfigError> {
@@ -66,9 +65,6 @@ pub fn build_config(
         let mut q = paper.queues;
         q.scq = depth;
         b = b.queues(q);
-    }
-    if let Some(s) = scheduler {
-        b = b.scheduler(s);
     }
     if let Some(n) = max_cycles {
         b = b.max_cycles(n);
@@ -170,8 +166,6 @@ pub struct Grid {
     pub latencies: Vec<Option<(u32, u32)>>,
     /// SCQ depth overrides; `None` = paper depth.
     pub scq_depths: Vec<Option<usize>>,
-    /// Issue-scheduler overrides; `None` = paper scheduler.
-    pub schedulers: Vec<Option<Scheduler>>,
     /// Per-point cycle budget, applied to every point (scalar, not an
     /// axis: budgets bound the grid, they are not an experiment axis).
     pub max_cycles: Option<u64>,
@@ -186,7 +180,6 @@ impl Default for Grid {
             seeds: vec![2003],
             latencies: vec![None],
             scq_depths: vec![None],
-            schedulers: vec![None],
             max_cycles: None,
         }
     }
@@ -201,7 +194,6 @@ pub struct Point {
     pub model: Model,
     pub latency: Option<(u32, u32)>,
     pub scq_depth: Option<usize>,
-    pub scheduler: Option<Scheduler>,
     pub max_cycles: Option<u64>,
 }
 
@@ -212,7 +204,6 @@ impl Point {
             self.latency.map(|(l2, _)| l2),
             self.latency.map(|(_, mem)| mem),
             self.scq_depth,
-            self.scheduler,
             self.max_cycles,
             0,
         )
@@ -227,7 +218,6 @@ impl Point {
             && self.seed == other.seed
             && self.latency == other.latency
             && self.scq_depth == other.scq_depth
-            && self.scheduler == other.scheduler
             && self.max_cycles == other.max_cycles
     }
 }
@@ -280,7 +270,6 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
         ("seeds", grid.seeds.len()),
         ("latencies", grid.latencies.len()),
         ("scq_depths", grid.scq_depths.len()),
-        ("schedulers", grid.schedulers.len()),
     ] {
         if len == 0 {
             return Err(format!(
@@ -295,7 +284,6 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
         grid.seeds.len(),
         grid.latencies.len(),
         grid.scq_depths.len(),
-        grid.schedulers.len(),
     ]
     .iter()
     .try_fold(1usize, |acc, &n| {
@@ -310,34 +298,31 @@ pub fn plan(grid: &Grid) -> Result<Plan, String> {
     for workload in &grid.workloads {
         for &latency in &grid.latencies {
             for &scq_depth in &grid.scq_depths {
-                for &scheduler in &grid.schedulers {
-                    for &scale in &grid.scales {
-                        for &seed in &grid.seeds {
-                            for &model in &grid.models {
-                                let point = Point {
-                                    workload: workload.clone(),
-                                    scale,
-                                    seed,
-                                    model,
-                                    latency,
-                                    scq_depth,
-                                    scheduler,
-                                    max_cycles: grid.max_cycles,
-                                };
-                                let cfg = point.config().map_err(|e| e.to_string())?;
-                                let key = job_key(
-                                    &cfg,
-                                    &point.workload,
-                                    point.scale,
-                                    point.seed,
-                                    point.model,
-                                    None,
-                                );
-                                if seen.insert(key) {
-                                    points.push(PlannedPoint { point, cfg, key });
-                                } else {
-                                    duplicates += 1;
-                                }
+                for &scale in &grid.scales {
+                    for &seed in &grid.seeds {
+                        for &model in &grid.models {
+                            let point = Point {
+                                workload: workload.clone(),
+                                scale,
+                                seed,
+                                model,
+                                latency,
+                                scq_depth,
+                                max_cycles: grid.max_cycles,
+                            };
+                            let cfg = point.config().map_err(|e| e.to_string())?;
+                            let key = job_key(
+                                &cfg,
+                                &point.workload,
+                                point.scale,
+                                point.seed,
+                                point.model,
+                                None,
+                            );
+                            if seen.insert(key) {
+                                points.push(PlannedPoint { point, cfg, key });
+                            } else {
+                                duplicates += 1;
                             }
                         }
                     }
@@ -661,7 +646,7 @@ mod tests {
     fn job_key_matches_the_run_endpoint_contract() {
         // Golden structure: changing any identity axis changes the key;
         // the warm key differs only through the config hash family.
-        let cfg = build_config(None, None, None, None, None, 0).unwrap();
+        let cfg = build_config(None, None, None, None, 0).unwrap();
         let base = job_key(&cfg, "dm", Scale::Test, 2003, Model::HiDisc, None);
         assert_ne!(
             base,

@@ -2,7 +2,6 @@
 //! expansion is deterministic, the planned point set is duplicate-free,
 //! and the sweep id is insensitive to axis order and duplicate entries.
 
-use hidisc::Scheduler;
 use hidisc_sweep::{plan, Grid};
 use proptest::prelude::*;
 
@@ -27,18 +26,12 @@ fn grid_strategy() -> impl Strategy<Value = Grid> {
         Just(vec![Some(8)]),
         Just(vec![None, Some(16)]),
     ];
-    let schedulers = prop_oneof![
-        Just(vec![None::<Scheduler>]),
-        Just(vec![Some(Scheduler::Scan)]),
-        Just(vec![None, Some(Scheduler::Scan)]),
-    ];
-    (workloads, seeds, latencies, scq_depths, schedulers).prop_map(
-        |(workloads, seeds, latencies, scq_depths, schedulers)| Grid {
+    (workloads, seeds, latencies, scq_depths).prop_map(
+        |(workloads, seeds, latencies, scq_depths)| Grid {
             workloads: workloads.into_iter().map(String::from).collect(),
             seeds,
             latencies,
             scq_depths,
-            schedulers,
             ..Grid::default()
         },
     )
@@ -54,7 +47,6 @@ fn reversed(grid: &Grid) -> Grid {
     g.seeds.reverse();
     g.latencies.reverse();
     g.scq_depths.reverse();
-    g.schedulers.reverse();
     g
 }
 

@@ -14,14 +14,15 @@
 //!    series of [`IntervalSample`]s and feeds fixed-bucket [`Histogram`]s
 //!    (miss latency, queue occupancy, MSHR occupancy) with p50/p95/p99
 //!    helpers.
-//! 3. **Sinks** — recorded events replay into any [`TraceSink`]:
-//!    [`ChromeTraceSink`] writes catapult/Perfetto `trace.json`,
-//!    [`CsvSink`] writes one row per event, [`MemorySink`] is a bounded
-//!    buffer for tests.
+//! 3. **Sinks** — recorded events drain into any [`TraceSink`]:
+//!    [`StreamingSink`] writes catapult/Perfetto `trace.json` to any
+//!    [`std::io::Write`], [`MemorySink`] is a bounded buffer for tests.
 //!
-//! The recorder is deliberately *record-then-export*: the hot loop only
-//! appends `Copy` structs to a `Vec` (bounded by [`EVENT_CAP`]); all
-//! formatting happens after the run via [`Telemetry::replay`].
+//! The hot loop only appends `Copy` structs to a `Vec` (bounded by the
+//! configured event cap); all formatting happens outside it, when the
+//! run loop drains the buffer via [`Telemetry::drain_into`] — at half the
+//! cap and once more at the end — so traces of any length stream in
+//! bounded memory.
 
 #![forbid(unsafe_code)]
 
@@ -105,9 +106,10 @@ pub struct TraceConfig {
     /// Sample interval metrics every this many simulated cycles
     /// (0 disables sampling).
     pub metrics_interval: u64,
-    /// Buffered-event cap; past it events are counted as dropped (or, on
-    /// a streamed run, the buffer is flushed before reaching it).
-    /// Defaults to [`EVENT_CAP`].
+    /// Buffered-event cap; a streamed run drains the buffer at half of
+    /// it, and events past it (only possible when one cycle emits more
+    /// than the other half) are counted as dropped. Defaults to
+    /// [`EVENT_CAP`].
     pub event_cap: usize,
 }
 
@@ -550,7 +552,6 @@ pub struct Telemetry {
     source: u8,
     events: Vec<TraceEvent>,
     dropped: u64,
-    flushed: u64,
     queue_peak: [u32; 5],
     metrics: Option<Box<IntervalMetrics>>,
 }
@@ -575,7 +576,6 @@ impl Telemetry {
             source: 0,
             events: Vec::new(),
             dropped: 0,
-            flushed: 0,
             queue_peak: [0; 5],
             metrics: (cfg.metrics_interval > 0)
                 .then(|| Box::new(IntervalMetrics::new(cfg.metrics_interval))),
@@ -686,37 +686,36 @@ impl Telemetry {
         self.metrics.as_deref()
     }
 
-    /// Replays every recorded event into `sink`, in order.
-    pub fn replay(&self, sink: &mut dyn TraceSink) {
-        for e in &self.events {
-            sink.event(e);
-        }
-    }
-
     /// Replays every buffered event into `sink` and clears the buffer so
     /// recording can continue without hitting the cap. Drop and peak
-    /// counters are preserved; flushed events are counted separately.
-    /// Returns the number of events flushed.
+    /// counters are preserved. Returns the number of events flushed.
     pub fn drain_into(&mut self, sink: &mut dyn TraceSink) -> usize {
         for e in &self.events {
             sink.event(e);
         }
         let n = self.events.len();
         self.events.clear();
-        self.flushed += n as u64;
         n
     }
+}
 
-    /// Events flushed out of the buffer by [`Telemetry::drain_into`].
-    pub fn flushed(&self) -> u64 {
-        self.flushed
+/// Escapes `s` for embedding inside a JSON string literal: quotes,
+/// backslashes and `\n`/`\r`/`\t` get their short escapes, every other
+/// control character a `\u00XX` escape.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
     }
-
-    /// Total events recorded: still buffered plus already flushed
-    /// (dropped events not included).
-    pub fn total_events(&self) -> u64 {
-        self.flushed + self.events.len() as u64
-    }
+    out
 }
 
 /// Consumer of recorded trace events.
@@ -729,55 +728,95 @@ pub trait TraceSink {
 // Chrome-trace sink
 // ---------------------------------------------------------------------
 
-/// Shared Chrome-trace record formatter. Both the buffered
-/// [`ChromeTraceSink`] and the on-the-fly [`StreamingSink`] route every
-/// byte through this one emitter, so the two produce byte-identical
-/// documents for the same event sequence.
-struct ChromeFmt {
+/// Writes the catapult/Perfetto Chrome trace event format (the JSON
+/// object form `{"traceEvents": [...]}`) on the fly to any
+/// [`std::io::Write`] target, mapping one simulated cycle to one
+/// microsecond of trace time. Lanes (`tid`) are: one per core, then
+/// `mem`, `cmp`, and `machine`. Load into <https://ui.perfetto.dev>.
+///
+/// The first I/O error is latched and subsequent output is discarded;
+/// [`StreamingSink::finish`] reports it.
+pub struct StreamingSink<W: std::io::Write> {
+    w: W,
+    err: Option<std::io::Error>,
     any: bool,
     core_lanes: u32,
+    counts: [u64; 5],
 }
 
-impl ChromeFmt {
-    /// Emits the document preamble (JSON shell plus process/thread-name
-    /// metadata records) into `out` and returns the formatter.
-    fn new(core_names: &[&str], out: &mut dyn FnMut(&str)) -> ChromeFmt {
-        let mut f = ChromeFmt {
+impl<W: std::io::Write> StreamingSink<W> {
+    /// A sink writing the document preamble (JSON shell plus
+    /// process/thread-name metadata records) to `w` immediately, with one
+    /// named lane per core plus the fixed `mem`/`cmp`/`machine` lanes.
+    /// Wrap files in a [`std::io::BufWriter`]; records are small.
+    pub fn new(w: W, core_names: &[&str]) -> StreamingSink<W> {
+        let mut sink = StreamingSink {
+            w,
+            err: None,
             any: false,
             core_lanes: core_names.len() as u32,
+            counts: [0; 5],
         };
-        out("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        f.raw(
+        sink.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        sink.raw(
             "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
              \"args\":{\"name\":\"hidisc\"}}",
-            out,
         );
-        let n = f.core_lanes;
+        let n = sink.core_lanes;
         for (i, name) in core_names.iter().enumerate() {
-            f.thread_name(i as u32, name, out);
+            sink.thread_name(i as u32, name);
         }
-        f.thread_name(n, "mem", out);
-        f.thread_name(n + 1, "cmp", out);
-        f.thread_name(n + 2, "machine", out);
-        f
+        sink.thread_name(n, "mem");
+        sink.thread_name(n + 1, "cmp");
+        sink.thread_name(n + 2, "machine");
+        sink
     }
 
-    fn thread_name(&mut self, tid: u32, name: &str, out: &mut dyn FnMut(&str)) {
-        self.raw(
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-            out,
-        );
+    /// Events received so far per category, in [`Category::ALL`] order.
+    pub fn counts(&self) -> [u64; 5] {
+        self.counts
     }
 
-    fn raw(&mut self, json: &str, out: &mut dyn FnMut(&str)) {
+    /// Writes the document tail — closes the event array, embeds the
+    /// interval metrics (when given) as a `hidiscMetrics` side table and
+    /// closes the JSON object — flushes, and returns the writer, or the
+    /// first I/O error hit at any point of the stream.
+    pub fn finish(mut self, metrics: Option<&IntervalMetrics>) -> std::io::Result<W> {
+        self.put("\n]");
+        if let Some(m) = metrics {
+            self.put(",\n\"hidiscMetrics\":");
+            self.put(&metrics_json(m));
+        }
+        self.put("\n}\n");
+        match self.err {
+            Some(e) => Err(e),
+            None => {
+                self.w.flush()?;
+                Ok(self.w)
+            }
+        }
+    }
+
+    /// Writes `s` unless an earlier write failed.
+    fn put(&mut self, s: &str) {
+        if self.err.is_none() {
+            self.err = self.w.write_all(s.as_bytes()).err();
+        }
+    }
+
+    fn thread_name(&mut self, tid: u32, name: &str) {
+        self.raw(&format!(
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        ));
+    }
+
+    fn raw(&mut self, json: &str) {
         if self.any {
-            out(",");
+            self.put(",");
         }
-        out("\n");
-        out(json);
+        self.put("\n");
+        self.put(json);
         self.any = true;
     }
 
@@ -792,65 +831,48 @@ impl ChromeFmt {
         }
     }
 
-    fn instant(&mut self, e: &TraceEvent, name: &str, args: String, out: &mut dyn FnMut(&str)) {
+    fn instant(&mut self, e: &TraceEvent, name: &str, args: String) {
         let tid = self.lane(e);
         let cat = e.data.category().name();
-        self.raw(
-            &format!(
-                "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
-                 \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{{args}}}}}",
-                e.cycle
-            ),
-            out,
-        );
+        self.raw(&format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
+             \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{{args}}}}}",
+            e.cycle
+        ));
     }
 
-    fn complete(
-        &mut self,
-        e: &TraceEvent,
-        name: &str,
-        dur: u64,
-        args: String,
-        out: &mut dyn FnMut(&str),
-    ) {
+    fn complete(&mut self, e: &TraceEvent, name: &str, dur: u64, args: String) {
         let tid = self.lane(e);
         let cat = e.data.category().name();
-        self.raw(
-            &format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                 \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{{args}}}}}",
-                e.cycle,
-                dur.max(1)
-            ),
-            out,
-        );
+        self.raw(&format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\
+             \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{{args}}}}}",
+            e.cycle,
+            dur.max(1)
+        ));
     }
 
-    fn counter(
-        &mut self,
-        e: &TraceEvent,
-        name: &str,
-        series: &str,
-        value: u64,
-        out: &mut dyn FnMut(&str),
-    ) {
+    fn counter(&mut self, e: &TraceEvent, name: &str, series: &str, value: u64) {
         let cat = e.data.category().name();
-        self.raw(
-            &format!(
-                "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"cat\":\"{cat}\",\
-                 \"name\":\"{name}\",\"args\":{{\"{series}\":{value}}}}}",
-                e.cycle
-            ),
-            out,
-        );
+        self.raw(&format!(
+            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"cat\":\"{cat}\",\
+             \"name\":\"{name}\",\"args\":{{\"{series}\":{value}}}}}",
+            e.cycle
+        ));
     }
+}
 
+impl<W: std::io::Write> TraceSink for StreamingSink<W> {
     /// Emits the record(s) for one trace event.
-    fn event(&mut self, e: &TraceEvent, out: &mut dyn FnMut(&str)) {
+    fn event(&mut self, e: &TraceEvent) {
+        self.counts[e.data.category() as usize] += 1;
+        if self.err.is_some() {
+            return;
+        }
         match e.data {
-            EventData::Fetch { pc } => self.instant(e, "fetch", format!("\"pc\":{pc}"), out),
+            EventData::Fetch { pc } => self.instant(e, "fetch", format!("\"pc\":{pc}")),
             EventData::Dispatch { seq, pc } => {
-                self.instant(e, "dispatch", format!("\"pc\":{pc},\"seq\":{seq}"), out)
+                self.instant(e, "dispatch", format!("\"pc\":{pc},\"seq\":{seq}"))
             }
             EventData::Issue {
                 seq,
@@ -861,19 +883,16 @@ impl ChromeFmt {
                 "issue",
                 complete_at.saturating_sub(e.cycle),
                 format!("\"pc\":{pc},\"seq\":{seq}"),
-                out,
             ),
             EventData::Complete { seq, pc } => {
-                self.instant(e, "complete", format!("\"pc\":{pc},\"seq\":{seq}"), out)
+                self.instant(e, "complete", format!("\"pc\":{pc},\"seq\":{seq}"))
             }
             EventData::Commit { seq, pc } => {
-                self.instant(e, "commit", format!("\"pc\":{pc},\"seq\":{seq}"), out)
+                self.instant(e, "commit", format!("\"pc\":{pc},\"seq\":{seq}"))
             }
-            EventData::Mispredict { pc } => {
-                self.instant(e, "mispredict", format!("\"pc\":{pc}"), out)
-            }
+            EventData::Mispredict { pc } => self.instant(e, "mispredict", format!("\"pc\":{pc}")),
             EventData::LsqConflict { pc } => {
-                self.instant(e, "lsq-conflict", format!("\"pc\":{pc}"), out)
+                self.instant(e, "lsq-conflict", format!("\"pc\":{pc}"))
             }
             EventData::MemMiss {
                 addr,
@@ -888,140 +907,26 @@ impl ChromeFmt {
                     "\"addr\":{addr},\"kind\":\"{}\",\"l2Hit\":{l2_hit}",
                     kind.name()
                 ),
-                out,
             ),
-            EventData::MshrOccupancy { n } => self.counter(e, "mshr", "outstanding", n as u64, out),
+            EventData::MshrOccupancy { n } => self.counter(e, "mshr", "outstanding", n as u64),
             EventData::Eviction { level } => {
-                self.instant(e, "eviction", format!("\"level\":{level}"), out)
+                self.instant(e, "eviction", format!("\"level\":{level}"))
             }
             EventData::QueuePush { q, depth } | EventData::QueuePop { q, depth } => {
-                self.counter(e, q.name(), "depth", depth as u64, out)
+                self.counter(e, q.name(), "depth", depth as u64)
             }
             EventData::CmpSpawn { cmas, live } => {
-                self.instant(e, "cmp-spawn", format!("\"cmas\":{cmas}"), out);
-                self.counter(e, "cmp-live", "threads", live as u64, out);
+                self.instant(e, "cmp-spawn", format!("\"cmas\":{cmas}"));
+                self.counter(e, "cmp-live", "threads", live as u64);
             }
             EventData::CmpRetire { cmas, live } => {
-                self.instant(e, "cmp-retire", format!("\"cmas\":{cmas}"), out);
-                self.counter(e, "cmp-live", "threads", live as u64, out);
+                self.instant(e, "cmp-retire", format!("\"cmas\":{cmas}"));
+                self.counter(e, "cmp-live", "threads", live as u64);
             }
-            EventData::FastForward { skipped } => self.complete(
-                e,
-                "fast-forward",
-                skipped,
-                format!("\"skipped\":{skipped}"),
-                out,
-            ),
-        }
-    }
-
-    /// Emits the document tail: closes the event array, embeds the
-    /// interval metrics (when given) as a `hidiscMetrics` side table,
-    /// and closes the JSON object.
-    fn tail(&self, metrics: Option<&IntervalMetrics>, out: &mut dyn FnMut(&str)) {
-        out("\n]");
-        if let Some(m) = metrics {
-            out(",\n\"hidiscMetrics\":");
-            out(&metrics_json(m));
-        }
-        out("\n}\n");
-    }
-}
-
-/// Writes the catapult/Perfetto Chrome trace event format (the JSON
-/// object form `{"traceEvents": [...]}`), mapping one simulated cycle to
-/// one microsecond of trace time. Lanes (`tid`) are: one per core, then
-/// `mem`, `cmp`, and `machine`. Load into <https://ui.perfetto.dev>.
-///
-/// Buffers the whole document in memory; for runs whose event stream is
-/// larger than the buffer cap, use [`StreamingSink`] instead.
-pub struct ChromeTraceSink {
-    buf: String,
-    fmt: ChromeFmt,
-}
-
-impl ChromeTraceSink {
-    /// A sink with one named lane per core (e.g. `["CP", "AP"]`) plus
-    /// the fixed `mem`/`cmp`/`machine` lanes.
-    pub fn new(core_names: &[&str]) -> ChromeTraceSink {
-        let mut buf = String::new();
-        let fmt = ChromeFmt::new(core_names, &mut |s| buf.push_str(s));
-        ChromeTraceSink { buf, fmt }
-    }
-
-    /// Closes the JSON object, embedding the interval metrics (when
-    /// given) as a `hidiscMetrics` side table, and returns the document.
-    pub fn finish(self, metrics: Option<&IntervalMetrics>) -> String {
-        let ChromeTraceSink { mut buf, fmt } = self;
-        fmt.tail(metrics, &mut |s| buf.push_str(s));
-        buf
-    }
-}
-
-/// Serialises Chrome-trace records on the fly to any [`std::io::Write`]
-/// target instead of buffering the whole document, so Full-scale runs
-/// can be traced without raising the event cap. Produces byte-identical
-/// output to [`ChromeTraceSink`] for the same event sequence.
-///
-/// The first I/O error is latched and subsequent events are discarded;
-/// [`StreamingSink::finish`] reports it.
-pub struct StreamingSink<W: std::io::Write> {
-    w: W,
-    fmt: ChromeFmt,
-    err: Option<std::io::Error>,
-}
-
-impl<W: std::io::Write> StreamingSink<W> {
-    /// A sink writing the document preamble to `w` immediately, with one
-    /// named lane per core plus the fixed `mem`/`cmp`/`machine` lanes.
-    /// Wrap files in a [`std::io::BufWriter`]; records are small.
-    pub fn new(mut w: W, core_names: &[&str]) -> StreamingSink<W> {
-        let mut err = None;
-        let fmt = ChromeFmt::new(core_names, &mut |s| {
-            if err.is_none() {
-                err = w.write_all(s.as_bytes()).err();
-            }
-        });
-        StreamingSink { w, fmt, err }
-    }
-
-    /// Writes the document tail (embedding interval metrics when given),
-    /// flushes, and returns the writer — or the first I/O error hit at
-    /// any point of the stream.
-    pub fn finish(self, metrics: Option<&IntervalMetrics>) -> std::io::Result<W> {
-        let StreamingSink {
-            mut w,
-            fmt,
-            mut err,
-        } = self;
-        if err.is_none() {
-            fmt.tail(metrics, &mut |s| {
-                if err.is_none() {
-                    err = w.write_all(s.as_bytes()).err();
-                }
-            });
-        }
-        match err {
-            Some(e) => Err(e),
-            None => {
-                w.flush()?;
-                Ok(w)
+            EventData::FastForward { skipped } => {
+                self.complete(e, "fast-forward", skipped, format!("\"skipped\":{skipped}"))
             }
         }
-    }
-}
-
-impl<W: std::io::Write> TraceSink for StreamingSink<W> {
-    fn event(&mut self, e: &TraceEvent) {
-        let StreamingSink { w, fmt, err } = self;
-        if err.is_some() {
-            return;
-        }
-        fmt.event(e, &mut |s| {
-            if err.is_none() {
-                *err = w.write_all(s.as_bytes()).err();
-            }
-        });
     }
 }
 
@@ -1087,13 +992,6 @@ pub fn metrics_json(m: &IntervalMetrics) -> String {
     }
     s.push_str("]}");
     s
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn event(&mut self, e: &TraceEvent) {
-        let ChromeTraceSink { buf, fmt } = self;
-        fmt.event(e, &mut |s| buf.push_str(s));
-    }
 }
 
 fn histogram_prometheus(out: &mut String, name: &str, labels: &str, h: &Histogram) {
@@ -1220,79 +1118,6 @@ pub fn metrics_prometheus(m: &IntervalMetrics) -> String {
     );
     histogram_prometheus(&mut s, "hidisc_mshr_occupancy", "", &m.mshr_occupancy);
     s
-}
-
-// ---------------------------------------------------------------------
-// CSV sink
-// ---------------------------------------------------------------------
-
-/// One row per event: `cycle,source,category,event,a,b,c` where the
-/// generic columns carry the variant's payload fields in declaration
-/// order (empty when unused).
-pub struct CsvSink {
-    buf: String,
-}
-
-impl CsvSink {
-    /// A sink holding the header row.
-    pub fn new() -> CsvSink {
-        CsvSink {
-            buf: String::from("cycle,source,category,event,a,b,c\n"),
-        }
-    }
-
-    /// The accumulated document.
-    pub fn finish(self) -> String {
-        self.buf
-    }
-}
-
-impl Default for CsvSink {
-    fn default() -> Self {
-        CsvSink::new()
-    }
-}
-
-impl TraceSink for CsvSink {
-    fn event(&mut self, e: &TraceEvent) {
-        let (a, b, c) = match e.data {
-            EventData::Fetch { pc }
-            | EventData::Mispredict { pc }
-            | EventData::LsqConflict { pc } => (pc.to_string(), String::new(), String::new()),
-            EventData::Dispatch { seq, pc }
-            | EventData::Complete { seq, pc }
-            | EventData::Commit { seq, pc } => (seq.to_string(), pc.to_string(), String::new()),
-            EventData::Issue {
-                seq,
-                pc,
-                complete_at,
-            } => (seq.to_string(), pc.to_string(), complete_at.to_string()),
-            EventData::MemMiss {
-                addr,
-                l2_hit,
-                ready_at,
-                ..
-            } => (addr.to_string(), l2_hit.to_string(), ready_at.to_string()),
-            EventData::MshrOccupancy { n } => (n.to_string(), String::new(), String::new()),
-            EventData::Eviction { level } => (level.to_string(), String::new(), String::new()),
-            EventData::QueuePush { q, depth } | EventData::QueuePop { q, depth } => {
-                (q.name().to_string(), depth.to_string(), String::new())
-            }
-            EventData::CmpSpawn { cmas, live } | EventData::CmpRetire { cmas, live } => {
-                (cmas.to_string(), live.to_string(), String::new())
-            }
-            EventData::FastForward { skipped } => {
-                (skipped.to_string(), String::new(), String::new())
-            }
-        };
-        self.buf.push_str(&format!(
-            "{},{},{},{},{a},{b},{c}\n",
-            e.cycle,
-            e.source,
-            e.data.category().name(),
-            e.data.name()
-        ));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1489,7 +1314,7 @@ mod tests {
             t.emit(EventData::Fetch { pc: i as u32 });
         }
         let mut sink = MemorySink::new(4);
-        t.replay(&mut sink);
+        t.drain_into(&mut sink);
         assert_eq!(sink.events().len(), 4);
         assert_eq!(sink.dropped(), 6);
     }
@@ -1514,9 +1339,13 @@ mod tests {
             mshr: 2,
             live_threads: 0,
         });
-        let mut sink = ChromeTraceSink::new(&["CP", "AP"]);
-        t.replay(&mut sink);
-        let json = sink.finish(t.metrics());
+        let mut sink = StreamingSink::new(Vec::new(), &["CP", "AP"]);
+        t.drain_into(&mut sink);
+        let mut counts = [0; 5];
+        counts[Category::Pipeline as usize] = 1;
+        counts[Category::Queue as usize] = 1;
+        assert_eq!(sink.counts(), counts);
+        let json = String::from_utf8(sink.finish(t.metrics()).unwrap()).unwrap();
         assert!(json.starts_with("{\"displayTimeUnit\""));
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"cat\":\"pipeline\""));
@@ -1524,37 +1353,6 @@ mod tests {
         assert!(json.contains("\"hidiscMetrics\":"));
         assert!(json.trim_end().ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn streaming_sink_matches_buffered_sink_byte_for_byte() {
-        let mut t = Telemetry::new(TraceConfig::ALL_EVENTS.with_metrics_interval(10));
-        t.set_clock(5);
-        t.emit(EventData::Issue {
-            seq: 1,
-            pc: 2,
-            complete_at: 9,
-        });
-        t.set_source(SOURCE_CMP);
-        t.emit(EventData::CmpSpawn { cmas: 0, live: 1 });
-        t.set_source(SOURCE_MACHINE);
-        t.emit(EventData::FastForward { skipped: 40 });
-        t.record_sample(IntervalSample {
-            cycle: 10,
-            committed: 4,
-            queue_depth: [1, 0, 0, 3, 0],
-            mshr: 2,
-            live_threads: 1,
-        });
-
-        let mut buffered = ChromeTraceSink::new(&["CP", "AP"]);
-        t.replay(&mut buffered);
-        let expect = buffered.finish(t.metrics());
-
-        let mut streamed = StreamingSink::new(Vec::new(), &["CP", "AP"]);
-        t.replay(&mut streamed);
-        let got = streamed.finish(t.metrics()).unwrap();
-        assert_eq!(String::from_utf8(got).unwrap(), expect);
     }
 
     #[test]
@@ -1579,10 +1377,8 @@ mod tests {
         for i in 4..6 {
             t.emit(EventData::Fetch { pc: i });
         }
-        t.drain_into(&mut sink);
+        assert_eq!(t.drain_into(&mut sink), 2);
         assert_eq!(sink.events().len(), 6);
-        assert_eq!(t.flushed(), 6);
-        assert_eq!(t.total_events(), 6);
         assert_eq!(t.dropped(), 0);
     }
 
@@ -1607,20 +1403,5 @@ mod tests {
                 "bad line: {line}"
             );
         }
-    }
-
-    #[test]
-    fn csv_sink_one_row_per_event() {
-        let mut t = Telemetry::new(TraceConfig::ALL_EVENTS);
-        t.emit(EventData::Commit { seq: 3, pc: 8 });
-        t.emit(EventData::FastForward { skipped: 100 });
-        let mut sink = CsvSink::new();
-        t.replay(&mut sink);
-        let csv = sink.finish();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "cycle,source,category,event,a,b,c");
-        assert_eq!(lines[1], "0,0,pipeline,commit,3,8,");
-        assert_eq!(lines[2], "0,0,machine,fast-forward,100,,");
     }
 }

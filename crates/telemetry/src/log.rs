@@ -9,6 +9,7 @@
 //! Disabled levels cost one comparison; callers that must assemble
 //! expensive fields should guard with [`Logger::enabled`] first.
 
+use crate::json_escape;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::Mutex;
@@ -296,24 +297,6 @@ fn push_logfmt_value(out: &mut String, v: &str) {
         }
     }
     out.push('"');
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

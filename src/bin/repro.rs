@@ -7,7 +7,6 @@
 //! repro [params|fig8|table2|fig9|fig10|check|ablate|all|serve]
 //!       [--format text|csv] [--scale test|paper|large] [--seed N]
 //!       [--threads N] [--l2-lat N] [--mem-lat N] [--scq-depth N]
-//!       [--scheduler ready|scan]
 //! ```
 //!
 //! Every artifact goes through the [`bench::Report`] trait, so `--format
@@ -17,7 +16,7 @@
 
 use hidisc::telemetry::log::{Level, LogFormat};
 use hidisc::telemetry::TraceConfig;
-use hidisc::{MachineConfig, Model, Scheduler};
+use hidisc::{MachineConfig, Model};
 use hidisc_bench::{self as bench, Report};
 use hidisc_serve::{ServeConfig, Service};
 use hidisc_workloads::Scale;
@@ -32,18 +31,15 @@ struct Args {
     l2_lat: Option<u32>,
     mem_lat: Option<u32>,
     scq_depth: Option<usize>,
-    scheduler: Option<Scheduler>,
     /// `--trace <path>`: write the Chrome-trace JSON here.
     trace_path: Option<String>,
     /// `--trace-filter <cats>`: comma list of categories (or `all`).
     trace_filter: TraceConfig,
     /// `--metrics-interval <cycles>`: interval-metrics sampling (0 off).
     metrics_interval: u64,
-    /// `--event-cap <n>`: telemetry buffer cap (events past it drop).
+    /// `--event-cap <n>`: telemetry buffer cap (the trace drains at half
+    /// of it; events past it drop).
     event_cap: Option<usize>,
-    /// `--stream`: serialise the trace while the machine runs instead of
-    /// buffering the whole recording.
-    stream: bool,
     /// `serve --addr <host:port>` (default 127.0.0.1:8080).
     addr: Option<String>,
     /// `serve --workers <n>` (0 = one per host core).
@@ -101,12 +97,10 @@ fn parse_args() -> Args {
     let mut l2_lat = None;
     let mut mem_lat = None;
     let mut scq_depth = None;
-    let mut scheduler = None;
     let mut trace_path: Option<String> = None;
     let mut trace_filter = TraceConfig::ALL_EVENTS;
     let mut metrics_interval = 0;
     let mut event_cap = None;
-    let mut stream = false;
     let mut addr = None;
     let mut workers = 0;
     let mut queue_depth = 32;
@@ -173,17 +167,6 @@ fn parse_args() -> Args {
                     }
                 };
             }
-            "--scheduler" => {
-                let v = it.next().unwrap_or_default();
-                scheduler = match v.as_str() {
-                    "ready" => Some(Scheduler::ReadyList),
-                    "scan" => Some(Scheduler::Scan),
-                    other => {
-                        eprintln!("unknown scheduler `{other}` (use ready|scan)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--trace" => {
                 trace_path = Some(it.next().unwrap_or_else(|| {
                     eprintln!("--trace needs an output path");
@@ -199,7 +182,6 @@ fn parse_args() -> Args {
             }
             "--metrics-interval" => metrics_interval = num(&mut it, "--metrics-interval"),
             "--event-cap" => event_cap = Some(num(&mut it, "--event-cap") as usize),
-            "--stream" => stream = true,
             "--seed" => seed = num(&mut it, "--seed"),
             "--l2-lat" => l2_lat = Some(num(&mut it, "--l2-lat") as u32),
             "--mem-lat" => mem_lat = Some(num(&mut it, "--mem-lat") as u32),
@@ -287,10 +269,10 @@ fn parse_args() -> Args {
                      [report|diag|trace|check|telemetry|sample|bisect <workload>] \
                      [--format text|csv|json] [--scale test|paper|large] [--seed N] [--threads N] \
                      [check <workload> [--speculation] [--deny-warnings]] \
-                     [--l2-lat N] [--mem-lat N] [--scq-depth N] [--scheduler ready|scan] \
+                     [--l2-lat N] [--mem-lat N] [--scq-depth N] \
                      [--sample <detail>:<skip>] [--a <l2>:<mem>] [--b <l2>:<mem>] \
                      [--trace <out.json>] [--trace-filter <cat,..|all>] [--metrics-interval N] \
-                     [--event-cap N] [--stream] \
+                     [--event-cap N] \
                      [serve --addr <host:port> --workers N --queue-depth N --cache-dir <dir> \
                      --max-conns N --cache-bytes N --idle-timeout-ms N \
                      --log-level off|error|warn|info|debug --log-format text|json \
@@ -338,10 +320,6 @@ fn parse_args() -> Args {
         eprintln!("command `{cmd}` takes no argument (see --help)");
         std::process::exit(2);
     }
-    if stream && cmd != "telemetry" {
-        eprintln!("--stream only applies to the telemetry command");
-        std::process::exit(2);
-    }
     if json && cmd != "simspeed" && !(cmd == "check" && speculation) {
         eprintln!("--format json only applies to simspeed and check --speculation");
         std::process::exit(2);
@@ -367,12 +345,10 @@ fn parse_args() -> Args {
         l2_lat,
         mem_lat,
         scq_depth,
-        scheduler,
         trace_path,
         trace_filter,
         metrics_interval,
         event_cap,
-        stream,
         addr,
         workers,
         queue_depth,
@@ -427,23 +403,12 @@ const COMMANDS: [&str; 22] = [
 /// validating builder; a rejected sweep exits 2 with the typed
 /// `ConfigError` message.
 fn build_config(args: &Args) -> MachineConfig {
-    let paper = MachineConfig::paper();
-    let mut b = MachineConfig::builder().latency(
-        args.l2_lat.unwrap_or(paper.mem.l2.latency),
-        args.mem_lat.unwrap_or(paper.mem.mem_latency),
-    );
-    if let Some(depth) = args.scq_depth {
-        let mut q = paper.queues;
-        q.scq = depth;
-        b = b.queues(q);
-    }
-    if let Some(s) = args.scheduler {
-        b = b.scheduler(s);
-    }
-    b.build().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    hidisc_sweep::build_config(args.l2_lat, args.mem_lat, args.scq_depth, None, 0).unwrap_or_else(
+        |e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        },
+    )
 }
 
 /// Assembles the service configuration from the CLI flags through the
@@ -608,7 +573,7 @@ fn connscale(args: &Args) {
 
 /// The sweep-request JSON for one render target, assembled from the CLI
 /// flags: the paper suite (or fig10's latency pair) at the chosen scale
-/// and seed, with any `--l2-lat`/`--mem-lat`/`--scq-depth`/`--scheduler`
+/// and seed, with any `--l2-lat`/`--mem-lat`/`--scq-depth`
 /// overrides as single-element axes.
 fn sweep_body(args: &Args, render: &str) -> String {
     let scale = match args.scale {
@@ -652,13 +617,6 @@ fn sweep_body(args: &Args, render: &str) -> String {
     }
     if let Some(depth) = args.scq_depth {
         body.push_str(&format!(",\"scq_depths\":[{depth}]"));
-    }
-    if let Some(s) = args.scheduler {
-        let name = match s {
-            Scheduler::ReadyList => "ready",
-            Scheduler::Scan => "scan",
-        };
-        body.push_str(&format!(",\"schedulers\":[\"{name}\"]"));
     }
     body.push_str(&format!(",\"render\":\"{render}\",\"stream\":true}}"));
     body
@@ -742,52 +700,6 @@ fn sweep(args: &Args) {
         std::process::exit(1);
     }
     print!("{}", rendered.body);
-}
-
-/// `repro telemetry --stream`: serialise the trace while the machine
-/// runs (bounded memory at any trace length).
-fn telemetry_streamed(args: &Args, cfg: MachineConfig, trace: TraceConfig, name: &str) {
-    fn summary<W>(run: &bench::StreamedRun<W>) -> String {
-        format!(
-            "streamed {} event(s), dropped {} (buffer cap {})\n",
-            run.streamed_events, run.dropped, run.cap
-        )
-    }
-    match &args.trace_path {
-        Some(path) => {
-            let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            });
-            let out = std::io::BufWriter::new(file);
-            let run = bench::telemetry_stream(name, args.scale, args.seed, cfg, trace, out)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(2);
-                });
-            eprint!("{}", summary(&run));
-            eprintln!("wrote {path} — load it at https://ui.perfetto.dev");
-            if let Some(m) = run.metrics {
-                print!("{}", bench::MetricsReport(m).render(args.csv));
-            }
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let run = bench::telemetry_stream(
-                name,
-                args.scale,
-                args.seed,
-                cfg,
-                trace,
-                std::io::BufWriter::new(stdout.lock()),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write the trace to stdout: {e}");
-                std::process::exit(2);
-            });
-            eprint!("{}", summary(&run));
-        }
-    }
 }
 
 fn main() {
@@ -925,34 +837,33 @@ fn main() {
                 trace = trace.with_event_cap(cap);
             }
             eprintln!(
-                "tracing {name} on HiDISC (scale {:?}, seed {}, mask {:#07b}, interval {}{})...",
-                args.scale,
-                args.seed,
-                trace.mask,
-                trace.metrics_interval,
-                if args.stream { ", streamed" } else { "" }
+                "tracing {name} on HiDISC (scale {:?}, seed {}, mask {:#07b}, interval {})...",
+                args.scale, args.seed, trace.mask, trace.metrics_interval,
             );
-            if args.stream {
-                telemetry_streamed(&args, cfg, trace, name);
-                return;
-            }
-            let run = bench::telemetry_run(name, args.scale, args.seed, cfg, trace);
-            eprint!("{}", run.summary());
-            if let Some(path) = &args.trace_path {
-                std::fs::write(path, &run.json).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
+            // The trace streams to the file (or to stdout, where it embeds
+            // the metrics side table) while the machine runs.
+            let target = args.trace_path.as_deref().unwrap_or("stdout");
+            let out: Box<dyn std::io::Write> = match &args.trace_path {
+                Some(path) => Box::new(std::io::BufWriter::new(
+                    std::fs::File::create(path).unwrap_or_else(|e| {
+                        eprintln!("cannot write {path}: {e}");
+                        std::process::exit(2);
+                    }),
+                )),
+                None => Box::new(std::io::BufWriter::new(std::io::stdout().lock())),
+            };
+            let run = bench::telemetry_stream(name, args.scale, args.seed, cfg, trace, out)
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot write {target}: {e}");
                     std::process::exit(2);
                 });
-                eprintln!(
-                    "wrote {path} ({} bytes) — load it at https://ui.perfetto.dev",
-                    run.json.len()
-                );
+            eprint!("{}", run.summary());
+            if let Some(path) = &args.trace_path {
+                let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
+                eprintln!("wrote {path} ({bytes} bytes) — load it at https://ui.perfetto.dev");
                 if let Some(m) = run.metrics {
                     print!("{}", bench::MetricsReport(m).render(csv));
                 }
-            } else {
-                // JSON to stdout; it embeds the metrics side table already.
-                print!("{}", run.json);
             }
         }
         "micro" => {
