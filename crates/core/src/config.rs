@@ -94,10 +94,6 @@ pub struct MachineConfig {
     /// cycles. Statistics and cycle counts are exactly those of the
     /// per-cycle loop (see DESIGN.md, "Idle-cycle fast-forward").
     pub fast_forward: bool,
-    /// Differential checking: every fast-forward jump also steps a cloned
-    /// machine cycle by cycle and asserts that the two end up bit-identical
-    /// (state, statistics, clock). Slow — for tests and debugging only.
-    pub ff_check: bool,
     /// Telemetry: which event categories to record and the interval-metrics
     /// sampling period. [`TraceConfig::OFF`] (the default) makes every
     /// emission site a single untaken branch.
@@ -353,12 +349,11 @@ impl MachineConfig {
     /// Canonical byte serialisation of every simulation-relevant field,
     /// for content-addressed result caching: two configurations with the
     /// same field values always produce the same bytes, regardless of
-    /// how or in what order they were built. Three fields are excluded
+    /// how or in what order they were built. Two fields are excluded
     /// because they cannot change results: the `trace` block (telemetry
-    /// is proven simulation-invisible by `telemetry_equiv.rs`), each
+    /// is proven simulation-invisible by `telemetry_equiv.rs`) and each
     /// core's `scheduler` (the scan scheduler is proven issue-identical
-    /// by `readylist_equiv.rs`) and `ff_check` (the checker only
-    /// asserts).
+    /// by `readylist_equiv.rs`).
     ///
     /// Every struct is destructured exhaustively, so adding a field
     /// anywhere in the configuration tree is a compile error here until
@@ -474,7 +469,6 @@ impl MachineConfig {
             deadlock_cycles,
             max_cycles,
             fast_forward,
-            ff_check: _,
             trace: _,
         } = self;
 
@@ -579,7 +573,6 @@ impl MachineConfig {
             deadlock_cycles: 100_000,
             max_cycles: 2_000_000_000,
             fast_forward: true,
-            ff_check: false,
             trace: TraceConfig::OFF,
         }
     }

@@ -83,6 +83,8 @@ pub struct Machine {
     ff_skipped: u64,
     /// Host wall-clock nanoseconds accumulated across `run`/`run_observed`.
     host_wall_ns: u64,
+    /// Differential checking, set by [`Machine::with_ff_check`].
+    ff_check: bool,
     /// Telemetry recorder (events + interval metrics), configured by
     /// [`MachineConfig::trace`]. Disabled recording never touches
     /// simulated state, so it is excluded from every equivalence check.
@@ -190,7 +192,18 @@ impl Machine {
             ff_jumps: 0,
             ff_skipped: 0,
             host_wall_ns: 0,
+            ff_check: false,
         }
+    }
+
+    /// Test hook: every fast-forward jump also steps a cloned machine
+    /// cycle by cycle and asserts that the two end up bit-identical
+    /// (state, statistics, clock). Slow — for the differential tests
+    /// only; it never changes a result.
+    #[doc(hidden)]
+    pub fn with_ff_check(mut self) -> Machine {
+        self.ff_check = true;
+        self
     }
 
     /// The telemetry recorder (events, peaks and interval metrics
@@ -435,7 +448,7 @@ impl Machine {
             return Ok(());
         }
 
-        let shadow = self.cfg.ff_check.then(|| self.clone());
+        let shadow = self.ff_check.then(|| self.clone());
 
         // Replay j idle cycles in one step.
         for (core, (now_s, prev_s)) in self

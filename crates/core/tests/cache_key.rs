@@ -88,15 +88,14 @@ fn single_field_mutations_change_the_key() {
     let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
     assert_eq!(distinct.len(), keys.len(), "two mutants collided");
 
-    // Telemetry, the scan scheduler (issue-identical to the ready list)
-    // and the fast-forward checker (it only asserts) are deliberately not
-    // hashed: such a run may reuse a plain run's cached result.
-    let invisible: [Mutation; 3] = [
+    // Telemetry and the scan scheduler (issue-identical to the ready
+    // list) are deliberately not hashed: such a run may reuse a plain
+    // run's cached result.
+    let invisible: [Mutation; 2] = [
         ("trace", |c| {
             c.trace = TraceConfig::ALL_EVENTS.with_metrics_interval(100)
         }),
         ("cp.scheduler", |c| c.cp.scheduler = Scheduler::Scan),
-        ("ff_check", |c| c.ff_check = !c.ff_check),
     ];
     for (what, mutate) in invisible {
         let mut c = base;

@@ -33,15 +33,14 @@ fn fast_forward_is_stat_identical_across_suite_and_models() {
         for model in Model::ALL {
             let mut plain_cfg = MachineConfig::paper();
             plain_cfg.fast_forward = false;
-            plain_cfg.ff_check = false;
             let mut ff_cfg = MachineConfig::paper();
             ff_cfg.fast_forward = true;
-            ff_cfg.ff_check = true;
 
             let plain = Machine::new(model, &compiled, &env, plain_cfg)
                 .run(compiled.profile.dyn_instrs)
                 .unwrap_or_else(|e| panic!("{}/{model}: plain run failed: {e}", w.name));
             let ff = Machine::new(model, &compiled, &env, ff_cfg)
+                .with_ff_check()
                 .run(compiled.profile.dyn_instrs)
                 .unwrap_or_else(|e| panic!("{}/{model}: ff run failed: {e}", w.name));
 
@@ -96,11 +95,11 @@ fn fast_forward_is_stat_identical_at_high_latency() {
         plain_cfg.fast_forward = false;
         let mut ff_cfg = MachineConfig::paper_with_latency(16, 160);
         ff_cfg.fast_forward = true;
-        ff_cfg.ff_check = true;
         let plain = Machine::new(model, &compiled, &env, plain_cfg)
             .run(compiled.profile.dyn_instrs)
             .unwrap();
         let ff = Machine::new(model, &compiled, &env, ff_cfg)
+            .with_ff_check()
             .run(compiled.profile.dyn_instrs)
             .unwrap();
         assert!(

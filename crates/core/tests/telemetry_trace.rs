@@ -268,11 +268,11 @@ fn early_stop_mid_stall_window_observes_every_cycle_up_to_stop() {
     let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
     let mut cfg = MachineConfig::paper();
     cfg.fast_forward = true;
-    cfg.ff_check = true;
 
     let stop_at: u64 = 400;
     let mut seen: Vec<u64> = Vec::new();
     let observed = Machine::new(Model::HiDisc, &compiled, &env, cfg)
+        .with_ff_check()
         .run_observed(compiled.profile.dyn_instrs, |m: &Machine| {
             seen.push(m.now());
             m.now() < stop_at

@@ -11,7 +11,7 @@
 
 use hidisc::{Machine, MachineConfig, Model};
 use hidisc_ooo::Scheduler;
-use hidisc_slicer::{compile, CompilerConfig, ExecEnv};
+use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
 
 fn env_of(w: &Workload) -> ExecEnv {
@@ -22,18 +22,28 @@ fn env_of(w: &Workload) -> ExecEnv {
     }
 }
 
-/// Paper preset with a scheduler override. The differential ff shadow
-/// re-checks every jump, so it is kept on whenever fast-forward is: the
-/// grid then also covers the ready-list × fast-forward interaction
-/// (DESIGN.md §11 ↔ §10).
-fn config_with(scheduler: Scheduler, fast_forward: bool) -> MachineConfig {
+/// A paper-preset machine with a scheduler override. The differential
+/// ff shadow re-checks every jump, so it is kept on whenever fast-forward
+/// is: the grid then also covers the ready-list × fast-forward
+/// interaction (DESIGN.md §11 ↔ §10).
+fn machine_with(
+    model: Model,
+    compiled: &CompiledWorkload,
+    env: &ExecEnv,
+    scheduler: Scheduler,
+    fast_forward: bool,
+) -> Machine {
     let mut cfg = MachineConfig::paper();
     cfg.superscalar.scheduler = scheduler;
     cfg.cp.scheduler = scheduler;
     cfg.ap.scheduler = scheduler;
     cfg.fast_forward = fast_forward;
-    cfg.ff_check = fast_forward;
-    cfg
+    let m = Machine::new(model, compiled, env, cfg);
+    if fast_forward {
+        m.with_ff_check()
+    } else {
+        m
+    }
 }
 
 /// Every `Scale::Test` workload × every model: the ready-list scheduler
@@ -58,22 +68,12 @@ fn compare_schedulers(fast_forward: bool) {
         let compiled = compile(&w.prog, &env, &CompilerConfig::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
         for model in Model::ALL {
-            let scan = Machine::new(
-                model,
-                &compiled,
-                &env,
-                config_with(Scheduler::Scan, fast_forward),
-            )
-            .run(compiled.profile.dyn_instrs)
-            .unwrap_or_else(|e| panic!("{}/{model}: scan run failed: {e}", w.name));
-            let ready = Machine::new(
-                model,
-                &compiled,
-                &env,
-                config_with(Scheduler::ReadyList, fast_forward),
-            )
-            .run(compiled.profile.dyn_instrs)
-            .unwrap_or_else(|e| panic!("{}/{model}: ready-list run failed: {e}", w.name));
+            let scan = machine_with(model, &compiled, &env, Scheduler::Scan, fast_forward)
+                .run(compiled.profile.dyn_instrs)
+                .unwrap_or_else(|e| panic!("{}/{model}: scan run failed: {e}", w.name));
+            let ready = machine_with(model, &compiled, &env, Scheduler::ReadyList, fast_forward)
+                .run(compiled.profile.dyn_instrs)
+                .unwrap_or_else(|e| panic!("{}/{model}: ready-list run failed: {e}", w.name));
 
             assert_eq!(
                 scan.cycles, ready.cycles,

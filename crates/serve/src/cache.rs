@@ -1,44 +1,83 @@
-//! Content-addressed result cache: completed run results keyed by the
-//! canonical hash of (machine config, workload, scale, seed, model).
-//! In-memory LRU with optional disk persistence, so repeated sweep
-//! points return instantly and results survive a service restart.
+//! The service's one content-addressed store: an in-memory LRU in front
+//! of an optional read-through disk tier. It holds two kinds of payload
+//! — completed run results keyed by the job's content address, and
+//! warm-start checkpoints keyed by its warm address — so repeated sweep
+//! points return instantly, warm runs skip their shared prefix, and both
+//! survive a service restart.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-struct Entry {
-    stamp: u64,
-    json: Arc<String>,
+/// A payload the store can persist: its disk-tier file extension and
+/// its byte encoding.
+pub trait Payload: Sized {
+    /// File extension of the disk tier (`<key>.<EXT>`).
+    const EXT: &'static str;
+    /// The bytes written to disk.
+    fn as_bytes(&self) -> &[u8];
+    /// Decodes a disk file; `None` treats the file as absent.
+    fn from_bytes(bytes: Vec<u8>) -> Option<Self>;
 }
 
-/// The cache. Not internally synchronised — the service wraps it in the
-/// job-registry mutex.
+/// Serialised run results (`<key>.json`).
+impl Payload for String {
+    const EXT: &'static str = "json";
+    fn as_bytes(&self) -> &[u8] {
+        str::as_bytes(self)
+    }
+    fn from_bytes(bytes: Vec<u8>) -> Option<String> {
+        String::from_utf8(bytes).ok()
+    }
+}
+
+/// Binary warm-start checkpoints (`<key>.ck`).
+impl Payload for Vec<u8> {
+    const EXT: &'static str = "ck";
+    fn as_bytes(&self) -> &[u8] {
+        self
+    }
+    fn from_bytes(bytes: Vec<u8>) -> Option<Vec<u8>> {
+        Some(bytes)
+    }
+}
+
+struct Entry<T> {
+    stamp: u64,
+    value: Arc<T>,
+}
+
+/// The store. Not internally synchronised — the service wraps the
+/// result store in the job-registry mutex and the checkpoint store in a
+/// mutex of its own.
 ///
-/// The memory tier is bounded by **bytes**, not entry count: result
-/// payloads range from a few hundred bytes to the better part of a
-/// megabyte (interval metrics), so an entry-count cap bounds nothing
-/// useful. Past the budget, entries are evicted least-recently-used
-/// first until the total fits again.
-pub struct ResultCache {
+/// The memory tier is bounded by a **weight** the caller chooses at
+/// construction. Results weigh their byte length, because their payloads
+/// range from a few hundred bytes to the better part of a megabyte
+/// (interval metrics) and an entry count would bound nothing useful;
+/// checkpoints weigh 1 each, a count cap. Past the budget, entries are
+/// evicted least-recently-used first until the total fits again.
+pub struct Store<T> {
     budget: usize,
-    total_bytes: usize,
+    total: usize,
     stamp: u64,
-    map: HashMap<u64, Entry>,
+    map: HashMap<u64, Entry<T>>,
     dir: Option<PathBuf>,
+    weigh: fn(&T) -> usize,
 }
 
-impl ResultCache {
-    /// A cache holding at most `budget` bytes of results in memory
-    /// (at least 1), persisting to `dir` when given (`<key>.json` files;
-    /// created on first insert, read-through on miss).
-    pub fn new(budget: usize, dir: Option<PathBuf>) -> ResultCache {
-        ResultCache {
+impl<T: Payload> Store<T> {
+    /// A store holding at most `budget` weight in memory (at least 1),
+    /// each value weighing `weigh(value)`, persisting to `dir` when given
+    /// (created on first insert, read-through on miss).
+    pub fn new(budget: usize, dir: Option<PathBuf>, weigh: fn(&T) -> usize) -> Store<T> {
+        Store {
             budget: budget.max(1),
-            total_bytes: 0,
+            total: 0,
             stamp: 0,
             map: HashMap::new(),
             dir,
+            weigh,
         }
     }
 
@@ -50,53 +89,51 @@ impl ResultCache {
     fn path_of(&self, key: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{key:016x}.json")))
+            .map(|d| d.join(format!("{key:016x}.{}", T::EXT)))
     }
 
     /// Looks `key` up, consulting the disk tier on a memory miss.
     /// Refreshes recency on a hit.
-    pub fn get(&mut self, key: u64) -> Option<Arc<String>> {
+    pub fn get(&mut self, key: u64) -> Option<Arc<T>> {
         let stamp = self.touch();
         if let Some(e) = self.map.get_mut(&key) {
             e.stamp = stamp;
-            return Some(Arc::clone(&e.json));
+            return Some(Arc::clone(&e.value));
         }
         let path = self.path_of(key)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        let json = Arc::new(json);
-        self.insert_memory(key, Arc::clone(&json), stamp);
-        Some(json)
+        let value = Arc::new(T::from_bytes(std::fs::read(path).ok()?)?);
+        self.insert_memory(key, Arc::clone(&value), stamp);
+        Some(value)
     }
 
-    /// Inserts a result, persisting it to the disk tier (best-effort —
-    /// a read-only cache directory degrades to memory-only).
-    pub fn insert(&mut self, key: u64, json: Arc<String>) {
+    /// Inserts a value, persisting it to the disk tier via tmp + rename
+    /// (best-effort — a read-only directory degrades to memory-only).
+    pub fn insert(&mut self, key: u64, value: Arc<T>) {
         if let Some(path) = self.path_of(key) {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
             let tmp = path.with_extension("tmp");
-            if std::fs::write(&tmp, json.as_bytes()).is_ok() {
+            if std::fs::write(&tmp, value.as_bytes()).is_ok() {
                 let _ = std::fs::rename(&tmp, &path);
             }
         }
         let stamp = self.touch();
-        self.insert_memory(key, json, stamp);
+        self.insert_memory(key, value, stamp);
     }
 
-    fn insert_memory(&mut self, key: u64, json: Arc<String>, stamp: u64) {
-        // A payload bigger than the whole budget never enters the memory
+    fn insert_memory(&mut self, key: u64, value: Arc<T>, stamp: u64) {
+        self.remove(key);
+        // A value heavier than the whole budget never enters the memory
         // tier (it would immediately evict everything *and* still bust
         // the budget); it stays reachable through the disk tier.
-        if json.len() > self.budget {
-            self.remove(key);
+        if (self.weigh)(&value) > self.budget {
             return;
         }
-        self.remove(key);
-        self.total_bytes += json.len();
-        self.map.insert(key, Entry { stamp, json });
+        self.total += (self.weigh)(&value);
+        self.map.insert(key, Entry { stamp, value });
         // Evict oldest-first until the total fits the budget again.
-        while self.total_bytes > self.budget {
+        while self.total > self.budget {
             let Some((&lru, _)) = self.map.iter().min_by_key(|(_, e)| e.stamp) else {
                 break;
             };
@@ -106,107 +143,19 @@ impl ResultCache {
 
     fn remove(&mut self, key: u64) {
         if let Some(e) = self.map.remove(&key) {
-            self.total_bytes -= e.json.len();
+            self.total -= (self.weigh)(&e.value);
         }
     }
 
-    /// Results currently held in memory.
+    /// Values currently held in memory.
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Bytes of result payload currently held in memory. Always at most
-    /// the construction budget.
+    /// Total weight currently held in memory — bytes for a store built
+    /// with a byte-length weight. Always at most the construction budget.
     pub fn bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// True when the memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-struct CkEntry {
-    stamp: u64,
-    bytes: Arc<Vec<u8>>,
-}
-
-/// Warm-start checkpoint store: post-fast-forward machine snapshots
-/// keyed by [`hidisc::MachineConfig::warm_hash`] extended with the
-/// workload identity. Same shape as [`ResultCache`] — in-memory LRU with
-/// an optional read-through disk tier — but the payload is the binary
-/// checkpoint (`<key>.ck` files), and a restored entry skips the shared
-/// run prefix instead of the whole run.
-pub struct CheckpointStore {
-    cap: usize,
-    stamp: u64,
-    map: HashMap<u64, CkEntry>,
-    dir: Option<PathBuf>,
-}
-
-impl CheckpointStore {
-    /// A store holding at most `cap` checkpoints in memory (at least 1),
-    /// persisting to `dir` when given.
-    pub fn new(cap: usize, dir: Option<PathBuf>) -> CheckpointStore {
-        CheckpointStore {
-            cap: cap.max(1),
-            stamp: 0,
-            map: HashMap::new(),
-            dir,
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
-    }
-
-    fn path_of(&self, key: u64) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key:016x}.ck")))
-    }
-
-    /// Looks `key` up, consulting the disk tier on a memory miss.
-    pub fn get(&mut self, key: u64) -> Option<Arc<Vec<u8>>> {
-        let stamp = self.touch();
-        if let Some(e) = self.map.get_mut(&key) {
-            e.stamp = stamp;
-            return Some(Arc::clone(&e.bytes));
-        }
-        let path = self.path_of(key)?;
-        let bytes = Arc::new(std::fs::read(path).ok()?);
-        self.insert_memory(key, Arc::clone(&bytes), stamp);
-        Some(bytes)
-    }
-
-    /// Inserts a checkpoint, persisting it to the disk tier (best-effort;
-    /// a read-only directory degrades to memory-only).
-    pub fn insert(&mut self, key: u64, bytes: Arc<Vec<u8>>) {
-        if let Some(path) = self.path_of(key) {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            let tmp = path.with_extension("tmp");
-            if std::fs::write(&tmp, bytes.as_slice()).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
-        }
-        let stamp = self.touch();
-        self.insert_memory(key, bytes, stamp);
-    }
-
-    fn insert_memory(&mut self, key: u64, bytes: Arc<Vec<u8>>, stamp: u64) {
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            if let Some((&lru, _)) = self.map.iter().min_by_key(|(_, e)| e.stamp) {
-                self.map.remove(&lru);
-            }
-        }
-        self.map.insert(key, CkEntry { stamp, bytes });
-    }
-
-    /// Checkpoints currently held in memory.
-    pub fn len(&self) -> usize {
-        self.map.len()
+        self.total
     }
 
     /// True when the memory tier is empty.
@@ -223,17 +172,21 @@ mod tests {
         Arc::new(s.to_string())
     }
 
+    fn results(budget: usize, dir: Option<PathBuf>) -> Store<String> {
+        Store::new(budget, dir, String::len)
+    }
+
     #[test]
     fn checkpoint_store_round_trips_through_disk() {
         let dir = std::env::temp_dir().join(format!("hidisc-ck-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut s = CheckpointStore::new(1, Some(dir.clone()));
+            let mut s = Store::new(1, Some(dir.clone()), |_: &Vec<u8>| 1);
             s.insert(3, Arc::new(vec![1, 2, 3]));
             s.insert(4, Arc::new(vec![4])); // 3 leaves memory, stays on disk
             assert_eq!(s.get(3).as_deref(), Some(&vec![1, 2, 3]));
         }
-        let mut s2 = CheckpointStore::new(4, Some(dir.clone()));
+        let mut s2 = Store::new(4, Some(dir.clone()), |_: &Vec<u8>| 1);
         assert!(s2.is_empty());
         assert_eq!(s2.get(4).as_deref(), Some(&vec![4]));
         assert_eq!(s2.len(), 1);
@@ -243,7 +196,7 @@ mod tests {
     #[test]
     fn byte_lru_evicts_least_recently_used() {
         // Budget fits two 3-byte entries but not three.
-        let mut c = ResultCache::new(6, None);
+        let mut c = results(6, None);
         c.insert(1, val("one")); // 3 bytes
         c.insert(2, val("two")); // 3 bytes
         assert_eq!(c.bytes(), 6);
@@ -260,7 +213,7 @@ mod tests {
     fn oversized_entries_skip_the_memory_tier() {
         let dir = std::env::temp_dir().join(format!("hidisc-cache-big-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut c = ResultCache::new(4, Some(dir.clone()));
+        let mut c = results(4, Some(dir.clone()));
         c.insert(1, val("tiny"));
         assert_eq!(c.bytes(), 4);
         c.insert(2, val("way too large for the budget"));
@@ -276,7 +229,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_without_double_counting() {
-        let mut c = ResultCache::new(100, None);
+        let mut c = results(100, None);
         c.insert(1, val("aaaa"));
         c.insert(1, val("bb"));
         assert_eq!(c.len(), 1);
@@ -289,13 +242,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hidisc-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut c = ResultCache::new(5, Some(dir.clone()));
+            let mut c = results(5, Some(dir.clone()));
             c.insert(7, val("seven"));
             c.insert(8, val("eight")); // 7 leaves memory, stays on disk
             assert_eq!(c.get(7).as_deref().map(String::as_str), Some("seven"));
         }
         // A fresh instance (fresh process in real life) reads through.
-        let mut c2 = ResultCache::new(64, Some(dir.clone()));
+        let mut c2 = results(64, Some(dir.clone()));
         assert!(c2.is_empty());
         assert_eq!(c2.get(8).as_deref().map(String::as_str), Some("eight"));
         assert_eq!(c2.len(), 1);

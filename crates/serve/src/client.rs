@@ -113,11 +113,15 @@ fn dechunk(mut rest: &[u8]) -> Result<Vec<u8>, String> {
         if size == 0 {
             return Ok(out);
         }
-        if rest.len() < size + 2 {
+        // The size is the peer's: it may be anything up to `usize::MAX`.
+        let end = size
+            .checked_add(2)
+            .ok_or_else(|| format!("chunk size `{size_txt}` overflows"))?;
+        if rest.len() < end {
             return Err("truncated chunk body".into());
         }
         out.extend_from_slice(&rest[..size]);
-        rest = &rest[size + 2..];
+        rest = &rest[end..];
     }
 }
 
@@ -236,6 +240,12 @@ mod tests {
         assert!(parse_response(b"HTTP/1.1 200 OK\r\n\r").is_err());
         let truncated = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nab";
         assert!(parse_response(truncated).is_err());
+        // A chunk size at `usize::MAX` is an error, not an overflow.
+        let huge = b"ffffffffffffffff\r\nab\r\n0\r\n\r\n";
+        assert!(dechunk(huge).unwrap_err().contains("overflows"));
+        let mut resp = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+        resp.extend_from_slice(huge);
+        assert!(parse_response(&resp).is_err());
     }
 
     #[test]

@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 
 use epoll_shim::{Event, Interest, Poller};
 
+use crate::json::Json;
+
 /// How the ramp is driven.
 #[derive(Debug, Clone)]
 pub struct RampConfig {
@@ -148,16 +150,23 @@ fn drive_sweep(addr: SocketAddr, timeout: Duration) -> Option<(usize, u64)> {
     if resp.status != 200 && resp.status != 202 {
         return None;
     }
-    let id = flat_json_str(&resp.body, "sweep")?;
+    let id = Json::parse(&resp.body)
+        .ok()?
+        .get("sweep")?
+        .as_str()?
+        .to_string();
     let deadline = started + timeout;
     loop {
         let r = crate::client::http_request(&addr, "GET", &format!("/v1/sweeps/{id}"), "", timeout)
             .ok()?;
-        if flat_json_str(&r.body, "status").as_deref() == Some("done") {
-            if flat_json_num(&r.body, "failed")? != 0 {
+        let done = Json::parse(&r.body)
+            .ok()
+            .filter(|v| v.get("status").and_then(Json::as_str) == Some("done"));
+        if let Some(v) = done {
+            if v.get("failed")?.as_u64()? != 0 {
                 return None;
             }
-            let points = flat_json_num(&r.body, "total")? as usize;
+            let points = v.get("total")?.as_u64()? as usize;
             return Some((points, started.elapsed().as_millis() as u64));
         }
         if Instant::now() >= deadline {
@@ -165,23 +174,6 @@ fn drive_sweep(addr: SocketAddr, timeout: Duration) -> Option<(usize, u64)> {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-fn flat_json_str(body: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = body.find(&pat)? + pat.len();
-    let end = body[start..].find('"')? + start;
-    Some(body[start..end].to_string())
-}
-
-fn flat_json_num(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = body.find(&pat)? + pat.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 struct Probe {
@@ -265,7 +257,8 @@ fn scan_response(buf: &[u8]) -> Option<(u16, usize, bool)> {
             has_rid = true;
         }
     }
-    let total = head_end + 4 + content_length;
+    // The length is the peer's: an overflowing one never completes.
+    let total = (head_end + 4).checked_add(content_length)?;
     (buf.len() >= total).then_some((status, total, has_rid))
 }
 
@@ -430,6 +423,8 @@ mod tests {
             scan_response(empty_rid),
             Some((200, empty_rid.len(), false))
         );
+        let huge = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}";
+        assert_eq!(scan_response(huge), None);
     }
 
     #[test]

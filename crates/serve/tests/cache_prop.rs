@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use hidisc_serve::cache::ResultCache;
+use hidisc_serve::cache::Store;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ proptest! {
     ) {
         // Memory-only cache: no disk tier, so a `get` miss stays a miss
         // and membership is exactly the memory tier's.
-        let mut cache = ResultCache::new(budget, None);
+        let mut cache = Store::new(budget, None, String::len);
         let mut oracle = Oracle { budget, order: Vec::new(), size: HashMap::new() };
 
         for op in &ops {

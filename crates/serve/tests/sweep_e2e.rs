@@ -1,7 +1,8 @@
 //! End-to-end exercises of the sweep orchestrator over real sockets:
 //! overlapping grids reuse the content-addressed cache (exactly one
-//! simulation per unique point), the NDJSON stream carries one line
-//! per point, a two-shard farm renders figure CSV byte-identical to a
+//! simulation per unique point), queued jobs coalesce across `/v1/run`
+//! and `/v1/sweep` in both directions, the NDJSON stream carries one
+//! line per point, a two-shard farm renders figure CSV byte-identical to a
 //! single node (and to a direct in-process computation), and a dead
 //! shard degrades to local fallback instead of failing the sweep.
 
@@ -293,4 +294,75 @@ fn a_dead_shard_degrades_to_local_fallback_without_failing_the_sweep() {
         "shard 1 must be marked unhealthy:\n{metrics}"
     );
     front.shutdown();
+}
+
+#[test]
+fn runs_and_sweeps_coalesce_onto_each_others_queued_jobs() {
+    // One worker, held busy by a long job that ends on its wall-clock
+    // budget: every job submitted after it stays queued meanwhile.
+    let cfg = ServeConfig::builder()
+        .workers(1)
+        .queue_depth(8)
+        .build()
+        .expect("valid serve config");
+    let svc = Service::start(cfg).expect("service start");
+    let addr = svc.addr();
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/run",
+        r#"{"workload":"dm","scale":"large","seed":1,"timeout_ms":1500}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+
+    // A /v1/run job queues behind it...
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/run",
+        r#"{"workload":"dm","model":"superscalar"}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(
+        json_str(&body, "status").as_deref(),
+        Some("queued"),
+        "{body}"
+    );
+
+    // ...and a sweep containing its point coalesces onto it, queueing
+    // only the other three.
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"workloads":["dm"],"stream":false}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    let sweep = json_str(&body, "sweep").expect("sweep id");
+    assert_eq!(metric(addr, "hidisc_serve_coalesced_total"), 1);
+
+    // A /v1/run for one of the sweep's queued points coalesces onto it.
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/v1/run",
+        r#"{"workload":"dm","model":"hidisc"}"#,
+    );
+    assert_eq!(status, 202, "{body}");
+    assert!(body.contains("\"coalesced\":true"), "{body}");
+    assert_eq!(
+        json_str(&body, "status").as_deref(),
+        Some("queued"),
+        "{body}"
+    );
+    assert_eq!(metric(addr, "hidisc_serve_coalesced_total"), 2);
+
+    let done = poll_sweep(addr, &sweep);
+    assert_eq!(json_num(&done, "total"), Some(4), "{done}");
+    assert_eq!(json_num(&done, "cached"), Some(1), "{done}");
+    assert_eq!(json_num(&done, "simulated"), Some(3), "{done}");
+    assert_eq!(json_num(&done, "failed"), Some(0), "{done}");
+    // One simulation per unique point: the busy job plus dm's 4 models.
+    assert_eq!(metric(addr, "hidisc_serve_sim_runs_total"), 5);
+    svc.shutdown();
 }

@@ -73,6 +73,26 @@ pub enum Scale {
     Large,
 }
 
+impl Scale {
+    /// The lowercase name the CLI and the service's JSON use.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Paper => "paper",
+            Scale::Large => "large",
+        }
+    }
+
+    /// Parses a [`Scale::name`]; the error is the message the CLI prints
+    /// and the service answers with.
+    pub fn parse(s: &str) -> Result<Scale, String> {
+        [Scale::Test, Scale::Paper, Scale::Large]
+            .into_iter()
+            .find(|scale| scale.name() == s)
+            .ok_or_else(|| format!("unknown scale `{s}` (use test|paper|large)"))
+    }
+}
+
 /// Builds the full seven-benchmark suite in the paper's presentation
 /// order (DM, RayTrace, Pointer, Update, Field, Neighborhood, TC).
 pub fn suite(scale: Scale, seed: u64) -> Vec<Workload> {

@@ -18,6 +18,7 @@ use hidisc::telemetry::log::{Level, LogFormat};
 use hidisc::telemetry::TraceConfig;
 use hidisc::{MachineConfig, Model};
 use hidisc_bench::{self as bench, Report};
+use hidisc_serve::json::Json;
 use hidisc_serve::{ServeConfig, Service};
 use hidisc_workloads::Scale;
 
@@ -144,16 +145,10 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().unwrap_or_default();
-                scale = match v.as_str() {
-                    "test" => Scale::Test,
-                    "paper" => Scale::Paper,
-                    "large" => Scale::Large,
-                    other => {
-                        eprintln!("unknown scale `{other}` (use test|paper|large)");
-                        std::process::exit(2);
-                    }
-                };
+                scale = Scale::parse(&it.next().unwrap_or_default()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
             }
             "--format" => {
                 let v = it.next().unwrap_or_default();
@@ -576,11 +571,7 @@ fn connscale(args: &Args) {
 /// and seed, with any `--l2-lat`/`--mem-lat`/`--scq-depth`
 /// overrides as single-element axes.
 fn sweep_body(args: &Args, render: &str) -> String {
-    let scale = match args.scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-        Scale::Large => "large",
-    };
+    let scale = args.scale.name();
     let mut body = String::from("{\"workloads\":[");
     let workloads: Vec<&str> = if render == "fig10" {
         vec!["pointer", "neighborhood"]
@@ -622,24 +613,6 @@ fn sweep_body(args: &Args, render: &str) -> String {
     body
 }
 
-/// Extracts `"key":"value"` / `"key":N` from a flat JSON line.
-fn sweep_json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn sweep_json_num(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
 /// `repro sweep [fig8|fig9|fig10|table1]`: drive a batch sweep on a
 /// running service (`--addr`, default 127.0.0.1:8080). Per-point NDJSON
 /// progress streams to stderr as the service emits it; the rendered CSV
@@ -675,13 +648,16 @@ fn sweep(args: &Args) {
     for line in resp.body.lines() {
         eprintln!("{line}");
     }
-    let first = resp.body.lines().next().unwrap_or_default();
-    let id = sweep_json_str(first, "sweep").unwrap_or_else(|| {
-        eprintln!("the stream carried no sweep id");
-        std::process::exit(1);
-    });
-    let summary = resp.body.lines().last().unwrap_or_default();
-    let failed = sweep_json_num(summary, "failed").unwrap_or(0);
+    let parse = |l: Option<&str>| Json::parse(l.unwrap_or_default()).ok();
+    let id = parse(resp.body.lines().next())
+        .and_then(|v| v.get("sweep")?.as_str().map(str::to_string))
+        .unwrap_or_else(|| {
+            eprintln!("the stream carried no sweep id");
+            std::process::exit(1);
+        });
+    let failed = parse(resp.body.lines().last())
+        .and_then(|v| v.get("failed")?.as_u64())
+        .unwrap_or(0);
     if failed > 0 {
         eprintln!("sweep {id}: {failed} point(s) failed — not rendering");
         std::process::exit(1);
