@@ -23,7 +23,6 @@ use hidisc::telemetry::{json_escape, Category, IntervalMetrics, StreamingSink, T
 use hidisc::{run_model, Machine, MachineConfig, MachineStats, Model};
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 pub mod pool;
@@ -74,41 +73,62 @@ pub struct Prepared {
     pub compiled: Arc<CompiledWorkload>,
 }
 
-/// Compiles one workload for grid running. Debug builds run the static
-/// stream-slice verifier as a compiler post-pass: a slicer bug should be a
-/// located diagnostic here, not a hung or diverging simulation later.
-pub fn prepare(w: &Workload) -> Prepared {
+/// Generates the named workload and compiles it with the default
+/// compiler configuration. Panics with `unknown workload <name>` or
+/// `<name>: compile failed: <error>`.
+pub fn compile_named(name: &str, scale: Scale, seed: u64) -> (Workload, ExecEnv, CompiledWorkload) {
+    let w = hidisc_workloads::by_name(name, scale, seed)
+        .unwrap_or_else(|| panic!("unknown workload {name}"));
+    let (env, compiled) = compile_default(&w);
+    (w, env, compiled)
+}
+
+fn compile_default(w: &Workload) -> (ExecEnv, CompiledWorkload) {
     let env = env_of(w);
     let compiled = compile(&w.prog, &env, &CompilerConfig::default())
         .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
-    #[cfg(debug_assertions)]
-    {
-        let report = hidisc_verify::verify(&hidisc_verify::VerifyInput::of(
-            &compiled,
-            hidisc_verify::DepthConfig::paper(),
-        ));
-        let first_error = report.errors().next().map(|d| d.to_string());
-        if let Some(d) = first_error {
-            panic!("{}: slicer output failed verification: {d}", w.name);
+    (env, compiled)
+}
+
+/// Compiles one workload for grid running.
+pub fn prepare(w: &Workload) -> Prepared {
+    let (env, compiled) = compile_default(w);
+    Prepared::new(w.name, env, compiled)
+}
+
+impl Prepared {
+    /// Debug builds run the static stream-slice verifier as a compiler
+    /// post-pass: a slicer bug should be a located diagnostic here, not a
+    /// hung or diverging simulation later.
+    fn new(name: &'static str, env: ExecEnv, compiled: CompiledWorkload) -> Prepared {
+        #[cfg(debug_assertions)]
+        {
+            let report = hidisc_verify::verify(&hidisc_verify::VerifyInput::of(
+                &compiled,
+                hidisc_verify::DepthConfig::paper(),
+            ));
+            let first_error = report.errors().next().map(|d| d.to_string());
+            if let Some(d) = first_error {
+                panic!("{name}: slicer output failed verification: {d}");
+            }
+            // The symbolic occupancy bounds must dominate the greedy oracle's
+            // observed peaks — a peak above its bound means the interval
+            // analysis is unsound for this triple.
+            for b in &report.bounds {
+                let peak = report.greedy_peaks[hidisc_verify::queue_index(b.queue)];
+                assert!(
+                    b.bound >= peak,
+                    "{name}: symbolic {} bound {} below greedy peak {peak}",
+                    b.queue.name(),
+                    b.bound,
+                );
+            }
         }
-        // The symbolic occupancy bounds must dominate the greedy oracle's
-        // observed peaks — a peak above its bound means the interval
-        // analysis is unsound for this triple.
-        for b in &report.bounds {
-            let peak = report.greedy_peaks[hidisc_verify::queue_index(b.queue)];
-            assert!(
-                b.bound >= peak,
-                "{}: symbolic {} bound {} below greedy peak {peak}",
-                w.name,
-                b.queue.name(),
-                b.bound,
-            );
+        Prepared {
+            name,
+            env,
+            compiled: Arc::new(compiled),
         }
-    }
-    Prepared {
-        name: w.name,
-        env,
-        compiled: Arc::new(compiled),
     }
 }
 
@@ -430,9 +450,8 @@ pub struct Fig10Series {
 /// Pointer and Neighborhood).
 pub fn fig10(names: &[&str], scale: Scale, seed: u64) -> Vec<Fig10Series> {
     let prepared = pool::run_indexed(names.len(), |i| {
-        let w = hidisc_workloads::by_name(names[i], scale, seed)
-            .unwrap_or_else(|| panic!("unknown workload {}", names[i]));
-        prepare(&w)
+        let (w, env, compiled) = compile_named(names[i], scale, seed);
+        Prepared::new(w.name, env, compiled)
     });
     // One flat grid over (benchmark × latency point × model): each cell is
     // an independent simulation sharing the Arc'd compiled program.
@@ -675,11 +694,7 @@ pub fn check_workload(
     seed: u64,
     depths: hidisc_verify::DepthConfig,
 ) -> CheckReport {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (_, _, compiled) = compile_named(name, scale, seed);
     CheckReport {
         name: name.to_string(),
         report: hidisc_verify::verify(&hidisc_verify::VerifyInput::of(&compiled, depths)),
@@ -838,11 +853,7 @@ pub fn speculation_workload(
     seed: u64,
     depths: hidisc_verify::DepthConfig,
 ) -> SpecCheckReport {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (_, _, compiled) = compile_named(name, scale, seed);
     SpecCheckReport {
         name: name.to_string(),
         spec: hidisc_verify::speculation(&hidisc_verify::VerifyInput::of(&compiled, depths)),
@@ -1307,10 +1318,7 @@ pub fn ablate(names: &[&str], scale: Scale, seed: u64) -> Vec<AblationRow> {
     }
 
     let prepared = pool::run_indexed(names.len(), |i| {
-        let w = hidisc_workloads::by_name(names[i], scale, seed)
-            .unwrap_or_else(|| panic!("unknown workload {}", names[i]));
-        let env = env_of(&w);
-        let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+        let (w, env, compiled) = compile_named(names[i], scale, seed);
         let no_cmas = compile(
             &w.prog,
             &env,
@@ -1424,21 +1432,14 @@ impl Report for AblationReport {
 /// The compiler's separation report (Figures 3/5-7 walkthrough) for one
 /// suite workload.
 pub fn separation_report(name: &str, scale: Scale, seed: u64) -> String {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let (_, _, c) = compile_named(name, scale, seed);
     hidisc_slicer::report::render(&c)
 }
 
 /// Per-cycle observer behind [`diagnostics`]: records live-machine peaks
 /// that the end-of-run statistics cannot reconstruct — the high-water
 /// mark of speculative CMP threads and the cycle it was first reached.
-///
-/// Bridged into [`Machine::run_observed`] through the closure blanket
-/// impl of [`hidisc::Observer`] (which is exclusive — a concrete
-/// `impl Observer for CmpPeakObserver` would overlap it), as
-/// `|m: &Machine| obs.on_cycle(m).is_continue()`.
+/// Passed to [`Machine::run_observed`] as `|m: &Machine| obs.on_cycle(m)`.
 #[derive(Debug, Default)]
 pub struct CmpPeakObserver {
     /// Highest live CMP thread count seen so far.
@@ -1448,15 +1449,15 @@ pub struct CmpPeakObserver {
 }
 
 impl CmpPeakObserver {
-    /// The per-cycle hook, mirroring [`hidisc::Observer::on_cycle`].
-    pub fn on_cycle(&mut self, m: &Machine) -> ControlFlow<()> {
+    /// The per-cycle hook; always keeps observing.
+    pub fn on_cycle(&mut self, m: &Machine) -> bool {
         if let Some(t) = m.cmp_threads() {
             if t > self.peak_threads {
                 self.peak_threads = t;
                 self.peak_cycle = m.now();
             }
         }
-        ControlFlow::Continue(())
+        true
     }
 }
 
@@ -1466,11 +1467,7 @@ impl CmpPeakObserver {
 /// includes live-occupancy peaks alongside the end-of-run counters.
 pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
     use std::fmt::Write;
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (w, env, compiled) = compile_named(name, scale, seed);
     let mut per_model = Vec::new();
     let mut peaks = Vec::new();
     let mut queue_peaks = Vec::new();
@@ -1486,7 +1483,7 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
         let mut machine = Machine::new(m, &compiled, &env, cfg);
         let st = machine
             .run_observed(compiled.profile.dyn_instrs, |mach: &Machine| {
-                obs.on_cycle(mach).is_continue()
+                obs.on_cycle(mach)
             })
             .unwrap_or_else(|e| panic!("{} on {m}: {e}", w.name));
         per_model.push(st);
@@ -1581,11 +1578,8 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
 
 /// Per-cycle observer behind [`pipeline_trace`]: renders one line per
 /// cycle (the pipeline snapshot of every core plus the live CMP thread
-/// count) and breaks — ending observation, not the simulation — after
-/// `limit` cycles.
-///
-/// Bridged into [`Machine::run_observed`] through the closure blanket
-/// impl of [`hidisc::Observer`], like [`CmpPeakObserver`].
+/// count) and stops observing — not the simulation — after `limit`
+/// cycles.
 #[derive(Debug)]
 pub struct TraceObserver {
     out: String,
@@ -1601,8 +1595,8 @@ impl TraceObserver {
         }
     }
 
-    /// The per-cycle hook, mirroring [`hidisc::Observer::on_cycle`].
-    pub fn on_cycle(&mut self, m: &Machine) -> ControlFlow<()> {
+    /// The per-cycle hook; `false` once `limit` cycles are traced.
+    pub fn on_cycle(&mut self, m: &Machine) -> bool {
         use std::fmt::Write;
         let _ = write!(self.out, "cycle {:>6}", m.now());
         for s in m.snapshots() {
@@ -1612,11 +1606,7 @@ impl TraceObserver {
             let _ = write!(self.out, " | CMP threads {t}");
         }
         let _ = writeln!(self.out);
-        if m.now() < self.limit {
-            ControlFlow::Continue(())
-        } else {
-            ControlFlow::Break(())
-        }
+        m.now() < self.limit
     }
 
     /// Closes the trace with the end-of-run summary line.
@@ -1635,16 +1625,11 @@ impl TraceObserver {
 /// Renders the first `cycles` cycles of a HiDISC run as a pipeline trace
 /// (one line per cycle per core), behind `repro trace`.
 pub fn pipeline_trace(name: &str, scale: Scale, seed: u64, cycles: u64) -> String {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let (_, env, c) = compile_named(name, scale, seed);
     let mut m = Machine::new(Model::HiDisc, &c, &env, MachineConfig::paper());
     let mut tracer = TraceObserver::new(cycles);
     let st = m
-        .run_observed(c.profile.dyn_instrs, |mach: &Machine| {
-            tracer.on_cycle(mach).is_continue()
-        })
+        .run_observed(c.profile.dyn_instrs, |mach: &Machine| tracer.on_cycle(mach))
         .unwrap();
     tracer.finish(&st)
 }
@@ -1701,11 +1686,7 @@ pub fn telemetry_stream<W: std::io::Write>(
     trace: TraceConfig,
     out: W,
 ) -> std::io::Result<StreamedRun<W>> {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (w, env, compiled) = compile_named(name, scale, seed);
     cfg.trace = trace;
     let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg);
     let core_names: Vec<&str> = m.snapshots().iter().map(|s| s.name).collect();
@@ -1805,10 +1786,7 @@ pub fn related_work(names: &[&str], scale: Scale, seed: u64) -> Vec<RelatedRow> 
     names
         .iter()
         .map(|&name| {
-            let w = hidisc_workloads::by_name(name, scale, seed)
-                .unwrap_or_else(|| panic!("unknown workload {name}"));
-            let env = env_of(&w);
-            let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+            let (w, env, compiled) = compile_named(name, scale, seed);
 
             let base =
                 run_model(Model::Superscalar, &compiled, &env, MachineConfig::paper()).unwrap();

@@ -9,9 +9,8 @@
 //! exact — every instruction executes — so the figure pipelines
 //! (`fig8`/`fig9`) work unchanged on sampled statistics.
 
-use crate::{check_models_agree, env_of, pool, prepare, Report, SuiteResult};
+use crate::{check_models_agree, compile_named, pool, prepare, Report, SuiteResult};
 use hidisc::{Machine, MachineConfig, MachineStats, Model, SampledStats};
-use hidisc_slicer::{compile, CompilerConfig};
 use hidisc_workloads::Scale;
 
 /// Default sampling regime of `repro --sample` (detail:skip pacing-core
@@ -131,7 +130,8 @@ impl SampleComparison {
 /// Runs `name` on `model` both exact and sampled and compares. The
 /// sampled run must reproduce the exact memory checksum and committed
 /// instruction counts (sampling idealises timing, never results). Each
-/// variant runs [`TIMING_REPS`] times and reports the minimum wall clock.
+/// variant runs `TIMING_REPS` (3) times and reports the minimum wall
+/// clock.
 pub fn compare_sampled(
     name: &str,
     scale: Scale,
@@ -141,11 +141,7 @@ pub fn compare_sampled(
     detail: u64,
     skip: u64,
 ) -> SampleComparison {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (_, env, compiled) = compile_named(name, scale, seed);
     let work = compiled.profile.dyn_instrs;
 
     let mut exact_ms = f64::INFINITY;
@@ -293,11 +289,7 @@ pub fn bisect(
     cfg_a: MachineConfig,
     cfg_b: MachineConfig,
 ) -> BisectResult {
-    let w = hidisc_workloads::by_name(name, scale, seed)
-        .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let env = env_of(&w);
-    let compiled = compile(&w.prog, &env, &CompilerConfig::default())
-        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
+    let (_, env, compiled) = compile_named(name, scale, seed);
 
     let run_end = |cfg: MachineConfig| {
         hidisc::run_model(model, &compiled, &env, cfg)

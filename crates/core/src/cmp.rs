@@ -17,11 +17,12 @@
 use crate::dynamic::{DynamicConfig, SliceFilter, SlipController};
 use hidisc_isa::instr::Src;
 use hidisc_isa::interp::RegFile;
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::AccessKind;
 use hidisc_ooo::{CoreCtx, TriggerFork};
 use hidisc_telemetry::{Category, EventData, Telemetry};
+use std::slice::from_mut as one;
 
 /// Instructions one thread may execute in a single warm-phase iteration.
 /// Warm mode drains each thread until it blocks or completes (see
@@ -92,10 +93,8 @@ pub struct CmpStats {
     pub slip_adaptations: u64,
 }
 
-impl CmpStats {
-    /// Field-wise difference `self - before` of two snapshots of the same
-    /// growing counters (exhaustive so new fields must be classified).
-    pub fn delta_since(&self, before: &CmpStats) -> CmpStats {
+impl Counters for CmpStats {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
         let CmpStats {
             forks,
             dropped_forks,
@@ -106,18 +105,16 @@ impl CmpStats {
             completed_threads,
             suppressed_forks,
             slip_adaptations,
-        } = *before;
-        CmpStats {
-            forks: self.forks - forks,
-            dropped_forks: self.dropped_forks - dropped_forks,
-            instrs: self.instrs - instrs,
-            prefetches: self.prefetches - prefetches,
-            dropped_prefetches: self.dropped_prefetches - dropped_prefetches,
-            scq_block_cycles: self.scq_block_cycles - scq_block_cycles,
-            completed_threads: self.completed_threads - completed_threads,
-            suppressed_forks: self.suppressed_forks - suppressed_forks,
-            slip_adaptations: self.slip_adaptations - slip_adaptations,
-        }
+        } = self;
+        f("forks", false, one(forks));
+        f("droppedForks", false, one(dropped_forks));
+        f("instrs", false, one(instrs));
+        f("prefetches", false, one(prefetches));
+        f("droppedPrefetches", false, one(dropped_prefetches));
+        f("scqBlockCycles", true, one(scq_block_cycles));
+        f("completedThreads", false, one(completed_threads));
+        f("suppressedForks", false, one(suppressed_forks));
+        f("slipAdaptations", false, one(slip_adaptations));
     }
 }
 
@@ -209,32 +206,7 @@ impl CmpEngine {
     /// delta and rotates the round-robin pointer exactly as `k` blocked
     /// `step` calls would have.
     pub fn add_idle_cycles(&mut self, delta: &CmpStats, k: u64) {
-        let CmpStats {
-            forks,
-            dropped_forks,
-            instrs,
-            prefetches,
-            dropped_prefetches,
-            scq_block_cycles,
-            completed_threads,
-            suppressed_forks,
-            slip_adaptations,
-        } = *delta;
-        debug_assert_eq!(
-            (
-                forks,
-                dropped_forks,
-                instrs,
-                prefetches,
-                dropped_prefetches,
-                completed_threads,
-                suppressed_forks,
-                slip_adaptations
-            ),
-            (0, 0, 0, 0, 0, 0, 0, 0),
-            "fast-forward applied a non-idle CmpStats delta"
-        );
-        self.stats.scq_block_cycles += scq_block_cycles * k;
+        self.stats.add_idle_scaled(delta, k);
         // `step` rotates the round-robin start once per cycle whenever any
         // thread is live, even if nothing issues.
         let n = self.threads.len() as u64;
@@ -292,10 +264,11 @@ impl CmpEngine {
     /// Functional variant for sampled simulation's warm phases: the same
     /// interpreter with timing idealised away — threads never wait on
     /// `busy_until`, and memory traffic goes through the latency-free
-    /// [`MemSystem::warm_access`] path (no MSHR occupancy, no rejects) so
-    /// the engine keeps pace with warm-mode cores committing many
-    /// instructions per machine iteration. The SCQ run-ahead discipline
-    /// still applies — it bounds architectural queue state, not timing.
+    /// [`MemSystem::warm_access`](hidisc_mem::MemSystem::warm_access) path
+    /// (no MSHR occupancy, no rejects) so the engine keeps pace with
+    /// warm-mode cores committing many instructions per machine iteration.
+    /// The SCQ run-ahead discipline still applies — it bounds architectural
+    /// queue state, not timing.
     pub fn warm_step(&mut self, now: u64, ctx: &mut CoreCtx<'_>) -> Result<()> {
         self.step_impl(now, ctx, true)
     }
@@ -537,30 +510,7 @@ impl CmpEngine {
             e.u64(th.busy_until);
         }
         e.usize(self.rr);
-        let CmpStats {
-            forks,
-            dropped_forks,
-            instrs,
-            prefetches,
-            dropped_prefetches,
-            scq_block_cycles,
-            completed_threads,
-            suppressed_forks,
-            slip_adaptations,
-        } = self.stats;
-        for v in [
-            forks,
-            dropped_forks,
-            instrs,
-            prefetches,
-            dropped_prefetches,
-            scq_block_cycles,
-            completed_threads,
-            suppressed_forks,
-            slip_adaptations,
-        ] {
-            e.u64(v);
-        }
+        self.stats.save_state(e);
         self.slip.save_state(e);
         self.filter.save_state(e);
     }
@@ -590,15 +540,7 @@ impl CmpEngine {
             });
         }
         self.rr = d.usize()?;
-        self.stats.forks = d.u64()?;
-        self.stats.dropped_forks = d.u64()?;
-        self.stats.instrs = d.u64()?;
-        self.stats.prefetches = d.u64()?;
-        self.stats.dropped_prefetches = d.u64()?;
-        self.stats.scq_block_cycles = d.u64()?;
-        self.stats.completed_threads = d.u64()?;
-        self.stats.suppressed_forks = d.u64()?;
-        self.stats.slip_adaptations = d.u64()?;
+        self.stats.load_state(d)?;
         self.slip.load_state(d)?;
         self.filter.load_state(d)?;
         Ok(())

@@ -43,5 +43,5 @@ pub use dynamic::DynamicConfig;
 pub use error::RunError;
 pub use hidisc_telemetry as telemetry;
 pub use hidisc_telemetry::{Category, Telemetry, TraceConfig};
-pub use machine::{run_model, Machine, MachineSnapshot, Observer, SampledStats};
+pub use machine::{run_model, Machine, MachineSnapshot, SampledStats};
 pub use stats::MachineStats;

@@ -6,7 +6,7 @@ use crate::config::{fnv1a, MachineConfig, Model, FNV_OFFSET};
 use crate::error::RunError;
 use crate::stats::MachineStats;
 use hidisc_isa::mem::Memory;
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 use hidisc_isa::{IntReg, Program, Queue};
 use hidisc_mem::{MemStats, MemSystem};
 use hidisc_ooo::queues::QueueStats;
@@ -15,30 +15,7 @@ use hidisc_slicer::{CompiledWorkload, ExecEnv};
 use hidisc_telemetry::{
     Category, EventData, IntervalSample, Telemetry, TraceSink, SOURCE_CMP, SOURCE_MACHINE,
 };
-use std::ops::ControlFlow;
 use std::time::Instant;
-
-/// A per-cycle observer hooked into [`Machine::run_observed`]: called after
-/// every stepped cycle until it returns [`ControlFlow::Break`], after which
-/// observation stops (and fast-forward may engage) while the simulation
-/// runs on.
-///
-/// Closures observe directly — any `FnMut(&Machine) -> bool` is an
-/// `Observer` through the blanket impl below (`true` = keep observing).
-pub trait Observer {
-    /// Inspects the machine after a cycle; `Break` ends observation.
-    fn on_cycle(&mut self, m: &Machine) -> ControlFlow<()>;
-}
-
-impl<F: FnMut(&Machine) -> bool> Observer for F {
-    fn on_cycle(&mut self, m: &Machine) -> ControlFlow<()> {
-        if self(m) {
-            ControlFlow::Continue(())
-        } else {
-            ControlFlow::Break(())
-        }
-    }
-}
 
 /// Knobs threaded through the unified run loop ([`Machine::run_loop`]):
 /// every public `run*` entry point is a thin wrapper selecting a subset.
@@ -49,8 +26,9 @@ struct RunCtl<'s, 'o> {
     deadline: Option<Instant>,
     /// Stop (without error) once the machine clock reaches this cycle.
     stop_at: Option<u64>,
-    /// Per-cycle observer; fast-forward stays off while it observes.
-    observer: Option<&'o mut dyn Observer>,
+    /// Per-cycle observer, called after every stepped cycle until it
+    /// returns `false`; fast-forward stays off while it observes.
+    observer: Option<&'o mut dyn FnMut(&Machine) -> bool>,
 }
 
 /// Removes CMP integration annotations — used for the baseline
@@ -458,10 +436,7 @@ impl Machine {
         {
             core.add_idle_stats(&now_s.delta_since(prev_s), j);
         }
-        let mut dq: [QueueStats; 5] = Default::default();
-        for (d, (now_q, prev_q)) in dq.iter_mut().zip(snap.queues.iter().zip(&prev.queues)) {
-            *d = now_q.delta_since(prev_q);
-        }
+        let dq = std::array::from_fn(|i| snap.queues[i].delta_since(&prev.queues[i]));
         self.queues.add_idle_scaled(&dq, j);
         debug_assert_eq!(
             snap.mem,
@@ -656,7 +631,7 @@ impl Machine {
                     .observer
                     .as_deref_mut()
                     .expect("observing implies observer");
-                observing = obs.on_cycle(self).is_continue();
+                observing = obs(self);
             }
             self.tick_watchdog(&mut idle, &mut last_committed)?;
             if let Some(deadline) = ctl.deadline {
@@ -710,13 +685,6 @@ impl Machine {
     /// but a segmented run ([`Machine::run_to_cycle`]) can ask for interim
     /// statistics directly.
     pub fn stats(&self, work_instrs: u64) -> MachineStats {
-        let queues = {
-            let mut out: [hidisc_ooo::queues::QueueStats; 5] = Default::default();
-            for (i, q) in Queue::ALL.into_iter().enumerate() {
-                out[i] = *self.queues.stats(q);
-            }
-            out
-        };
         MachineStats {
             model: self.model,
             cycles: self.now,
@@ -724,7 +692,7 @@ impl Machine {
             cores: self.cores.iter().map(|c| (c.name, *c.stats())).collect(),
             mem: self.mem_sys.stats(),
             cmp: self.cmp.as_ref().map(|c| c.stats()),
-            queues,
+            queues: self.queues.all_stats(),
             mem_checksum: self.data.checksum(),
             host_wall_ns: self.host_wall_ns,
             ff_jumps: self.ff_jumps,
@@ -1269,12 +1237,13 @@ impl Machine {
         self.cmp.as_ref().map(|c| c.live_threads())
     }
 
-    /// Runs like [`Machine::run`] but invokes the [`Observer`] after every
-    /// cycle until it breaks (observation stops; simulation continues).
+    /// Runs like [`Machine::run`] but calls `observer` after every cycle
+    /// until it returns `false`; observation then stops (and fast-forward
+    /// may engage) while the simulation runs on.
     pub fn run_observed(
         &mut self,
         work_instrs: u64,
-        mut observer: impl Observer,
+        mut observer: impl FnMut(&Machine) -> bool,
     ) -> Result<MachineStats, RunError> {
         self.run_loop(RunCtl {
             stream: None,

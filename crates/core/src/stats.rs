@@ -3,9 +3,11 @@
 
 use crate::cmp::CmpStats;
 use crate::config::Model;
+use hidisc_isa::wire::Counters;
 use hidisc_mem::MemStats;
 use hidisc_ooo::queues::QueueStats;
 use hidisc_ooo::CoreStats;
+use std::fmt::Write;
 
 /// Statistics of one simulated run.
 #[derive(Debug, Clone)]
@@ -184,65 +186,11 @@ impl MachineStats {
     /// so two runs of the same configuration — direct, cached, traced,
     /// fast-forwarded or not — serialise to byte-identical documents.
     ///
-    /// Structs are destructured exhaustively: adding a statistic is a
-    /// compile error here until the encoding (and its consumers) are
-    /// updated.
+    /// Counter records are written by `counters_json` from their field
+    /// tables; the rest is destructured exhaustively, so adding a
+    /// statistic is a compile error here until the encoding (and its
+    /// consumers) are updated.
     pub fn to_json(&self) -> String {
-        fn core_json(out: &mut String, s: &CoreStats) {
-            let CoreStats {
-                cycles,
-                committed,
-                committed_mem,
-                dispatched,
-                dispatch_stall_q,
-                commit_stall_q,
-                lod_events,
-                ruu_full_cycles,
-                lsq_full_cycles,
-                mispredicts,
-                cbranch_redirects,
-                mem_dep_stalls,
-                forwarded_loads,
-                mshr_retries,
-                dropped_prefetches,
-                triggers_fired,
-            } = s;
-            out.push_str(&format!(
-                "{{\"cycles\":{cycles},\"committed\":{committed},\
-                 \"committedMem\":{committed_mem},\"dispatched\":{dispatched},\
-                 \"dispatchStallQ\":{},\"commitStallQ\":{},\
-                 \"lodEvents\":{lod_events},\"ruuFullCycles\":{ruu_full_cycles},\
-                 \"lsqFullCycles\":{lsq_full_cycles},\"mispredicts\":{mispredicts},\
-                 \"cbranchRedirects\":{cbranch_redirects},\
-                 \"memDepStalls\":{mem_dep_stalls},\"forwardedLoads\":{forwarded_loads},\
-                 \"mshrRetries\":{mshr_retries},\"droppedPrefetches\":{dropped_prefetches},\
-                 \"triggersFired\":{triggers_fired}}}",
-                u64_array(dispatch_stall_q),
-                u64_array(commit_stall_q),
-            ));
-        }
-        fn u64_array(a: &[u64]) -> String {
-            let items: Vec<String> = a.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(","))
-        }
-        fn cache_json(s: &hidisc_mem::CacheStats) -> String {
-            let hidisc_mem::CacheStats {
-                demand_accesses,
-                demand_misses,
-                prefetch_accesses,
-                prefetch_misses,
-                useful_prefetch_hits,
-                late_prefetch_hits,
-                writebacks,
-            } = s;
-            format!(
-                "{{\"demandAccesses\":{demand_accesses},\"demandMisses\":{demand_misses},\
-                 \"prefetchAccesses\":{prefetch_accesses},\"prefetchMisses\":{prefetch_misses},\
-                 \"usefulPrefetchHits\":{useful_prefetch_hits},\
-                 \"latePrefetchHits\":{late_prefetch_hits},\"writebacks\":{writebacks}}}"
-            )
-        }
-
         let MachineStats {
             model,
             cycles,
@@ -267,10 +215,10 @@ impl MachineStats {
                 out.push(',');
             }
             out.push_str(&format!("{{\"name\":\"{name}\",\"stats\":"));
-            core_json(&mut out, s);
+            counters_json(&mut out, s);
             out.push('}');
         }
-        out.push_str("],\"mem\":{");
+        out.push_str("],\"mem\":{\"l1\":");
         let MemStats {
             l1,
             l2,
@@ -278,58 +226,50 @@ impl MachineStats {
             mshr_rejects,
             mshr_merges,
         } = mem;
+        counters_json(&mut out, l1);
+        out.push_str(",\"l2\":");
+        counters_json(&mut out, l2);
         out.push_str(&format!(
-            "\"l1\":{},\"l2\":{},\"memAccesses\":{mem_accesses},\
-             \"mshrRejects\":{mshr_rejects},\"mshrMerges\":{mshr_merges}}}",
-            cache_json(l1),
-            cache_json(l2)
+            ",\"memAccesses\":{mem_accesses},\
+             \"mshrRejects\":{mshr_rejects},\"mshrMerges\":{mshr_merges}}}"
         ));
         out.push_str(",\"cmp\":");
         match cmp {
             None => out.push_str("null"),
-            Some(c) => {
-                let CmpStats {
-                    forks,
-                    dropped_forks,
-                    instrs,
-                    prefetches,
-                    dropped_prefetches,
-                    scq_block_cycles,
-                    completed_threads,
-                    suppressed_forks,
-                    slip_adaptations,
-                } = c;
-                out.push_str(&format!(
-                    "{{\"forks\":{forks},\"droppedForks\":{dropped_forks},\
-                     \"instrs\":{instrs},\"prefetches\":{prefetches},\
-                     \"droppedPrefetches\":{dropped_prefetches},\
-                     \"scqBlockCycles\":{scq_block_cycles},\
-                     \"completedThreads\":{completed_threads},\
-                     \"suppressedForks\":{suppressed_forks},\
-                     \"slipAdaptations\":{slip_adaptations}}}"
-                ));
-            }
+            Some(c) => counters_json(&mut out, c),
         }
         out.push_str(",\"queues\":[");
         for (i, q) in queues.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let QueueStats {
-                pushes,
-                pops,
-                full_rejects,
-                empty_rejects,
-                max_occupancy,
-            } = q;
-            out.push_str(&format!(
-                "{{\"pushes\":{pushes},\"pops\":{pops},\"fullRejects\":{full_rejects},\
-                 \"emptyRejects\":{empty_rejects},\"maxOccupancy\":{max_occupancy}}}"
-            ));
+            counters_json(&mut out, q);
         }
         out.push_str(&format!("],\"memChecksum\":{mem_checksum}}}"));
         out
     }
+}
+
+/// Appends a counter record as a JSON object: one `"key":value` member per
+/// field of its [`Counters`] table, in table order. A one-element field is
+/// a scalar; longer ones are written as JSON arrays.
+fn counters_json<C: Counters>(out: &mut String, c: &C) {
+    let mut c = *c;
+    let mut sep = '{';
+    c.fields(|key, _, v| {
+        let _ = write!(out, "{sep}\"{key}\":");
+        sep = ',';
+        match v {
+            [x] => {
+                let _ = write!(out, "{x}");
+            }
+            _ => {
+                let items: Vec<String> = v.iter().map(u64::to_string).collect();
+                let _ = write!(out, "[{}]", items.join(","));
+            }
+        }
+    });
+    out.push('}');
 }
 
 #[cfg(test)]

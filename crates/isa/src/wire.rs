@@ -203,6 +203,91 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// A record of `u64` statistics counters whose field list is written once,
+/// in [`Counters::fields`]; the fast-forward delta, the idle-cycle replay
+/// and the checkpoint encoding are derived from it. Each counter is encoded
+/// as a little-endian u64 in field order.
+pub trait Counters: Copy {
+    /// Visits every counter in wire order as `f(key, idle, values)`: `key`
+    /// is the camelCase JSON name, `idle` says whether an idle cycle (one
+    /// the machine's fast-forward may skip) can move the counter, and
+    /// `values` is the counter itself — one element for a scalar, the
+    /// whole array for an array field.
+    ///
+    /// Implementations destructure the record exhaustively, so adding a
+    /// field without classifying it does not compile.
+    fn fields(&mut self, f: impl FnMut(&'static str, bool, &mut [u64]));
+
+    /// Field-wise difference `self - before` of two snapshots of the same
+    /// growing counters.
+    fn delta_since(&self, before: &Self) -> Self {
+        let prev = values(before);
+        let mut out = *self;
+        let mut i = 0;
+        out.fields(|_, _, v| {
+            for x in v {
+                *x -= prev[i];
+                i += 1;
+            }
+        });
+        out
+    }
+
+    /// Adds `delta` scaled by `k`: the effect of `k` identical idle cycles,
+    /// `delta` being what one idle cycle added. Only idle counters move;
+    /// every other counter's delta must be zero.
+    fn add_idle_scaled(&mut self, delta: &Self, k: u64) {
+        let per_cycle = values(delta);
+        let mut i = 0;
+        self.fields(|key, idle, v| {
+            for x in v {
+                let d = per_cycle[i];
+                i += 1;
+                if idle {
+                    *x += d * k;
+                } else {
+                    debug_assert_eq!(d, 0, "fast-forward applied a non-idle delta to `{key}`");
+                }
+            }
+        });
+    }
+
+    /// Writes every counter in field order.
+    fn save_state(&self, e: &mut Enc) {
+        let mut c = *self;
+        c.fields(|_, _, v| v.iter().for_each(|&x| e.u64(x)));
+    }
+
+    /// Reads every counter written by [`Counters::save_state`].
+    fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
+        let mut res = Ok(());
+        self.fields(|_, _, v| {
+            for x in v {
+                if res.is_ok() {
+                    res = d.u64().map(|y| *x = y);
+                }
+            }
+        });
+        res
+    }
+}
+
+/// Most counters one [`Counters`] record may hold, array elements
+/// included: the derived methods stage a record's values on the stack
+/// (they run on every fast-forward jump).
+const MAX_COUNTERS: usize = 64;
+
+/// The counters of `c` in field order, zero-padded.
+fn values<C: Counters>(c: &C) -> [u64; MAX_COUNTERS] {
+    let (mut buf, mut n) = ([0; MAX_COUNTERS], 0);
+    let mut c = *c;
+    c.fields(|_, _, v| {
+        buf[n..n + v.len()].copy_from_slice(v);
+        n += v.len();
+    });
+    buf
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +346,79 @@ mod tests {
         let mut d2 = Dec::new(b"HDCP");
         d2.tag(b"HDCP", "magic").unwrap();
         d2.done().unwrap();
+    }
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    struct Rec {
+        busy: u64,
+        stalls: [u64; 2],
+        done: u64,
+    }
+
+    impl Counters for Rec {
+        fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
+            let Rec { busy, stalls, done } = self;
+            f("busy", true, std::slice::from_mut(busy));
+            f("stalls", true, stalls);
+            f("done", false, std::slice::from_mut(done));
+        }
+    }
+
+    #[test]
+    fn counters_delta_idle_replay_and_round_trip() {
+        let before = Rec {
+            busy: 10,
+            stalls: [1, 2],
+            done: 7,
+        };
+        let after = Rec {
+            busy: 11,
+            stalls: [1, 4],
+            done: 7,
+        };
+        let d = after.delta_since(&before);
+        assert_eq!(
+            d,
+            Rec {
+                busy: 1,
+                stalls: [0, 2],
+                done: 0
+            }
+        );
+        let mut r = after;
+        r.add_idle_scaled(&d, 5);
+        assert_eq!(
+            r,
+            Rec {
+                busy: 16,
+                stalls: [1, 14],
+                done: 7
+            }
+        );
+
+        let mut e = Enc::new();
+        r.save_state(&mut e);
+        let buf = e.finish();
+        assert_eq!(buf.len(), 4 * 8);
+        assert_eq!(buf[8..16], 1u64.to_le_bytes());
+        let mut back = Rec::default();
+        back.load_state(&mut Dec::new(&buf)).unwrap();
+        assert_eq!(back, r);
+        let err = Rec::default()
+            .load_state(&mut Dec::new(&buf[..20]))
+            .unwrap_err();
+        assert_eq!(err.pos, 16);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-idle delta to `done`")]
+    fn idle_replay_rejects_a_non_idle_delta() {
+        let d = Rec {
+            done: 1,
+            ..Rec::default()
+        };
+        Rec::default().add_idle_scaled(&d, 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
@@ -180,26 +180,7 @@ impl Cache {
             e.u64(l.lru);
         }
         e.u64(self.tick);
-        let CacheStats {
-            demand_accesses,
-            demand_misses,
-            prefetch_accesses,
-            prefetch_misses,
-            useful_prefetch_hits,
-            late_prefetch_hits,
-            writebacks,
-        } = self.stats;
-        for v in [
-            demand_accesses,
-            demand_misses,
-            prefetch_accesses,
-            prefetch_misses,
-            useful_prefetch_hits,
-            late_prefetch_hits,
-            writebacks,
-        ] {
-            e.u64(v);
-        }
+        self.stats.save_state(e);
     }
 
     /// Restores the dynamic state saved by [`Cache::save_state`]; the
@@ -220,14 +201,7 @@ impl Cache {
             l.lru = d.u64()?;
         }
         self.tick = d.u64()?;
-        self.stats.demand_accesses = d.u64()?;
-        self.stats.demand_misses = d.u64()?;
-        self.stats.prefetch_accesses = d.u64()?;
-        self.stats.prefetch_misses = d.u64()?;
-        self.stats.useful_prefetch_hits = d.u64()?;
-        self.stats.late_prefetch_hits = d.u64()?;
-        self.stats.writebacks = d.u64()?;
-        Ok(())
+        self.stats.load_state(d)
     }
 }
 

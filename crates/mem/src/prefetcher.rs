@@ -17,7 +17,8 @@
 //! Prefetches are emitted only in the *steady* state, `distance` strides
 //! ahead of the current access.
 
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
+use std::slice::from_mut as one;
 
 /// RPT configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +76,19 @@ pub struct RptStats {
     pub emitted: u64,
     /// Entry replacements (pc conflicts).
     pub replacements: u64,
+}
+
+impl Counters for RptStats {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
+        let RptStats {
+            observed,
+            emitted,
+            replacements,
+        } = self;
+        f("observed", false, one(observed));
+        f("emitted", false, one(emitted));
+        f("replacements", false, one(replacements));
+    }
 }
 
 /// The reference prediction table.
@@ -163,14 +177,7 @@ impl StridePrefetcher {
                 State::NoPred => 3,
             });
         }
-        let RptStats {
-            observed,
-            emitted,
-            replacements,
-        } = self.stats;
-        e.u64(observed);
-        e.u64(emitted);
-        e.u64(replacements);
+        self.stats.save_state(e);
     }
 
     /// Restores the state saved by [`StridePrefetcher::save_state`]; the
@@ -201,10 +208,7 @@ impl StridePrefetcher {
                 }
             };
         }
-        self.stats.observed = d.u64()?;
-        self.stats.emitted = d.u64()?;
-        self.stats.replacements = d.u64()?;
-        Ok(())
+        self.stats.load_state(d)
     }
 }
 

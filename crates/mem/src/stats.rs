@@ -1,5 +1,8 @@
 //! Cache and memory-system statistics.
 
+use hidisc_isa::wire::Counters;
+use std::slice::from_mut as one;
+
 /// Counters for one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -30,6 +33,27 @@ impl CacheStats {
         } else {
             self.demand_misses as f64 / self.demand_accesses as f64
         }
+    }
+}
+
+impl Counters for CacheStats {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
+        let CacheStats {
+            demand_accesses,
+            demand_misses,
+            prefetch_accesses,
+            prefetch_misses,
+            useful_prefetch_hits,
+            late_prefetch_hits,
+            writebacks,
+        } = self;
+        f("demandAccesses", false, one(demand_accesses));
+        f("demandMisses", false, one(demand_misses));
+        f("prefetchAccesses", false, one(prefetch_accesses));
+        f("prefetchMisses", false, one(prefetch_misses));
+        f("usefulPrefetchHits", false, one(useful_prefetch_hits));
+        f("latePrefetchHits", false, one(late_prefetch_hits));
+        f("writebacks", false, one(writebacks));
     }
 }
 

@@ -18,7 +18,7 @@ use hidisc_isa::interp::{
 };
 use hidisc_isa::mem::Memory;
 use hidisc_isa::reg::{NUM_FP_REGS, NUM_INT_REGS};
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};

@@ -10,9 +10,10 @@
 //! queue, which plays exactly the SAQ role (address buffered, store
 //! performs when the SDQ provides data).
 
-use hidisc_isa::wire::{Dec, Enc, WireResult};
+use hidisc_isa::wire::{Counters, Dec, Enc, WireResult};
 use hidisc_isa::Queue;
 use std::collections::VecDeque;
+use std::slice::from_mut as one;
 
 /// Capacity of each queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +75,7 @@ pub struct QueueStats {
     /// Pop attempts rejected because the queue was empty.
     pub empty_rejects: u64,
     /// High-water mark of occupancy.
-    pub max_occupancy: usize,
+    pub max_occupancy: u64,
 }
 
 /// The set of architectural queues.
@@ -115,7 +116,7 @@ impl QueueFile {
         }
         self.queues[i].push_back(v);
         self.stats[i].pushes += 1;
-        let occ = self.queues[i].len();
+        let occ = self.queues[i].len() as u64;
         if occ > self.stats[i].max_occupancy {
             self.stats[i].max_occupancy = occ;
         }
@@ -201,26 +202,11 @@ impl QueueFile {
         h
     }
 
-    /// Replays the reject statistics of `k` identical idle cycles, where
-    /// `delta` is the per-cycle reject delta (current stats minus a
-    /// snapshot taken one idle cycle earlier). Contents-affecting counters
-    /// must not have moved.
+    /// Replays the statistics of `k` identical idle cycles, `delta` being
+    /// the per-queue delta one idle cycle added.
     pub fn add_idle_scaled(&mut self, delta: &[QueueStats; 5], k: u64) {
         for (s, d) in self.stats.iter_mut().zip(delta) {
-            let QueueStats {
-                pushes,
-                pops,
-                full_rejects,
-                empty_rejects,
-                max_occupancy,
-            } = *d;
-            debug_assert_eq!(
-                (pushes, pops, max_occupancy),
-                (0, 0, 0),
-                "fast-forward applied a non-idle QueueStats delta"
-            );
-            s.full_rejects += full_rejects * k;
-            s.empty_rejects += empty_rejects * k;
+            s.add_idle_scaled(d, k);
         }
     }
 
@@ -255,50 +241,20 @@ impl QueueFile {
     }
 }
 
-impl QueueStats {
-    /// Field-wise difference `self - before` of two snapshots of the same
-    /// growing counters (`max_occupancy` included: 0 means unchanged).
-    pub fn delta_since(&self, before: &QueueStats) -> QueueStats {
+impl Counters for QueueStats {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
         let QueueStats {
             pushes,
             pops,
             full_rejects,
             empty_rejects,
             max_occupancy,
-        } = *before;
-        QueueStats {
-            pushes: self.pushes - pushes,
-            pops: self.pops - pops,
-            full_rejects: self.full_rejects - full_rejects,
-            empty_rejects: self.empty_rejects - empty_rejects,
-            max_occupancy: self.max_occupancy - max_occupancy,
-        }
-    }
-
-    /// Serialises the counters.
-    pub fn save_state(&self, e: &mut Enc) {
-        let QueueStats {
-            pushes,
-            pops,
-            full_rejects,
-            empty_rejects,
-            max_occupancy,
-        } = *self;
-        e.u64(pushes);
-        e.u64(pops);
-        e.u64(full_rejects);
-        e.u64(empty_rejects);
-        e.usize(max_occupancy);
-    }
-
-    /// Restores the counters.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        self.pushes = d.u64()?;
-        self.pops = d.u64()?;
-        self.full_rejects = d.u64()?;
-        self.empty_rejects = d.u64()?;
-        self.max_occupancy = d.usize()?;
-        Ok(())
+        } = self;
+        f("pushes", false, one(pushes));
+        f("pops", false, one(pops));
+        f("fullRejects", true, one(full_rejects));
+        f("emptyRejects", true, one(empty_rejects));
+        f("maxOccupancy", false, one(max_occupancy));
     }
 }
 

@@ -1,6 +1,8 @@
 //! Per-core execution statistics.
 
+use hidisc_isa::wire::Counters;
 use hidisc_isa::Queue;
+use std::slice::from_mut as one;
 
 #[inline]
 fn qslot(q: Queue) -> usize {
@@ -80,15 +82,10 @@ impl CoreStats {
             self.committed as f64 / self.cycles as f64
         }
     }
+}
 
-    /// Field-wise difference `self - before` (both snapshots of the same
-    /// monotonically growing counters). Used by the machine's idle-cycle
-    /// fast-forward to measure what one idle cycle adds.
-    ///
-    /// The exhaustive destructuring is deliberate: adding a field to
-    /// `CoreStats` without deciding how fast-forward treats it must not
-    /// compile.
-    pub fn delta_since(&self, before: &CoreStats) -> CoreStats {
+impl Counters for CoreStats {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
         let CoreStats {
             cycles,
             committed,
@@ -106,155 +103,23 @@ impl CoreStats {
             mshr_retries,
             dropped_prefetches,
             triggers_fired,
-        } = *before;
-        let sub5 = |a: [u64; 5], b: [u64; 5]| {
-            [
-                a[0] - b[0],
-                a[1] - b[1],
-                a[2] - b[2],
-                a[3] - b[3],
-                a[4] - b[4],
-            ]
-        };
-        CoreStats {
-            cycles: self.cycles - cycles,
-            committed: self.committed - committed,
-            committed_mem: self.committed_mem - committed_mem,
-            dispatched: self.dispatched - dispatched,
-            dispatch_stall_q: sub5(self.dispatch_stall_q, dispatch_stall_q),
-            commit_stall_q: sub5(self.commit_stall_q, commit_stall_q),
-            lod_events: self.lod_events - lod_events,
-            ruu_full_cycles: self.ruu_full_cycles - ruu_full_cycles,
-            lsq_full_cycles: self.lsq_full_cycles - lsq_full_cycles,
-            mispredicts: self.mispredicts - mispredicts,
-            cbranch_redirects: self.cbranch_redirects - cbranch_redirects,
-            mem_dep_stalls: self.mem_dep_stalls - mem_dep_stalls,
-            forwarded_loads: self.forwarded_loads - forwarded_loads,
-            mshr_retries: self.mshr_retries - mshr_retries,
-            dropped_prefetches: self.dropped_prefetches - dropped_prefetches,
-            triggers_fired: self.triggers_fired - triggers_fired,
-        }
-    }
-
-    /// Adds `delta` scaled by `k` — the effect of `k` identical idle
-    /// cycles. `delta` must come from an idle cycle: every counter that can
-    /// only move when an instruction makes progress has to be zero.
-    pub fn add_idle_scaled(&mut self, delta: &CoreStats, k: u64) {
-        let CoreStats {
-            cycles,
-            committed,
-            committed_mem,
-            dispatched,
-            dispatch_stall_q,
-            commit_stall_q,
-            lod_events,
-            ruu_full_cycles,
-            lsq_full_cycles,
-            mispredicts,
-            cbranch_redirects,
-            mem_dep_stalls,
-            forwarded_loads,
-            mshr_retries,
-            dropped_prefetches,
-            triggers_fired,
-        } = *delta;
-        debug_assert_eq!(
-            (
-                committed,
-                committed_mem,
-                dispatched,
-                lod_events,
-                mispredicts,
-                cbranch_redirects,
-                forwarded_loads,
-                dropped_prefetches,
-                triggers_fired
-            ),
-            (0, 0, 0, 0, 0, 0, 0, 0, 0),
-            "fast-forward applied a non-idle CoreStats delta"
-        );
-        self.cycles += cycles * k;
-        for i in 0..5 {
-            self.dispatch_stall_q[i] += dispatch_stall_q[i] * k;
-            self.commit_stall_q[i] += commit_stall_q[i] * k;
-        }
-        self.ruu_full_cycles += ruu_full_cycles * k;
-        self.lsq_full_cycles += lsq_full_cycles * k;
-        self.mem_dep_stalls += mem_dep_stalls * k;
-        self.mshr_retries += mshr_retries * k;
-    }
-
-    /// Serialises all counters for the checkpoint format. Exhaustive
-    /// destructuring: adding a field without serialising it must not
-    /// compile.
-    pub fn save_state(&self, e: &mut hidisc_isa::wire::Enc) {
-        let CoreStats {
-            cycles,
-            committed,
-            committed_mem,
-            dispatched,
-            dispatch_stall_q,
-            commit_stall_q,
-            lod_events,
-            ruu_full_cycles,
-            lsq_full_cycles,
-            mispredicts,
-            cbranch_redirects,
-            mem_dep_stalls,
-            forwarded_loads,
-            mshr_retries,
-            dropped_prefetches,
-            triggers_fired,
-        } = *self;
-        for v in [cycles, committed, committed_mem, dispatched] {
-            e.u64(v);
-        }
-        for v in dispatch_stall_q.into_iter().chain(commit_stall_q) {
-            e.u64(v);
-        }
-        for v in [
-            lod_events,
-            ruu_full_cycles,
-            lsq_full_cycles,
-            mispredicts,
-            cbranch_redirects,
-            mem_dep_stalls,
-            forwarded_loads,
-            mshr_retries,
-            dropped_prefetches,
-            triggers_fired,
-        ] {
-            e.u64(v);
-        }
-    }
-
-    /// Restores all counters.
-    pub fn load_state(
-        &mut self,
-        d: &mut hidisc_isa::wire::Dec,
-    ) -> hidisc_isa::wire::WireResult<()> {
-        self.cycles = d.u64()?;
-        self.committed = d.u64()?;
-        self.committed_mem = d.u64()?;
-        self.dispatched = d.u64()?;
-        for v in self
-            .dispatch_stall_q
-            .iter_mut()
-            .chain(self.commit_stall_q.iter_mut())
-        {
-            *v = d.u64()?;
-        }
-        self.lod_events = d.u64()?;
-        self.ruu_full_cycles = d.u64()?;
-        self.lsq_full_cycles = d.u64()?;
-        self.mispredicts = d.u64()?;
-        self.cbranch_redirects = d.u64()?;
-        self.mem_dep_stalls = d.u64()?;
-        self.forwarded_loads = d.u64()?;
-        self.mshr_retries = d.u64()?;
-        self.dropped_prefetches = d.u64()?;
-        self.triggers_fired = d.u64()?;
-        Ok(())
+        } = self;
+        f("cycles", true, one(cycles));
+        f("committed", false, one(committed));
+        f("committedMem", false, one(committed_mem));
+        f("dispatched", false, one(dispatched));
+        f("dispatchStallQ", true, dispatch_stall_q);
+        f("commitStallQ", true, commit_stall_q);
+        f("lodEvents", false, one(lod_events));
+        f("ruuFullCycles", true, one(ruu_full_cycles));
+        f("lsqFullCycles", true, one(lsq_full_cycles));
+        f("mispredicts", false, one(mispredicts));
+        f("cbranchRedirects", false, one(cbranch_redirects));
+        f("memDepStalls", true, one(mem_dep_stalls));
+        f("forwardedLoads", false, one(forwarded_loads));
+        f("mshrRetries", true, one(mshr_retries));
+        f("droppedPrefetches", false, one(dropped_prefetches));
+        f("triggersFired", false, one(triggers_fired));
     }
 }
 

@@ -127,7 +127,8 @@ pub struct JobSpec {
     pub mem_lat: Option<u32>,
     /// SCQ depth override.
     pub scq_depth: Option<usize>,
-    /// Per-request cycle budget (maps onto [`RunError::CycleBudget`]).
+    /// Per-request cycle budget (maps onto
+    /// [`RunError::CycleBudget`](hidisc::RunError::CycleBudget)).
     pub max_cycles: Option<u64>,
     /// Per-request wall-clock timeout in milliseconds.
     pub timeout_ms: Option<u64>,
@@ -202,6 +203,14 @@ impl JobSpec {
                     .ok_or_else(|| format!("field `{name}` must be a non-negative integer")),
             }
         };
+        let lat_field = |name: &str| -> Result<Option<u32>, String> {
+            num_field(name)?
+                .map(|v| {
+                    u32::try_from(v)
+                        .map_err(|_| format!("field `{name}` must be at most {}", u32::MAX))
+                })
+                .transpose()
+        };
 
         let program = str_field("program")?;
         if let Some(p) = &program {
@@ -236,8 +245,8 @@ impl JobSpec {
             scale,
             seed: num_field("seed")?.unwrap_or(2003),
             model,
-            l2_lat: num_field("l2_lat")?.map(|v| v as u32),
-            mem_lat: num_field("mem_lat")?.map(|v| v as u32),
+            l2_lat: lat_field("l2_lat")?,
+            mem_lat: lat_field("mem_lat")?,
             scq_depth: num_field("scq_depth")?.map(|v| v as usize),
             max_cycles: num_field("max_cycles")?,
             timeout_ms: num_field("timeout_ms")?,
@@ -1325,6 +1334,14 @@ mod tests {
         assert!(JobSpec::from_json(br#"{"workload":"dm","seed":-1}"#)
             .unwrap_err()
             .contains("non-negative"));
+        // A latency past u32::MAX is rejected, not wrapped onto a small one.
+        for field in ["l2_lat", "mem_lat"] {
+            let body = format!(r#"{{"workload":"dm","{field}":4294967300}}"#);
+            let err = JobSpec::from_json(body.as_bytes()).unwrap_err();
+            assert_eq!(err, format!("field `{field}` must be at most 4294967295"));
+        }
+        let max = JobSpec::from_json(br#"{"workload":"dm","l2_lat":4294967295}"#).unwrap();
+        assert_eq!(max.l2_lat, Some(u32::MAX));
     }
 
     #[test]

@@ -315,15 +315,17 @@ fn parse_request(body: &[u8]) -> Result<(Grid, Option<Render>, bool), String> {
             .map(|j| match j {
                 Json::Null => Ok(None),
                 Json::Arr(pair) => {
-                    let both = (pair.first().and_then(Json::as_u64))
-                        .zip(pair.get(1).and_then(Json::as_u64))
+                    let lat = |j: &Json| j.as_u64().and_then(|v| u32::try_from(v).ok());
+                    let both = (pair.first().and_then(lat))
+                        .zip(pair.get(1).and_then(lat))
                         .filter(|_| pair.len() == 2);
-                    both.map(|(l2, mem)| Some((l2 as u32, mem as u32)))
-                        .ok_or_else(|| {
-                            "each `latencies` entry must be a [l2, mem] pair of non-negative \
-                             integers (or null for the paper values)"
-                                .to_string()
-                        })
+                    both.map(Some).ok_or_else(|| {
+                        format!(
+                            "each `latencies` entry must be a [l2, mem] pair of integers \
+                             in 0..={} (or null for the paper values)",
+                            u32::MAX
+                        )
+                    })
                 }
                 _ => Err("field `latencies` must be an array of [l2, mem] pairs".to_string()),
             })
@@ -980,5 +982,34 @@ pub(crate) fn fail_unfinished(state: &Arc<State>, reason: &str) {
         e.finished = true;
         let summary = summary_json(&id, e, true);
         e.lines.push(Arc::new(summary));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_request_reads_axes_and_rejects_wrapping_latencies() {
+        let (grid, render, stream) = parse_request(
+            br#"{"workloads":["dm"],"models":["hidisc"],"latencies":[null,[4,40],[4294967295,0]],
+                 "render":"fig10","stream":false}"#,
+        )
+        .unwrap();
+        assert_eq!(grid.workloads, ["dm"]);
+        assert_eq!(grid.models, [hidisc::Model::HiDisc]);
+        assert_eq!(grid.latencies, [None, Some((4, 40)), Some((u32::MAX, 0))]);
+        assert_eq!(render, Some(Render::Fig10));
+        assert!(!stream);
+
+        // 4294967300 would wrap to 4 and alias the [4, 40] point.
+        for lat in ["[4294967300,40]", "[4,4294967336]"] {
+            let body = format!(r#"{{"workloads":["dm"],"latencies":[{lat}]}}"#);
+            let err = parse_request(body.as_bytes()).unwrap_err();
+            assert!(err.contains("0..=4294967295"), "{lat}: {err}");
+        }
+        assert!(parse_request(br#"{"workloads":["dm"],"bogus":1}"#)
+            .unwrap_err()
+            .contains("unknown field"));
     }
 }

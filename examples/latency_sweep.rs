@@ -8,7 +8,7 @@
 //! cargo run --release --example latency_sweep [workload]
 //! ```
 
-use hidisc_suite::exec_env_of;
+use hidisc_bench::env_of;
 use hidisc_suite::hidisc::{run_model, MachineConfig, Model};
 use hidisc_suite::slicer::{compile, CompilerConfig};
 use hidisc_suite::workloads::{by_name, Scale};
@@ -21,7 +21,7 @@ fn main() {
         eprintln!("unknown workload `{name}` (try dm, raytrace, pointer, update, field, neighborhood, tc)");
         std::process::exit(2);
     });
-    let env = exec_env_of(&w);
+    let env = env_of(&w);
     let compiled = compile(&w.prog, &env, &CompilerConfig::default()).expect("compiles");
 
     println!("{}: IPC across the latency sweep\n", w.name);

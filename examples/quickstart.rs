@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hidisc_suite::exec_env_of;
+use hidisc_bench::env_of;
 use hidisc_suite::hidisc::{run_model, MachineConfig, Model};
 use hidisc_suite::slicer::{compile, CompilerConfig};
 use hidisc_suite::workloads::{by_name, Scale};
@@ -21,7 +21,7 @@ fn main() {
     );
 
     // 2. Compile: stream separation + cache profiling + CMAS extraction.
-    let env = exec_env_of(&w);
+    let env = env_of(&w);
     let compiled = compile(&w.prog, &env, &CompilerConfig::default()).expect("compiles");
     println!(
         "compiled: CS {} instrs, AS {} instrs, {} CMAS thread(s), {} probable-miss load(s)",

@@ -12,7 +12,7 @@
 //! Every artifact goes through the [`bench::Report`] trait, so `--format
 //! csv` works for each of them. The machine configuration is assembled
 //! with [`MachineConfig::builder`]; an invalid sweep (`--scq-depth 0`)
-//! exits 2 with the typed [`ConfigError`] message.
+//! exits 2 with the typed [`ConfigError`](hidisc::ConfigError) message.
 
 use hidisc::telemetry::log::{Level, LogFormat};
 use hidisc::telemetry::TraceConfig;
@@ -142,6 +142,13 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             })
     };
+    // A latency in cycles: a number that fits the simulator's u32.
+    let lat = |v: u64, flag: &str| {
+        u32::try_from(v).unwrap_or_else(|_| {
+            eprintln!("{flag}: latency {v} is out of range (at most {})", u32::MAX);
+            std::process::exit(2);
+        })
+    };
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
@@ -178,8 +185,8 @@ fn parse_args() -> Args {
             "--metrics-interval" => metrics_interval = num(&mut it, "--metrics-interval"),
             "--event-cap" => event_cap = Some(num(&mut it, "--event-cap") as usize),
             "--seed" => seed = num(&mut it, "--seed"),
-            "--l2-lat" => l2_lat = Some(num(&mut it, "--l2-lat") as u32),
-            "--mem-lat" => mem_lat = Some(num(&mut it, "--mem-lat") as u32),
+            "--l2-lat" => l2_lat = Some(lat(num(&mut it, "--l2-lat"), "--l2-lat")),
+            "--mem-lat" => mem_lat = Some(lat(num(&mut it, "--mem-lat"), "--mem-lat")),
             "--scq-depth" => scq_depth = Some(num(&mut it, "--scq-depth") as usize),
             "--threads" => {
                 // 0 = one worker per host core (the default).
@@ -194,11 +201,11 @@ fn parse_args() -> Args {
             "--sample" => sample = Some(pair(&mut it, "--sample", "detail:skip")),
             "--a" => {
                 let (l2, mem) = pair(&mut it, "--a", "l2-lat:mem-lat");
-                cfg_a = Some((l2 as u32, mem as u32));
+                cfg_a = Some((lat(l2, "--a"), lat(mem, "--a")));
             }
             "--b" => {
                 let (l2, mem) = pair(&mut it, "--b", "l2-lat:mem-lat");
-                cfg_b = Some((l2 as u32, mem as u32));
+                cfg_b = Some((lat(l2, "--b"), lat(mem, "--b")));
             }
             "--workers" => workers = num(&mut it, "--workers") as usize,
             "--queue-depth" => queue_depth = num(&mut it, "--queue-depth") as usize,

@@ -14,15 +14,3 @@ pub use hidisc_mem as mem;
 pub use hidisc_ooo as ooo;
 pub use hidisc_slicer as slicer;
 pub use hidisc_workloads as workloads;
-
-use hidisc_slicer::ExecEnv;
-use hidisc_workloads::Workload;
-
-/// Builds the compiler/simulator execution environment of a workload.
-pub fn exec_env_of(w: &Workload) -> ExecEnv {
-    ExecEnv {
-        regs: w.regs.clone(),
-        mem: w.mem.clone(),
-        max_steps: w.max_steps,
-    }
-}

@@ -8,9 +8,9 @@
 
 use hidisc::funcval;
 use hidisc::{run_model, MachineConfig, Model};
+use hidisc_bench::env_of;
 use hidisc_isa::interp::Interp;
 use hidisc_slicer::{compile, CompilerConfig};
-use hidisc_suite::exec_env_of;
 use hidisc_workloads::{suite, Scale, Workload};
 
 fn golden_checksum(w: &Workload) -> (u64, u64) {
@@ -35,7 +35,7 @@ fn golden_checksum(w: &Workload) -> (u64, u64) {
 #[test]
 fn every_workload_compiles_and_validates_functionally() {
     for w in suite(Scale::Test, 2024) {
-        let env = exec_env_of(&w);
+        let env = env_of(&w);
         let c = compile(&w.prog, &env, &CompilerConfig::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
         funcval::validate(&c, &env)
@@ -49,7 +49,7 @@ fn every_workload_matches_golden_on_every_model() {
         .into_iter()
         .chain(hidisc_workloads::extras(Scale::Test, 7))
     {
-        let env = exec_env_of(&w);
+        let env = env_of(&w);
         let (want, work) = golden_checksum(&w);
         let c = compile(&w.prog, &env, &CompilerConfig::default())
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.name));
@@ -74,7 +74,7 @@ fn every_workload_matches_golden_on_every_model() {
 #[test]
 fn decoupled_models_exercise_the_queues() {
     for w in suite(Scale::Test, 99) {
-        let env = exec_env_of(&w);
+        let env = env_of(&w);
         let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
         let st = run_model(Model::CpAp, &c, &env, MachineConfig::paper()).unwrap();
         // Control-queue tokens must flow for every workload; push == pop.
@@ -118,7 +118,7 @@ fn cmp_models_fork_threads_on_miss_heavy_workloads() {
     ];
     for w in heavy {
         let name = w.name;
-        let env = exec_env_of(&w);
+        let env = env_of(&w);
         let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
         assert!(!c.cmas.is_empty(), "{name}: no CMAS extracted");
         let st = run_model(Model::HiDisc, &c, &env, MachineConfig::paper()).unwrap();

@@ -7,12 +7,12 @@
 //! the compiler does.
 
 use hidisc::{run_model, MachineConfig, Model};
+use hidisc_bench::env_of;
 use hidisc_slicer::{compile, CompilerConfig};
-use hidisc_suite::exec_env_of;
 use hidisc_workloads::{field, neighborhood, update, Workload};
 
 fn run_all(w: &Workload) -> Vec<hidisc::MachineStats> {
-    let env = exec_env_of(w);
+    let env = env_of(w);
     let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
     Model::ALL
         .into_iter()
@@ -136,7 +136,7 @@ fn latency_tolerance_of_cmp_models() {
     // Figure 10's shape on Neighborhood: the CMP models retain more of
     // their fast-memory IPC when memory slows 4x.
     let w = neighborhood_instance();
-    let env = exec_env_of(&w);
+    let env = env_of(&w);
     let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
     let fast = MachineConfig::paper_with_latency(4, 40);
     let slow = MachineConfig::paper_with_latency(16, 160);
@@ -158,7 +158,7 @@ fn loss_of_decoupling_accounting_is_visible() {
     // The CP must report LoD stall cycles on the LDQ when the AP cannot
     // feed it fast enough (any miss-heavy workload).
     let w = update_instance();
-    let env = exec_env_of(&w);
+    let env = env_of(&w);
     let c = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
     let st = run_model(Model::CpAp, &c, &env, MachineConfig::paper()).unwrap();
     let cp = st
