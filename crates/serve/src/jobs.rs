@@ -32,7 +32,7 @@ use crate::cache::Store;
 use crate::json::escape;
 use crate::net::Reply;
 use crate::obs::JobPhase;
-use crate::{error_reply, json_reply, retry_reply, JobSpec, State};
+use crate::{error_reply, json_reply, retry_reply, JobSpec, ResolvedJob, State};
 
 // ---------------------------------------------------------------------
 // Registry
@@ -140,32 +140,25 @@ pub(crate) enum Admission {
 
 /// Everything a worker needs to run one admitted job.
 pub(crate) struct Job {
-    pub(crate) id: String,
-    pub(crate) key: u64,
-    pub(crate) spec: JobSpec,
-    pub(crate) cfg: MachineConfig,
+    pub(crate) resolved: ResolvedJob,
     pub(crate) rid: String,
     pub(crate) queued_at: Instant,
 }
 
-/// The one admission: answers job `id` from [`Registry::result`],
-/// coalesces it onto an identical queued or running job, or submits
-/// `worker` — [`execute_job`], or a forward to the peer shard that owns
-/// the point — to the bounded pool and records the `Queued` entry. The
-/// caller holds the registry lock; the job's state is cloned only when
-/// it is submitted.
-#[allow(clippy::too_many_arguments)]
+/// The one admission: answers `job` from [`Registry::result`], coalesces
+/// it onto an identical queued or running job, or submits `worker` —
+/// [`execute_job`], or a forward to the peer shard that owns the point —
+/// to the bounded pool and records the `Queued` entry. The caller holds
+/// the registry lock; the job is cloned only when it is submitted.
 pub(crate) fn admit(
     state: &Arc<State>,
     reg: &mut Registry,
-    id: &str,
-    key: u64,
-    spec: &JobSpec,
-    cfg: MachineConfig,
+    job: &ResolvedJob,
     rid: &str,
     worker: impl FnOnce(Arc<State>, Job) + Send + 'static,
 ) -> Admission {
-    if let Some((stats, wall_ms)) = reg.result(id, key) {
+    let id = job.id();
+    if let Some((stats, wall_ms)) = reg.result(id, job.key) {
         return Admission::Done(stats, wall_ms);
     }
     if let Some(Phase::Queued | Phase::Running) = reg.jobs.get(id).map(|e| &e.phase) {
@@ -173,23 +166,20 @@ pub(crate) fn admit(
     }
     // Absent, or Failed: (re)submit.
     let st = Arc::clone(state);
-    let job = Job {
-        id: id.to_string(),
-        key,
-        spec: spec.clone(),
-        cfg,
+    let submission = Job {
+        resolved: job.clone(),
         rid: rid.to_string(),
         queued_at: Instant::now(),
     };
     let submitted = match state.workers.lock().expect("workers lock").as_ref() {
         None => Err(SubmitError::Closed),
-        Some(w) => w.try_submit(move || worker(st, job)),
+        Some(w) => w.try_submit(move || worker(st, submission)),
     };
     match submitted {
         Ok(()) => {
             state.counters.submitted.fetch_add(1, Ordering::Relaxed);
             reg.jobs
-                .insert(id.to_string(), JobEntry::new(spec, Phase::Queued, rid));
+                .insert(id.to_string(), JobEntry::new(&job.spec, Phase::Queued, rid));
             Admission::Submitted
         }
         Err(SubmitError::Full) => Admission::Full,
@@ -366,49 +356,44 @@ pub(crate) fn post_run(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
             return error_reply(400, "bad_request", &msg, rid);
         }
     };
-    let cfg = match spec.config() {
-        Ok(c) => c,
+    let job = match spec.resolve() {
+        Ok(j) => j,
         Err(e) => {
             state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
             return error_reply(400, e.code(), &e.to_string(), rid);
         }
     };
-    if let Err((code, msg)) = preflight(&spec, &cfg) {
+    if let Err((code, msg)) = preflight(&job.spec, &job.cfg) {
         state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
         return error_reply(400, code, &msg, rid);
     }
-    let key = spec.key(&cfg);
-    let id = format!("{key:016x}");
+    let (id, spec) = (job.id(), &job.spec);
 
     let c = &state.counters;
     let mut reg = state.registry.lock().expect("registry lock");
-    match admit(state, &mut reg, &id, key, &spec, cfg, rid, execute_job) {
+    match admit(state, &mut reg, &job, rid, execute_job) {
         Admission::Done(stats, wall_ms) => {
             c.cache_hits.fetch_add(1, Ordering::Relaxed);
             // Answered from the store with no registry entry: record
             // one so later GET /v1/jobs/<id> polls resolve too.
-            let newly = !reg.jobs.contains_key(&id);
+            let newly = !reg.jobs.contains_key(id);
             if newly {
                 let phase = Phase::Done {
                     stats: Arc::clone(&stats),
                     wall_ms: 0,
                 };
                 reg.jobs
-                    .insert(id.clone(), JobEntry::new(&spec, phase, rid));
+                    .insert(id.to_string(), JobEntry::new(spec, phase, rid));
             }
-            let body = job_body(&id, reg.jobs.get(&id), Some((&stats, wall_ms)), false);
+            let body = job_body(id, reg.jobs.get(id), Some((&stats, wall_ms)), false);
             if newly {
-                reg.mark_terminal(id);
+                reg.mark_terminal(id.to_string());
             }
             job_reply(200, body, "cache_hit")
         }
         Admission::InFlight => {
             c.coalesced.fetch_add(1, Ordering::Relaxed);
-            job_reply(
-                202,
-                job_body(&id, reg.jobs.get(&id), None, true),
-                "coalesced",
-            )
+            job_reply(202, job_body(id, reg.jobs.get(id), None, true), "coalesced")
         }
         Admission::Submitted => {
             c.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -417,7 +402,7 @@ pub(crate) fn post_run(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
                 "job_queued",
                 &[
                     ("request_id", rid.into()),
-                    ("job", id.as_str().into()),
+                    ("job", id.into()),
                     ("workload", spec.workload.as_str().into()),
                     ("scale", spec.scale.name().into()),
                     ("model", spec.model.name().into()),
@@ -425,7 +410,7 @@ pub(crate) fn post_run(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
             );
             job_reply(
                 202,
-                job_body(&id, reg.jobs.get(&id), None, false),
+                job_body(id, reg.jobs.get(id), None, false),
                 "submitted",
             )
         }
@@ -478,10 +463,7 @@ pub(crate) fn get_job(state: &Arc<State>, id: &str, rid: &str) -> Reply {
 /// then `Done`/`Failed` through [`finish`].
 pub(crate) fn execute_job(state: Arc<State>, job: Job) {
     let Job {
-        id,
-        key,
-        spec,
-        cfg,
+        resolved: ResolvedJob { spec, cfg, key, id },
         rid,
         queued_at,
     } = job;

@@ -82,6 +82,74 @@ impl Json {
     }
 }
 
+/// A request body that parsed as a JSON object naming only known fields,
+/// read through typed getters that treat an absent field and `null`
+/// alike. `POST /v1/run` and `POST /v1/sweep` both start here.
+pub(crate) struct Fields(Json);
+
+impl Fields {
+    /// Checks that `body` is UTF-8 JSON, an object, and names no field
+    /// outside `known` (listed in the diagnostic, in the given order).
+    pub(crate) fn parse(body: &[u8], known: &[&str]) -> Result<Fields, String> {
+        let text =
+            std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
+        let v = Json::parse(text).map_err(|e| format!("malformed request body: {e}"))?;
+        if !matches!(v, Json::Obj(_)) {
+            return Err("request body must be a JSON object".to_string());
+        }
+        if let Some(k) = v.keys().into_iter().find(|k| !known.contains(k)) {
+            return Err(format!("unknown field `{k}` (use {})", known.join(", ")));
+        }
+        Ok(Fields(v))
+    }
+
+    /// Field `name` through `as_t`; an absent or `null` field is `None`,
+    /// a mistyped one is "field `name` must be `want`".
+    fn field<'a, T>(
+        &'a self,
+        name: &str,
+        want: &str,
+        as_t: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.0.get(name) {
+            None | Some(Json::Null) => Ok(None),
+            Some(j) => as_t(j)
+                .map(Some)
+                .ok_or_else(|| format!("field `{name}` must be {want}")),
+        }
+    }
+
+    /// A string field.
+    pub(crate) fn str(&self, name: &str) -> Result<Option<&str>, String> {
+        self.field(name, "a string", Json::as_str)
+    }
+
+    /// A non-negative integer field.
+    pub(crate) fn u64(&self, name: &str) -> Result<Option<u64>, String> {
+        self.field(name, "a non-negative integer", Json::as_u64)
+    }
+
+    /// A boolean field.
+    pub(crate) fn bool(&self, name: &str) -> Result<Option<bool>, String> {
+        self.field(name, "a boolean", Json::as_bool)
+    }
+
+    /// An array field, each element converted by `item` in order.
+    pub(crate) fn each<T>(
+        &self,
+        name: &str,
+        item: impl FnMut(&Json) -> Result<T, String>,
+    ) -> Result<Option<Vec<T>>, String> {
+        let items = self.field(name, "an array", |j| match j {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        })?;
+        items
+            .map(|items| items.iter().map(item).collect())
+            .transpose()
+    }
+}
+
 fn skip_ws(b: &[u8], i: &mut usize) {
     while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
         *i += 1;

@@ -15,11 +15,12 @@
 //!   duplicate submissions coalesce onto the in-flight run and repeated
 //!   ones return instantly from the result cache (`cached: true`).
 //! - `GET /v1/jobs/<id>` polls status/result.
-//! - `POST /v1/sweep` submits a parameter *grid* (`hidisc-sweep`): the
-//!   planner expands it server-side into deduplicated content-addressed
-//!   jobs (cached points answer without simulation), submits them
-//!   through the same bounded pool, and — by default — streams one
-//!   NDJSON line per point as results land (chunked transfer encoding).
+//! - `POST /v1/sweep` submits a parameter *grid*: the planner
+//!   ([`plan`]) expands it server-side into deduplicated
+//!   content-addressed jobs (cached points answer without simulation),
+//!   submits them through the same bounded pool, and — by default —
+//!   streams one NDJSON line per point as results land (chunked
+//!   transfer encoding).
 //!   The sweep id hashes the *sorted* point set, so equivalent grids
 //!   coalesce. A `render` option assembles fig8/fig9/fig10/table1 CSV
 //!   from the completed points.
@@ -35,8 +36,10 @@
 //! `{"code","message","retry_after_ms"?,"request_id"}`; `code` carries
 //! the typed [`ConfigError`]/verifier diagnostic code where one exists.
 //!
-//! Layout: this file holds the job specification, the service
-//! configuration, routing and `/metrics`; the `jobs` module holds the
+//! Layout: this file holds the job specification ([`JobSpec`], the one
+//! description of a simulation point, and [`ResolvedJob`]), the service
+//! configuration, routing and `/metrics`; [`plan`] is the pure grid
+//! planner and figure renderer; the `jobs` module holds the
 //! job registry and the one path every job takes, whichever route
 //! created it — one result lookup, one admission (lookup → coalesce →
 //! bounded submit), one Running → Done/Failed completion; `sweeps`
@@ -74,8 +77,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hidisc::telemetry::log::{Level, LogFormat, Logger};
-use hidisc::telemetry::{metrics_prometheus, IntervalMetrics};
-use hidisc::{ConfigError, MachineConfig, Model};
+use hidisc::telemetry::{metrics_prometheus, IntervalMetrics, TraceConfig};
+use hidisc::{fnv1a, ConfigError, MachineConfig, Model};
 use hidisc_bench::pool::Workers;
 use hidisc_workloads::Scale;
 
@@ -86,13 +89,14 @@ mod jobs;
 pub mod json;
 mod net;
 pub(crate) mod obs;
+pub mod plan;
 mod reactor;
 pub mod scale;
 pub(crate) mod sweeps;
 
 use cache::Store;
 use jobs::Registry;
-use json::{escape, Json};
+use json::{escape, Fields};
 use net::Reply;
 use obs::HttpMetrics;
 
@@ -110,8 +114,11 @@ pub const WARM_CHECKPOINT_CYCLE: u64 = 20_000;
 // Job specification
 // ---------------------------------------------------------------------
 
-/// A validated `POST /run` request body.
-#[derive(Debug, Clone)]
+/// One simulation point: a validated `POST /v1/run` body, and what the
+/// sweep planner expands a grid into. Its config, job key and warm key
+/// are assembled here and nowhere else, so a sweep point, an equivalent
+/// `/v1/run` request and the `repro` CLI build and hash identically.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Workload name (any name `hidisc_workloads::by_name` accepts).
     pub workload: String,
@@ -156,55 +163,60 @@ fn parse_model(s: &str) -> Result<Model, String> {
         })
 }
 
+/// The interned suite name of `workload`, or the diagnostic listing the
+/// names there are.
+fn workload_name(workload: &str) -> Result<&'static str, String> {
+    let names = hidisc_workloads::names();
+    names
+        .iter()
+        .find(|n| **n == workload)
+        .copied()
+        .ok_or_else(|| format!("unknown workload `{workload}` (use {})", names.join("|")))
+}
+
+/// The `/v1/run` defaults with no workload named: test scale, seed 2003,
+/// the HiDISC model and the paper machine.
+impl Default for JobSpec {
+    fn default() -> JobSpec {
+        JobSpec {
+            workload: String::new(),
+            scale: Scale::Test,
+            seed: 2003,
+            model: Model::HiDisc,
+            l2_lat: None,
+            mem_lat: None,
+            scq_depth: None,
+            max_cycles: None,
+            timeout_ms: None,
+            metrics_interval: 0,
+            program: None,
+        }
+    }
+}
+
 impl JobSpec {
     /// Parses and validates a request body. Unknown fields, unknown
     /// workload names and type mismatches are rejected with a message
     /// (served as `400`, matching the CLI's exit-code-2 diagnostics).
     pub fn from_json(body: &[u8]) -> Result<JobSpec, String> {
-        let text =
-            std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-        let v = Json::parse(text).map_err(|e| format!("malformed request body: {e}"))?;
-        if !matches!(v, Json::Obj(_)) {
-            return Err("request body must be a JSON object".to_string());
-        }
-        const KNOWN: [&str; 11] = [
-            "workload",
-            "scale",
-            "seed",
-            "model",
-            "l2_lat",
-            "mem_lat",
-            "scq_depth",
-            "max_cycles",
-            "timeout_ms",
-            "metrics_interval",
-            "program",
-        ];
-        for k in v.keys() {
-            if !KNOWN.contains(&k) {
-                return Err(format!("unknown field `{k}` (use {})", KNOWN.join(", ")));
-            }
-        }
-        let str_field = |name: &str| -> Result<Option<String>, String> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_str()
-                    .map(|s| Some(s.to_string()))
-                    .ok_or_else(|| format!("field `{name}` must be a string")),
-            }
-        };
-        let num_field = |name: &str| -> Result<Option<u64>, String> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(j) => j
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("field `{name}` must be a non-negative integer")),
-            }
-        };
-        let lat_field = |name: &str| -> Result<Option<u32>, String> {
-            num_field(name)?
+        let f = Fields::parse(
+            body,
+            &[
+                "workload",
+                "scale",
+                "seed",
+                "model",
+                "l2_lat",
+                "mem_lat",
+                "scq_depth",
+                "max_cycles",
+                "timeout_ms",
+                "metrics_interval",
+                "program",
+            ],
+        )?;
+        let lat = |name: &str| -> Result<Option<u32>, String> {
+            f.u64(name)?
                 .map(|v| {
                     u32::try_from(v)
                         .map_err(|_| format!("field `{name}` must be at most {}", u32::MAX))
@@ -212,7 +224,7 @@ impl JobSpec {
                 .transpose()
         };
 
-        let program = str_field("program")?;
+        let program = f.str("program")?.map(str::to_string);
         if let Some(p) = &program {
             if p.len() > MAX_PROGRAM_BYTES {
                 return Err(format!(
@@ -221,70 +233,62 @@ impl JobSpec {
                 ));
             }
         }
-        let workload = match (str_field("workload")?, &program) {
-            (Some(w), _) => w,
+        let workload = match (f.str("workload")?, &program) {
+            (Some(w), _) => w.to_string(),
             (None, Some(_)) => "custom".to_string(),
             (None, None) => return Err("missing field `workload`".to_string()),
         };
-        if program.is_none() && !hidisc_workloads::names().contains(&workload.as_str()) {
-            return Err(format!(
-                "unknown workload `{workload}` (use {})",
-                hidisc_workloads::names().join("|")
-            ));
+        if program.is_none() {
+            workload_name(&workload)?;
         }
-        let scale = match str_field("scale")? {
-            None => Scale::Test,
-            Some(s) => Scale::parse(&s)?,
-        };
-        let model = match str_field("model")? {
-            None => Model::HiDisc,
-            Some(s) => parse_model(&s)?,
-        };
+        let d = JobSpec::default();
+        let scale = f.str("scale")?.map_or(Ok(d.scale), Scale::parse)?;
+        let model = f.str("model")?.map_or(Ok(d.model), parse_model)?;
         Ok(JobSpec {
             workload,
             scale,
-            seed: num_field("seed")?.unwrap_or(2003),
+            seed: f.u64("seed")?.unwrap_or(d.seed),
             model,
-            l2_lat: lat_field("l2_lat")?,
-            mem_lat: lat_field("mem_lat")?,
-            scq_depth: num_field("scq_depth")?.map(|v| v as usize),
-            max_cycles: num_field("max_cycles")?,
-            timeout_ms: num_field("timeout_ms")?,
-            metrics_interval: num_field("metrics_interval")?.unwrap_or(0),
+            l2_lat: lat("l2_lat")?,
+            mem_lat: lat("mem_lat")?,
+            scq_depth: f.u64("scq_depth")?.map(|v| v as usize),
+            max_cycles: f.u64("max_cycles")?,
+            timeout_ms: f.u64("timeout_ms")?,
+            metrics_interval: f.u64("metrics_interval")?.unwrap_or(d.metrics_interval),
             program,
         })
     }
 
     /// Assembles the machine configuration through the validating
-    /// builder (the same path as `repro`'s sweep flags). Delegates to
-    /// `hidisc-sweep`'s [`hidisc_sweep::build_config`], the shared
-    /// single source of truth, so a sweep point and an equivalent
-    /// `/v1/run` request build (and hash) identically.
+    /// builder, with paper values where an override is absent, so that
+    /// "no overrides" hashes identically on every route.
     pub fn config(&self) -> Result<MachineConfig, ConfigError> {
-        hidisc_sweep::build_config(
-            self.l2_lat,
-            self.mem_lat,
-            self.scq_depth,
-            self.max_cycles,
-            self.metrics_interval,
-        )
+        let paper = MachineConfig::paper();
+        let mut b = MachineConfig::builder().latency(
+            self.l2_lat.unwrap_or(paper.mem.l2.latency),
+            self.mem_lat.unwrap_or(paper.mem.mem_latency),
+        );
+        if let Some(depth) = self.scq_depth {
+            let mut q = paper.queues;
+            q.scq = depth;
+            b = b.queues(q);
+        }
+        if let Some(n) = self.max_cycles {
+            b = b.max_cycles(n);
+        }
+        if self.metrics_interval > 0 {
+            b = b.trace(TraceConfig::OFF.with_metrics_interval(self.metrics_interval));
+        }
+        b.build()
     }
 
     /// The job's content-address: the config's canonical hash extended
     /// with the workload identity (name, scale, seed) and the model.
     /// Telemetry settings and the wall-clock timeout are deliberately
     /// excluded — they do not change simulated results (the cycle
-    /// budget, part of the config, is included). Delegates to
-    /// [`hidisc_sweep::job_key`] so sweep points share cache entries.
+    /// budget, part of the config, is included).
     pub fn key(&self, cfg: &MachineConfig) -> u64 {
-        hidisc_sweep::job_key(
-            cfg,
-            &self.workload,
-            self.scale,
-            self.seed,
-            self.model,
-            self.program.as_deref(),
-        )
+        self.extend_key(cfg.canonical_hash())
     }
 
     /// The warm-start address: like [`JobSpec::key`] but seeded from
@@ -293,14 +297,36 @@ impl JobSpec {
     /// not how state *evolves*, so two jobs differing only in budgets
     /// share the same simulated prefix — and the same checkpoint.
     pub fn warm_key(&self, cfg: &MachineConfig) -> u64 {
-        hidisc_sweep::warm_job_key(
+        self.extend_key(cfg.warm_hash())
+    }
+
+    /// Extends a config hash with the workload identity, the model and —
+    /// domain-separated — the custom program, if any.
+    fn extend_key(&self, mut h: u64) -> u64 {
+        h = fnv1a(h, self.workload.as_bytes());
+        h = fnv1a(h, &[0, self.scale as u8]);
+        h = fnv1a(h, &self.seed.to_le_bytes());
+        h = fnv1a(h, &[self.model as u8]);
+        if let Some(p) = &self.program {
+            // Domain-separate custom programs from named workloads that
+            // happen to share a label.
+            h = fnv1a(h, &[1]);
+            h = fnv1a(h, p.as_bytes());
+        }
+        h
+    }
+
+    /// Builds the configuration and the content address once, for
+    /// admission.
+    pub fn resolve(self) -> Result<ResolvedJob, ConfigError> {
+        let cfg = self.config()?;
+        let key = self.key(&cfg);
+        Ok(ResolvedJob {
+            id: format!("{key:016x}"),
+            spec: self,
             cfg,
-            &self.workload,
-            self.scale,
-            self.seed,
-            self.model,
-            self.program.as_deref(),
-        )
+            key,
+        })
     }
 
     /// Serialises the spec back into a `POST /v1/run` body (the inverse
@@ -337,6 +363,30 @@ impl JobSpec {
         }
         s.push('}');
         s
+    }
+}
+
+/// A [`JobSpec`] with its validated configuration and content address:
+/// what the planner returns, what admission takes and what a worker
+/// runs. Only [`JobSpec::resolve`] builds one.
+#[derive(Debug, Clone)]
+pub struct ResolvedJob {
+    /// The point.
+    pub spec: JobSpec,
+    /// [`JobSpec::config`].
+    pub cfg: MachineConfig,
+    /// [`JobSpec::key`] under `cfg`.
+    pub key: u64,
+    /// The hex of `key`, formatted once: sweeps look their points up by
+    /// id on every reactor tick.
+    id: String,
+}
+
+impl ResolvedJob {
+    /// The job id, the hex of the key; `/v1/run` and sweep points share
+    /// it.
+    pub fn id(&self) -> &str {
+        &self.id
     }
 }
 

@@ -1,12 +1,13 @@
 //! Sweep orchestration behind `POST /v1/sweep` (DESIGN.md §19).
 //!
-//! A sweep is a parameter grid expanded server-side by `hidisc-sweep`
-//! into deduplicated content-addressed points. This module owns the
-//! bounded sweep registry, drives every point through the same job
-//! path as `POST /v1/run` (`jobs::admit`: lookup → coalesce → bounded
-//! worker pool), renders one NDJSON progress line per point for the
-//! attached chunked stream, and — in shard mode — routes points owned
-//! by a peer shard to it with health tracking and local fallback.
+//! A sweep is a parameter grid expanded server-side by the planner
+//! ([`crate::plan`]) into deduplicated content-addressed points. This
+//! module owns the bounded sweep registry, drives every point through
+//! the same job path as `POST /v1/run` (`jobs::admit`: lookup →
+//! coalesce → bounded worker pool), renders one NDJSON progress line per
+//! point for the attached chunked stream, and — in shard mode — routes
+//! points owned by a peer shard to it with health tracking and local
+//! fallback.
 //!
 //! Locking order, never reversed: `State::sweeps` → `State::registry`
 //! → `State::workers`. The reactor calls [`advance`]/[`pump_conn`] on
@@ -17,14 +18,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hidisc::MachineConfig;
-use hidisc_sweep::{Grid, Plan, PlannedPoint, Point, PointStats, Render};
 use hidisc_workloads::Scale;
 
 use crate::jobs::{admit, execute_job, finish, start, Admission, Job, Phase, Registry};
-use crate::json::{escape, Json};
+use crate::json::{escape, Fields, Json};
 use crate::net::{Conn, Reply};
-use crate::{client, error_reply, json_reply, retry_reply, JobSpec, ShardSpec, State};
+use crate::plan::{self, Grid, PointStats, Render};
+use crate::{client, error_reply, json_reply, retry_reply, ResolvedJob, ShardSpec, State};
 
 /// Bound on sweep-registry entries; finished sweeps are evicted
 /// oldest-first past it, and a new sweep is refused with `429` when
@@ -68,13 +68,8 @@ struct Entry {
 }
 
 struct SweepPoint {
-    point: Point,
-    /// The point as a `/v1/run` job, for admission.
-    spec: JobSpec,
-    cfg: MachineConfig,
-    key: u64,
-    /// The job id (`{key:016x}`) — shared with `/v1/run`.
-    id: String,
+    /// The point as a job, admitted like any `/v1/run` job.
+    job: ResolvedJob,
     state: PState,
 }
 
@@ -236,83 +231,53 @@ impl ShardSet {
 // Grid parsing
 // ---------------------------------------------------------------------
 
+/// One element of a string-array axis.
+fn axis_str<'a>(name: &str, j: &'a Json) -> Result<&'a str, String> {
+    j.as_str()
+        .ok_or_else(|| format!("field `{name}` must be an array of strings"))
+}
+
 /// Everything a `POST /v1/sweep` body may carry: the grid axes plus the
 /// sweep-level `render` and `stream` options.
 fn parse_request(body: &[u8]) -> Result<(Grid, Option<Render>, bool), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    let v = Json::parse(text).map_err(|e| format!("malformed request body: {e}"))?;
-    if !matches!(v, Json::Obj(_)) {
-        return Err("request body must be a JSON object".to_string());
-    }
-    const KNOWN: [&str; 9] = [
-        "workloads",
-        "models",
-        "scales",
-        "seeds",
-        "latencies",
-        "scq_depths",
-        "max_cycles",
-        "render",
-        "stream",
-    ];
-    for k in v.keys() {
-        if !KNOWN.contains(&k) {
-            return Err(format!("unknown field `{k}` (use {})", KNOWN.join(", ")));
-        }
-    }
-    let axis = |name: &'static str| -> Result<Option<&Vec<Json>>, String> {
-        match v.get(name) {
-            None | Some(Json::Null) => Ok(None),
-            Some(Json::Arr(items)) => Ok(Some(items)),
-            Some(_) => Err(format!("field `{name}` must be an array")),
-        }
-    };
-
-    let mut grid = Grid::default();
-    if let Some(items) = axis("workloads")? {
-        grid.workloads = items
-            .iter()
-            .map(|j| {
-                j.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "field `workloads` must be an array of strings".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(items) = axis("models")? {
-        grid.models = items
-            .iter()
-            .map(|j| {
-                j.as_str()
-                    .ok_or_else(|| "field `models` must be an array of strings".to_string())
-                    .and_then(crate::parse_model)
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(items) = axis("scales")? {
-        grid.scales = items
-            .iter()
-            .map(|j| {
-                j.as_str()
-                    .ok_or_else(|| "field `scales` must be an array of strings".to_string())
-                    .and_then(Scale::parse)
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(items) = axis("seeds")? {
-        grid.seeds = items
-            .iter()
-            .map(|j| {
+    let f = Fields::parse(
+        body,
+        &[
+            "workloads",
+            "models",
+            "scales",
+            "seeds",
+            "latencies",
+            "scq_depths",
+            "max_cycles",
+            "render",
+            "stream",
+        ],
+    )?;
+    let axes = Grid::default();
+    let grid = Grid {
+        workloads: f
+            .each("workloads", |j| {
+                axis_str("workloads", j).map(str::to_string)
+            })?
+            .unwrap_or(axes.workloads),
+        models: f
+            .each("models", |j| {
+                axis_str("models", j).and_then(crate::parse_model)
+            })?
+            .unwrap_or(axes.models),
+        scales: f
+            .each("scales", |j| axis_str("scales", j).and_then(Scale::parse))?
+            .unwrap_or(axes.scales),
+        seeds: f
+            .each("seeds", |j| {
                 j.as_u64().ok_or_else(|| {
                     "field `seeds` must be an array of non-negative integers".to_string()
                 })
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(items) = axis("latencies")? {
-        grid.latencies = items
-            .iter()
-            .map(|j| match j {
+            })?
+            .unwrap_or(axes.seeds),
+        latencies: f
+            .each("latencies", |j| match j {
                 Json::Null => Ok(None),
                 Json::Arr(pair) => {
                     let lat = |j: &Json| j.as_u64().and_then(|v| u32::try_from(v).ok());
@@ -328,62 +293,22 @@ fn parse_request(body: &[u8]) -> Result<(Grid, Option<Render>, bool), String> {
                     })
                 }
                 _ => Err("field `latencies` must be an array of [l2, mem] pairs".to_string()),
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(items) = axis("scq_depths")? {
-        grid.scq_depths = items
-            .iter()
-            .map(|j| match j {
+            })?
+            .unwrap_or(axes.latencies),
+        scq_depths: f
+            .each("scq_depths", |j| match j {
                 Json::Null => Ok(None),
                 _ => j.as_u64().map(|d| Some(d as usize)).ok_or_else(|| {
                     "field `scq_depths` must be an array of non-negative integers or nulls"
                         .to_string()
                 }),
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    grid.max_cycles = match v.get("max_cycles") {
-        None | Some(Json::Null) => None,
-        Some(j) => Some(
-            j.as_u64()
-                .ok_or_else(|| "field `max_cycles` must be a non-negative integer".to_string())?,
-        ),
+            })?
+            .unwrap_or(axes.scq_depths),
+        max_cycles: f.u64("max_cycles")?,
     };
-    let render = match v.get("render") {
-        None | Some(Json::Null) => None,
-        Some(j) => Some(
-            j.as_str()
-                .ok_or_else(|| "field `render` must be a string".to_string())
-                .and_then(Render::parse)?,
-        ),
-    };
-    let stream = match v.get("stream") {
-        None | Some(Json::Null) => true,
-        Some(j) => j
-            .as_bool()
-            .ok_or_else(|| "field `stream` must be a boolean".to_string())?,
-    };
+    let render = f.str("render")?.map(Render::parse).transpose()?;
+    let stream = f.bool("stream")?.unwrap_or(true);
     Ok((grid, render, stream))
-}
-
-/// The `/v1/run`-shaped spec of one planned point, for submission and
-/// forwarding (no timeout, no telemetry — sweep points must hash, and
-/// therefore cache, identically to their plain `/v1/run` twins).
-fn spec_of(p: &Point) -> JobSpec {
-    JobSpec {
-        workload: p.workload.clone(),
-        scale: p.scale,
-        seed: p.seed,
-        model: p.model,
-        l2_lat: p.latency.map(|(l2, _)| l2),
-        mem_lat: p.latency.map(|(_, mem)| mem),
-        scq_depth: p.scq_depth,
-        max_cycles: p.max_cycles,
-        timeout_ms: None,
-        metrics_interval: 0,
-        program: None,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -408,14 +333,15 @@ fn point_line(
     error: Option<&str>,
     rid: &str,
 ) -> String {
+    let spec = &p.job.spec;
     let mut s = format!(
         "{{\"point\":\"{}\",\"workload\":\"{}\",\"scale\":\"{}\",\"seed\":{},\
          \"model\":\"{}\",\"status\":\"{status}\"",
-        p.id,
-        escape(&p.point.workload),
-        p.point.scale.name(),
-        p.point.seed,
-        p.point.model.name().to_lowercase(),
+        p.job.id(),
+        escape(&spec.workload),
+        spec.scale.name(),
+        spec.seed,
+        spec.model.name().to_lowercase(),
     );
     if status == "done" {
         s.push_str(&format!(",\"cached\":{cached}"));
@@ -469,11 +395,11 @@ pub(crate) fn post_sweep(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
             return error_reply(400, "bad_request", &msg, rid);
         }
     };
-    let plan: Plan = match hidisc_sweep::plan(&grid) {
+    let plan = match plan::plan(&grid) {
         Ok(p) => p,
-        Err(msg) => {
+        Err(e) => {
             state.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return error_reply(400, "bad_request", &msg, rid);
+            return error_reply(400, e.code(), &e.to_string(), rid);
         }
     };
     let id = format!("{:016x}", plan.id);
@@ -484,12 +410,8 @@ pub(crate) fn post_sweep(state: &Arc<State>, body: &[u8], rid: &str) -> Reply {
         let points: Vec<SweepPoint> = plan
             .points
             .into_iter()
-            .map(|pp: PlannedPoint| SweepPoint {
-                id: format!("{:016x}", pp.key),
-                spec: spec_of(&pp.point),
-                point: pp.point,
-                cfg: pp.cfg,
-                key: pp.key,
+            .map(|job| SweepPoint {
+                job,
                 state: PState::New,
             })
             .collect();
@@ -607,14 +529,17 @@ fn render_sweep(state: &Arc<State>, id: &str, rid: &str) -> Reply {
     // Rebuild each point's report inputs from its cached stats. The
     // registry lock nests inside the sweeps lock (the one legal order).
     let mut reg = state.registry.lock().expect("registry lock");
-    let mut planned: Vec<PlannedPoint> = Vec::with_capacity(e.points.len());
-    let mut stats: Vec<PointStats> = Vec::with_capacity(e.points.len());
-    for p in &e.points {
-        let Some((raw, _)) = reg.result(&p.id, p.key) else {
+    let points: Vec<&ResolvedJob> = e.points.iter().map(|p| &p.job).collect();
+    let mut stats: Vec<PointStats> = Vec::with_capacity(points.len());
+    for p in &points {
+        let Some((raw, _)) = reg.result(p.id(), p.key) else {
             return error_reply(
                 409,
                 "results_evicted",
-                &format!("results for point {} were evicted; re-run the sweep", p.id),
+                &format!(
+                    "results for point {} were evicted; re-run the sweep",
+                    p.id()
+                ),
                 rid,
             );
         };
@@ -622,19 +547,14 @@ fn render_sweep(state: &Arc<State>, id: &str, rid: &str) -> Reply {
             return error_reply(
                 500,
                 "internal",
-                &format!("stats for point {} do not parse", p.id),
+                &format!("stats for point {} do not parse", p.id()),
                 rid,
             );
         };
-        planned.push(PlannedPoint {
-            point: p.point.clone(),
-            cfg: p.cfg,
-            key: p.key,
-        });
         stats.push(ps);
     }
     drop(reg);
-    match hidisc_sweep::render_csv(render, &planned, &stats) {
+    match plan::render_csv(render, &points, &stats) {
         Ok(csv) => {
             let mut r = json_reply(200, csv);
             r.content_type = "text/csv";
@@ -742,18 +662,15 @@ fn step_new(
     rid: &str,
 ) -> Option<(String, &'static str)> {
     let decision = match &state.shards {
-        Some(sh) => sh.route(p.key),
+        Some(sh) => sh.route(p.job.key),
         None => RouteDecision::Local,
     };
-    let (id, key, spec, cfg) = (&p.id, p.key, &p.spec, p.cfg);
     let outcome = match decision {
-        RouteDecision::Forward(owner) => {
-            admit(state, reg, id, key, spec, cfg, rid, move |st, job| {
-                forward_job(st, job, owner)
-            })
-        }
+        RouteDecision::Forward(owner) => admit(state, reg, &p.job, rid, move |st, job| {
+            forward_job(st, job, owner)
+        }),
         RouteDecision::Local | RouteDecision::Fallback => {
-            admit(state, reg, id, key, spec, cfg, rid, execute_job)
+            admit(state, reg, &p.job, rid, execute_job)
         }
     };
     let c = &state.counters;
@@ -818,7 +735,7 @@ fn step_waiting(
     via_forward: bool,
 ) -> Option<(String, &'static str)> {
     let c = &state.counters;
-    match reg.jobs.get(&p.id).map(|j| &j.phase) {
+    match reg.jobs.get(p.job.id()).map(|j| &j.phase) {
         Some(Phase::Queued | Phase::Running) => return None,
         Some(Phase::Failed { error }) => {
             let error = error.clone();
@@ -833,7 +750,7 @@ fn step_waiting(
     }
     // Done — or evicted mid-wait (tiny registry bound), when the store
     // may still have it; otherwise resubmit on the next tick.
-    let Some((_, wall_ms)) = reg.result(&p.id, p.key) else {
+    let Some((_, wall_ms)) = reg.result(p.job.id(), p.job.key) else {
         p.state = PState::New;
         return None;
     };
@@ -844,7 +761,7 @@ fn step_waiting(
         && !state
             .shards
             .as_ref()
-            .is_some_and(|sh| sh.was_fallback(&p.id))
+            .is_some_and(|sh| sh.was_fallback(p.job.id()))
     {
         "forwarded"
     } else {
@@ -868,18 +785,19 @@ fn step_waiting(
 fn forward_job(state: Arc<State>, mut job: Job, owner: usize) {
     let sh = state.shards.as_ref().expect("forwarding needs shard mode");
     let addr = sh.spec.peers[owner].as_str();
-    start(&state, &job.id);
+    let (id, key) = (job.resolved.id(), job.resolved.key);
+    start(&state, id);
     let started = Instant::now();
-    match client::run_on_peer(addr, &job.spec.to_json(), &job.id, FORWARD_DEADLINE) {
+    match client::run_on_peer(addr, &job.resolved.spec.to_json(), id, FORWARD_DEADLINE) {
         Ok(stats) => {
             let wall_ms = started.elapsed().as_millis() as u64;
-            finish(&state, &job.id, job.key, Ok(Arc::new(stats)), wall_ms);
+            finish(&state, id, key, Ok(Arc::new(stats)), wall_ms);
             state.logger.log(
                 hidisc::telemetry::log::Level::Info,
                 "job_forwarded",
                 &[
                     ("request_id", job.rid.as_str().into()),
-                    ("job", job.id.as_str().into()),
+                    ("job", id.into()),
                     ("peer", addr.into()),
                     ("wall_ms", wall_ms.into()),
                 ],
@@ -891,13 +809,13 @@ fn forward_job(state: Arc<State>, mut job: Job, owner: usize) {
                 "shard_forward_failed",
                 &[
                     ("request_id", job.rid.as_str().into()),
-                    ("job", job.id.as_str().into()),
+                    ("job", id.into()),
                     ("peer", addr.into()),
                     ("error", err.as_str().into()),
                 ],
             );
             sh.mark_unhealthy(owner);
-            sh.note_fallback(&job.id);
+            sh.note_fallback(id);
             state
                 .counters
                 .shard_fallbacks

@@ -253,6 +253,22 @@ fn bad_requests_get_typed_400s() {
         "{}",
         r.body
     );
+    // The same config as a sweep grid answers with the same code and
+    // message.
+    let r = request(
+        addr,
+        "POST",
+        "/v1/sweep",
+        r#"{"workloads":["dm"],"scq_depths":[0]}"#,
+    );
+    assert_eq!(r.status, 400);
+    assert!(r.body.contains("\"code\":\"CFG001\""), "{}", r.body);
+    assert!(
+        r.body
+            .contains("invalid machine config: queues.scq must be at least 1"),
+        "{}",
+        r.body
+    );
 
     let r = request(addr, "GET", "/no-such-endpoint", "");
     assert_eq!(r.status, 404);

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use hidisc_bench::{fig8, run_suite, Fig8Report, Report};
 use hidisc_serve::client::http_request;
-use hidisc_serve::{ServeConfig, Service};
+use hidisc_serve::{JobSpec, ServeConfig, Service};
 use hidisc_workloads::Scale;
 
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -242,7 +242,7 @@ fn a_two_shard_farm_renders_fig8_byte_identical_to_a_single_node() {
     assert_eq!(farm_csv, single_csv, "farm and single-node CSV must match");
 
     // ... and both match a direct in-process fig8 computation.
-    let cfg = hidisc_sweep::build_config(None, None, None, None, 0).expect("paper config");
+    let cfg = JobSpec::default().config().expect("paper config");
     let direct = Fig8Report(fig8(&run_suite(Scale::Test, 2003, cfg))).render_csv();
     assert_eq!(farm_csv, direct, "service CSV must match the direct run");
 

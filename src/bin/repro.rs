@@ -19,7 +19,7 @@ use hidisc::telemetry::TraceConfig;
 use hidisc::{MachineConfig, Model};
 use hidisc_bench::{self as bench, Report};
 use hidisc_serve::json::Json;
-use hidisc_serve::{ServeConfig, Service};
+use hidisc_serve::{JobSpec, ServeConfig, Service};
 use hidisc_workloads::Scale;
 
 struct Args {
@@ -401,16 +401,20 @@ const COMMANDS: [&str; 22] = [
     "all",
 ];
 
-/// Assembles the machine configuration from the CLI overrides through the
-/// validating builder; a rejected sweep exits 2 with the typed
-/// `ConfigError` message.
+/// Assembles the machine configuration from the CLI overrides through
+/// [`JobSpec::config`], the service's one assembly path; a rejected sweep
+/// exits 2 with the typed `ConfigError` message.
 fn build_config(args: &Args) -> MachineConfig {
-    hidisc_sweep::build_config(args.l2_lat, args.mem_lat, args.scq_depth, None, 0).unwrap_or_else(
-        |e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        },
-    )
+    let overrides = JobSpec {
+        l2_lat: args.l2_lat,
+        mem_lat: args.mem_lat,
+        scq_depth: args.scq_depth,
+        ..JobSpec::default()
+    };
+    overrides.config().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Assembles the service configuration from the CLI flags through the
@@ -629,7 +633,7 @@ fn sweep_body(args: &Args, render: &str) -> String {
 fn sweep(args: &Args) {
     use std::time::Duration;
     let render = args.arg.as_deref().unwrap_or("fig8");
-    if let Err(e) = hidisc_sweep::Render::parse(render) {
+    if let Err(e) = hidisc_serve::plan::Render::parse(render) {
         eprintln!("{e}");
         std::process::exit(2);
     }
