@@ -1156,6 +1156,32 @@ mod tests {
     use super::*;
 
     #[test]
+    fn largest_accepted_latency_finishes_the_test_suite() {
+        // The builder admits l2 + mem up to (deadlock_cycles - 1) / 2, and
+        // every Test-scale run at that sum must finish without tripping the
+        // watchdog; one cycle more is rejected up front.
+        let deadlock = MachineConfig::paper().deadlock_cycles;
+        let sum = u32::try_from((deadlock - 1) / 2).unwrap();
+        let (l2, mem) = (sum / 2, sum - sum / 2);
+        let cfg = MachineConfig::builder().latency(l2, mem).build().unwrap();
+        assert_eq!(fig8(&run_suite(Scale::Test, 3, cfg)).len(), 7);
+
+        let err = MachineConfig::builder()
+            .latency(l2, mem + 1)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            hidisc::ConfigError::LatencyPastWatchdog {
+                l2,
+                mem: mem + 1,
+                deadlock_cycles: deadlock
+            }
+        );
+        assert_eq!(err.code(), "CFG003");
+    }
+
+    #[test]
     fn small_suite_runs_and_tables_render() {
         let results = run_suite(Scale::Test, 3, MachineConfig::paper());
         assert_eq!(results.len(), 7);

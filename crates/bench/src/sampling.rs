@@ -1,6 +1,5 @@
-//! SMARTS-style sampled simulation, first-divergence bisection and the
-//! simulator-speed artifact, behind `repro --sample`, `repro bisect` and
-//! `repro simspeed`.
+//! SMARTS-style sampled simulation and first-divergence bisection,
+//! behind `repro --sample`, `repro sample` and `repro bisect`.
 //!
 //! Sampling trades cycle accuracy for wall-clock speed: detailed windows
 //! measure CPI, functional warm phases execute the instructions in
@@ -23,17 +22,6 @@ pub const DEFAULT_SAMPLE: (u64, u64) = (2000, 20_000);
 /// whose estimate misses the exact count by more than
 /// `max(rel_error_band, SAMPLE_ERROR_BUDGET)`.
 pub const SAMPLE_ERROR_BUDGET: f64 = 0.02;
-
-/// Sampling regime of the `repro simspeed` acceptance row: 2 000 detailed
-/// instructions per 120 000 skipped pushes the detailed fraction near the
-/// functional-execution floor, where [`SIMSPEED_WORKLOAD`] stays inside
-/// the 2% error budget at better than 5x wall clock (Paper scale).
-pub const SIMSPEED_SAMPLE: (u64, u64) = (2000, 120_000);
-
-/// The workload carrying the simspeed acceptance row. `field` has stable
-/// per-window CPI across its whole run, so even very large skips keep the
-/// extrapolated cycle count inside the budget.
-pub const SIMSPEED_WORKLOAD: &str = "field";
 
 /// Wall-clock repetitions inside [`compare_sampled`]: the reported
 /// milliseconds are the minimum over this many runs. Simulated results are
@@ -398,189 +386,6 @@ impl Report for BisectReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Simulator-speed artifact: `repro simspeed --format json`
-// ---------------------------------------------------------------------------
-
-/// The `repro simspeed` artifact: per-benchmark host cost of the exact
-/// suite, aggregate MSIPS, and the sampled-mode comparisons that document
-/// the speed-up/error trade-off (`BENCH_simspeed.json` in CI).
-#[derive(Debug, Clone)]
-pub struct SimspeedReport {
-    /// Suite scale the measurements were taken at.
-    pub scale: Scale,
-    /// Workload seed.
-    pub seed: u64,
-    /// Per-benchmark host milliseconds (all four models, exact runs) with
-    /// committed-instruction and cycle totals.
-    pub benchmarks: Vec<(String, f64, u64, u64)>,
-    /// Suite aggregate: committed instructions per host microsecond
-    /// (MSIPS), summed over all exact runs.
-    pub suite_msips: f64,
-    /// Sampling regime the comparisons ran under (detail, skip).
-    pub sample: (u64, u64),
-    /// Exact-vs-sampled comparisons (the CI acceptance rows).
-    pub sampled: Vec<SampleComparison>,
-}
-
-/// Runs the exact suite (timed) plus sampled comparisons for the given
-/// workloads, producing the [`SimspeedReport`] artifact.
-pub fn simspeed(
-    scale: Scale,
-    seed: u64,
-    cfg: MachineConfig,
-    detail: u64,
-    skip: u64,
-    sampled_workloads: &[&str],
-) -> SimspeedReport {
-    let results = crate::run_suite(scale, seed, cfg);
-    let benchmarks = results
-        .iter()
-        .map(|r| {
-            let ms = r
-                .per_model
-                .iter()
-                .map(|s| s.host_wall_ns as f64 / 1e6)
-                .sum();
-            let committed = r.per_model.iter().map(|s| s.total_committed()).sum();
-            let cycles = r.per_model.iter().map(|s| s.cycles).sum();
-            (r.name.to_string(), ms, committed, cycles)
-        })
-        .collect::<Vec<_>>();
-    let committed: u64 = benchmarks.iter().map(|b| b.2).sum();
-    let wall_ns: f64 = benchmarks.iter().map(|b| b.1 * 1e6).sum();
-    let suite_msips = if wall_ns > 0.0 {
-        committed as f64 * 1e3 / wall_ns
-    } else {
-        0.0
-    };
-    let sampled = sampled_workloads
-        .iter()
-        .map(|name| compare_sampled(name, scale, seed, Model::HiDisc, cfg, detail, skip))
-        .collect();
-    SimspeedReport {
-        scale,
-        seed,
-        benchmarks,
-        suite_msips,
-        sample: (detail, skip),
-        sampled,
-    }
-}
-
-/// A float as a JSON value: JSON has no `inf`/`NaN`, so non-finite
-/// values (a single-window run has an unbounded confidence band) render
-/// as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-impl SimspeedReport {
-    /// The machine-readable JSON document (`BENCH_simspeed.json`). Flat,
-    /// hand-rendered — the repo takes no serialisation dependency.
-    pub fn render_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scale\": \"{:?}\",", self.scale);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"suite_msips\": {:.3},", self.suite_msips);
-        let _ = writeln!(out, "  \"benchmarks\": [");
-        for (i, (name, ms, committed, cycles)) in self.benchmarks.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{name}\", \"ms\": {ms:.3}, \
-                 \"committed\": {committed}, \"cycles\": {cycles}}}{}",
-                if i + 1 < self.benchmarks.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"sample\": {{\"detail\": {}, \"skip\": {}, \"error_budget\": {}}},",
-            self.sample.0, self.sample.1, SAMPLE_ERROR_BUDGET
-        );
-        let _ = writeln!(out, "  \"sampled\": [");
-        for (i, c) in self.sampled.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"model\": \"{}\", \"exact_cycles\": {}, \
-                 \"est_cycles\": {}, \"rel_error\": {:.6}, \"rel_error_band\": {}, \
-                 \"windows\": {}, \"exact_ms\": {:.3}, \"sampled_ms\": {:.3}, \
-                 \"speedup\": {:.3}, \"within_band\": {}}}{}",
-                c.name,
-                c.model,
-                c.exact_cycles,
-                c.est_cycles,
-                c.rel_error(),
-                json_f64(c.rel_error_band),
-                c.windows,
-                c.exact_ms,
-                c.sampled_ms,
-                c.speedup(),
-                c.within_band(),
-                if i + 1 < self.sampled.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        out.push_str("}\n");
-        out
-    }
-
-    /// True when every sampled comparison landed inside its band.
-    pub fn passed(&self) -> bool {
-        self.sampled.iter().all(|c| c.within_band())
-    }
-}
-
-impl Report for SimspeedReport {
-    fn render_text(&self) -> String {
-        use std::fmt::Write;
-        let mut out = format!(
-            "Simulator speed (scale {:?}, seed {}): {:.2} MSIPS aggregate\n\
-             benchmark          ms   committed      cycles\n",
-            self.scale, self.seed, self.suite_msips
-        );
-        for (name, ms, committed, cycles) in &self.benchmarks {
-            let _ = writeln!(out, "{name:<13} {ms:>7.1} {committed:>11} {cycles:>11}");
-        }
-        let _ = writeln!(
-            out,
-            "\nsampled mode ({}:{} detail:skip):",
-            self.sample.0, self.sample.1
-        );
-        for c in &self.sampled {
-            let _ = writeln!(
-                out,
-                "{:<13} {:<12} est {} vs exact {} ({:+.2}%, band {:.2}%) — {:.2}x faster",
-                c.name,
-                format!("{}", c.model),
-                c.est_cycles,
-                c.exact_cycles,
-                100.0 * c.rel_error(),
-                100.0 * c.rel_error_band,
-                c.speedup()
-            );
-        }
-        out
-    }
-
-    fn render_csv(&self) -> String {
-        let mut out = String::from("benchmark,ms,committed,cycles\n");
-        for (name, ms, committed, cycles) in &self.benchmarks {
-            out.push_str(&format!("{name},{ms:.3},{committed},{cycles}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +417,21 @@ mod tests {
         );
         // compare_sampled itself asserts the memory checksum and committed
         // counts match the exact run.
+
+        // Sampling is cheaper than the exact run in simulated work, not just
+        // host time: functional warm phases step the machine fewer times
+        // than the detailed run has cycles.
+        let (_, env, compiled) = compile_named("field", Scale::Test, 7);
+        let mut m = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+        let s = m
+            .run_sampled(compiled.profile.dyn_instrs, 500, 2000)
+            .expect("sampled run");
+        assert!(
+            s.stats.cycles < c.exact_cycles,
+            "sampled run stepped {} iterations, exact run {} cycles",
+            s.stats.cycles,
+            c.exact_cycles
+        );
     }
 
     #[test]
@@ -676,28 +496,5 @@ mod tests {
         assert_eq!(r.first_divergence, None);
         assert_eq!(r.end_a, r.end_b);
         assert!(BisectReport(r).render_csv().ends_with(",,1\n"));
-    }
-
-    #[test]
-    fn simspeed_json_is_well_formed() {
-        let rep = simspeed(
-            Scale::Test,
-            3,
-            MachineConfig::paper(),
-            500,
-            2000,
-            &["pointer"],
-        );
-        let json = rep.render_json();
-        assert!(json.contains("\"suite_msips\""));
-        assert!(json.contains("\"sampled\": ["));
-        assert!(json.contains("\"name\": \"pointer\""));
-        // Balanced braces/brackets (the document is hand-rendered), and
-        // no non-finite literals (JSON has none; a one-window run's
-        // unbounded band must render as null).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
-        assert_eq!(rep.benchmarks.len(), 7);
     }
 }

@@ -117,6 +117,17 @@ pub enum ConfigError {
         /// The rejected value.
         value: u64,
     },
+    /// The L2 and memory latencies are too long for the progress watchdog:
+    /// a run needs `2·(l2 + mem) < deadlock_cycles`, or a core that is only
+    /// waiting on memory can be reported as deadlocked.
+    LatencyPastWatchdog {
+        /// L2 hit latency in cycles.
+        l2: u32,
+        /// Main-memory latency in cycles.
+        mem: u32,
+        /// The watchdog threshold the latencies were checked against.
+        deadlock_cycles: u64,
+    },
 }
 
 impl ConfigError {
@@ -127,6 +138,7 @@ impl ConfigError {
         match self {
             ConfigError::Zero { .. } => "CFG001",
             ConfigError::NotPowerOfTwo { .. } => "CFG002",
+            ConfigError::LatencyPastWatchdog { .. } => "CFG003",
         }
     }
 }
@@ -141,6 +153,17 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "invalid machine config: {what} must be a power of two (got {value})"
+                )
+            }
+            ConfigError::LatencyPastWatchdog {
+                l2,
+                mem,
+                deadlock_cycles,
+            } => {
+                write!(
+                    f,
+                    "invalid machine config: l2 latency {l2} + memory latency {mem} is too long \
+                     for deadlock_cycles {deadlock_cycles} (need 2*(l2 + mem) < deadlock_cycles)"
                 )
             }
         }
@@ -319,6 +342,16 @@ impl MachineConfigBuilder {
         nonzero(c.cmp.max_threads as u64, "cmp.max_threads")?;
         nonzero(c.cmp.issue_width as u64, "cmp.issue_width")?;
         nonzero(c.cmp.thread_width as u64, "cmp.thread_width")?;
+        // Empirical: at the default 100 000, the Test-scale suite finishes
+        // with l2 + mem = 49 999 and reports a deadlock at 70 001.
+        let (l2, mem) = (c.mem.l2.latency, c.mem.mem_latency);
+        if 2 * (l2 as u64 + mem as u64) >= c.deadlock_cycles {
+            return Err(ConfigError::LatencyPastWatchdog {
+                l2,
+                mem,
+                deadlock_cycles: c.deadlock_cycles,
+            });
+        }
         Ok(self.cfg)
     }
 }
@@ -339,11 +372,16 @@ impl MachineConfig {
     }
 
     /// Table-1 configuration with the Figure-10 latency override.
+    ///
+    /// # Panics
+    ///
+    /// If the latencies fail the watchdog check of
+    /// [`MachineConfigBuilder::build`]; use the builder for untrusted values.
     pub fn paper_with_latency(l2: u32, mem: u32) -> MachineConfig {
         MachineConfig::builder()
             .latency(l2, mem)
             .build()
-            .expect("the paper preset is valid at any latency")
+            .expect("latencies within the deadlock watchdog")
     }
 
     /// Canonical byte serialisation of every simulation-relevant field,

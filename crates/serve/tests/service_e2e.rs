@@ -269,6 +269,20 @@ fn bad_requests_get_typed_400s() {
         "{}",
         r.body
     );
+    // A latency that parses as u32 but cannot finish under the deadlock
+    // watchdog is a config error too, on both endpoints.
+    for (path, body) in [
+        ("/v1/run", r#"{"workload":"dm","l2_lat":4294967295}"#),
+        (
+            "/v1/sweep",
+            r#"{"workloads":["dm"],"latencies":[[4294967295,120]]}"#,
+        ),
+    ] {
+        let r = request(addr, "POST", path, body);
+        assert_eq!(r.status, 400, "{path}: {}", r.body);
+        assert!(r.body.contains("\"code\":\"CFG003\""), "{path}: {}", r.body);
+        assert!(r.body.contains("deadlock_cycles"), "{path}: {}", r.body);
+    }
 
     let r = request(addr, "GET", "/no-such-endpoint", "");
     assert_eq!(r.status, 404);

@@ -79,7 +79,7 @@ struct Args {
     cfg_a: Option<(u32, u32)>,
     /// `bisect --b <l2>:<mem>`: configuration B latencies.
     cfg_b: Option<(u32, u32)>,
-    /// `simspeed --format json`: emit the `BENCH_simspeed.json` document.
+    /// `check --speculation --format json`: emit the analysis as JSON.
     json: bool,
     /// `check --speculation`: run the advisory run-ahead/alias analysis
     /// instead of the safety verifier.
@@ -322,8 +322,8 @@ fn parse_args() -> Args {
         eprintln!("command `{cmd}` takes no argument (see --help)");
         std::process::exit(2);
     }
-    if json && cmd != "simspeed" && !(cmd == "check" && speculation) {
-        eprintln!("--format json only applies to simspeed and check --speculation");
+    if json && !(cmd == "check" && speculation) {
+        eprintln!("--format json only applies to check --speculation");
         std::process::exit(2);
     }
     if (speculation || deny_warnings) && cmd != "check" {
@@ -376,7 +376,7 @@ fn parse_args() -> Args {
 }
 
 /// Every subcommand, in help order.
-const COMMANDS: [&str; 22] = [
+const COMMANDS: [&str; 21] = [
     "params",
     "fig8",
     "table2",
@@ -394,7 +394,6 @@ const COMMANDS: [&str; 22] = [
     "ablate",
     "sample",
     "bisect",
-    "simspeed",
     "serve",
     "connscale",
     "sweep",
@@ -405,14 +404,19 @@ const COMMANDS: [&str; 22] = [
 /// [`JobSpec::config`], the service's one assembly path; a rejected sweep
 /// exits 2 with the typed `ConfigError` message.
 fn build_config(args: &Args) -> MachineConfig {
-    let overrides = JobSpec {
+    config_or_exit(JobSpec {
         l2_lat: args.l2_lat,
         mem_lat: args.mem_lat,
         scq_depth: args.scq_depth,
         ..JobSpec::default()
-    };
+    })
+}
+
+/// The configuration of `overrides`, or exit 2 with its `ConfigError`
+/// code and message.
+fn config_or_exit(overrides: JobSpec) -> MachineConfig {
     overrides.config().unwrap_or_else(|e| {
-        eprintln!("{e}");
+        eprintln!("{}: {e}", e.code());
         std::process::exit(2);
     })
 }
@@ -916,45 +920,21 @@ fn main() {
             let name = args.arg.as_deref().unwrap_or("pointer");
             let (l2_a, mem_a) = args.cfg_a.unwrap_or((4, 40));
             let (l2_b, mem_b) = args.cfg_b.unwrap_or((16, 160));
+            let at = |l2, mem| {
+                config_or_exit(JobSpec {
+                    l2_lat: Some(l2),
+                    mem_lat: Some(mem),
+                    ..JobSpec::default()
+                })
+            };
+            let (cfg_a, cfg_b) = (at(l2_a, mem_a), at(l2_b, mem_b));
             eprintln!(
                 "bisecting the first architectural divergence of {name} on HiDISC \
                  between latencies {l2_a}:{mem_a} and {l2_b}:{mem_b}..."
             );
-            let r = bench::sampling::bisect(
-                name,
-                args.scale,
-                args.seed,
-                Model::HiDisc,
-                MachineConfig::paper_with_latency(l2_a, mem_a),
-                MachineConfig::paper_with_latency(l2_b, mem_b),
-            );
+            let r =
+                bench::sampling::bisect(name, args.scale, args.seed, Model::HiDisc, cfg_a, cfg_b);
             print!("{}", bench::sampling::BisectReport(r).render(csv));
-        }
-        "simspeed" => {
-            let (detail, skip) = args.sample.unwrap_or(bench::sampling::SIMSPEED_SAMPLE);
-            eprintln!(
-                "timing the exact suite and the sampled acceptance row \
-                 ({}, {detail}:{skip}, scale {:?}, seed {})...",
-                bench::sampling::SIMSPEED_WORKLOAD,
-                args.scale,
-                args.seed
-            );
-            let rep = bench::sampling::simspeed(
-                args.scale,
-                args.seed,
-                cfg,
-                detail,
-                skip,
-                &[bench::sampling::SIMSPEED_WORKLOAD],
-            );
-            if args.json {
-                print!("{}", rep.render_json());
-            } else {
-                print!("{}", rep.render(csv));
-            }
-            if !rep.passed() {
-                std::process::exit(1);
-            }
         }
         "ablate" => {
             eprintln!("running the ablation study (update, tc, neighborhood, dm)...");

@@ -9,7 +9,6 @@
 
 pub use hidisc;
 pub use hidisc_isa as isa;
-pub use hidisc_lang as lang;
 pub use hidisc_mem as mem;
 pub use hidisc_ooo as ooo;
 pub use hidisc_slicer as slicer;
