@@ -444,7 +444,6 @@ impl MachineConfig {
                 fp_mul,
                 mem_ports,
                 predictor_entries,
-                predictor_kind,
                 hw_prefetcher,
                 frontend_penalty,
                 scheduler: _,
@@ -467,13 +466,9 @@ impl MachineConfig {
             ] {
                 u32_(out, v);
             }
-            match predictor_kind {
-                hidisc_ooo::predictor::PredictorKind::Bimodal => out.push(0),
-                hidisc_ooo::predictor::PredictorKind::GShare { history_bits } => {
-                    out.push(1);
-                    u32_(out, history_bits);
-                }
-            }
+            // The retired predictor-kind tag (always bimodal), kept so
+            // existing content addresses do not move.
+            out.push(0);
             match hw_prefetcher {
                 None => out.push(0),
                 Some(hidisc_mem::RptConfig { entries, distance }) => {

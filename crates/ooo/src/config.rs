@@ -1,7 +1,5 @@
 //! Core configuration and the Table-1 presets.
 
-use crate::predictor::PredictorKind;
-
 /// Functional-unit and operation latencies in cycles (SimpleScalar
 /// defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +81,8 @@ pub struct CoreConfig {
     pub fp_mul: u32,
     /// Cache ports (memory accesses started per cycle).
     pub mem_ports: u32,
-    /// Bimodal predictor entries.
+    /// Bimodal predictor entries (Table 1: the predictor is bimodal).
     pub predictor_entries: u32,
-    /// Predictor algorithm (Table 1: bimodal).
-    pub predictor_kind: PredictorKind,
     /// Attach a Chen-Baer stride prefetcher (RPT) to this core's demand
     /// loads — the related-work hardware-prefetching comparator, not part
     /// of any paper configuration.
@@ -119,7 +115,6 @@ impl CoreConfig {
             fp_mul: 1,
             mem_ports: 2,
             predictor_entries: 2048,
-            predictor_kind: PredictorKind::Bimodal,
             hw_prefetcher: None,
             frontend_penalty: 2,
             scheduler: Scheduler::default(),

@@ -1,14 +1,16 @@
 //! The out-of-order core pipeline.
 //!
 //! See the crate docs for the model summary. The per-cycle stage order is
-//! commit → store-data pump → mispredict resolution → issue → dispatch →
-//! fetch, so an instruction needs at least one cycle per stage and results
-//! become visible to dependents the cycle after they complete.
+//! harvest → mispredict resolution → commit → store-data pump → issue →
+//! dispatch → fetch, so an instruction needs at least one cycle per stage
+//! and results become visible to dependents the cycle after they complete.
+//! Commit and dispatch report why they stopped as values; `record_stalls`
+//! turns those into the stall counters at the end of the cycle.
 
 use crate::config::{CoreConfig, Scheduler};
 use crate::fu::{latency_of, FuPool};
 use crate::lsq::{queue_opt_code, queue_opt_from, LoadCheck, Lsq, LsqEntry};
-use crate::predictor::Predictor;
+use crate::predictor::Bimodal;
 use crate::queues::QueueFile;
 use crate::ruu::{EntryState, Ruu};
 use crate::stats::CoreStats;
@@ -109,13 +111,20 @@ fn extend(v: i64, width: Width, signed: bool) -> i64 {
     }
 }
 
-/// Result of the functional part of dispatching one instruction.
-enum DispatchOutcome {
-    /// Dispatched; entry fields were filled in.
+/// How dispatch of one instruction, or of a whole cycle, ended. Only the
+/// stop reasons a statistic tells apart are variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// The instruction dispatched; for a whole cycle, dispatch ended for
+    /// no counted reason (width used up, fetch queue empty, `halt`).
     Ok,
+    /// The RUU has no free entry.
+    RuuFull,
+    /// A memory instruction found the LSQ full.
+    LsqFull,
     /// Blocked popping this queue.
     QueueEmpty(Queue),
-    /// Blocked on an older store with unavailable data.
+    /// A load blocked on an older store with unavailable data.
     MemDep,
 }
 
@@ -129,7 +138,7 @@ pub struct OooCore {
     /// Architectural + speculative register file (functional execution is
     /// in-order at dispatch, so this is always program-order correct).
     pub regs: RegFile,
-    predictor: Predictor,
+    predictor: Bimodal,
     fu: FuPool,
     ruu: Ruu,
     lsq: Lsq,
@@ -174,7 +183,7 @@ impl OooCore {
         cfg.validate();
         OooCore {
             name,
-            predictor: Predictor::new(cfg.predictor_kind, cfg.predictor_entries),
+            predictor: Bimodal::new(cfg.predictor_entries),
             fu: FuPool::new(&cfg),
             ruu: Ruu::new(cfg.ruu_size as usize),
             lsq: Lsq::new(cfg.lsq_size.max(1) as usize),
@@ -205,24 +214,9 @@ impl OooCore {
         self.rpt.as_ref().map(|p| *p.stats())
     }
 
-    /// The program this core executes.
-    pub fn program(&self) -> &Program {
-        &self.prog
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
-    }
-
-    /// Branch-predictor statistics `(predictions, mispredictions)`.
-    pub fn predictor_stats(&self) -> (u64, u64) {
-        self.predictor.stats()
     }
 
     /// Sets an integer register before simulation starts (workload
@@ -352,12 +346,49 @@ impl OooCore {
         self.fu.begin_cycle();
         self.harvest(now, ctx.trace);
         self.resolve_mispredict(now);
-        self.commit(ctx)?;
+        let commit_stall = self.commit(ctx)?;
         self.pump_store_data(ctx);
         self.issue(ctx);
-        self.dispatch(ctx)?;
+        let dispatch = self.dispatch(ctx)?;
         self.fetch(ctx.trace);
+        self.record_stalls(commit_stall, dispatch);
         Ok(())
+    }
+
+    /// Turns the cycle's stage outcomes into the stall counters: the one
+    /// place a stop reason becomes a statistic. `commit_stall` is the
+    /// queue commit stalled on (full, or still owing `s.q` store data).
+    fn record_stalls(&mut self, commit_stall: Option<Queue>, dispatch: Outcome) {
+        let s = &mut self.stats;
+        if let Some(q) = commit_stall {
+            s.stall_commit(q);
+        }
+        let blocking = match dispatch {
+            Outcome::Ok => None,
+            Outcome::RuuFull => {
+                s.ruu_full_cycles += 1;
+                None
+            }
+            Outcome::LsqFull => {
+                s.lsq_full_cycles += 1;
+                None
+            }
+            Outcome::QueueEmpty(q) => {
+                s.stall_dispatch(q);
+                Some(q)
+            }
+            // Cross-stream store data is an SDQ wait.
+            Outcome::MemDep => {
+                s.mem_dep_stalls += 1;
+                Some(Queue::Sdq)
+            }
+        };
+        // Loss-of-decoupling event = a fresh episode of blocking on a queue
+        // pop (or on cross-stream store data).
+        if blocking.is_some() && self.stalled_on.is_none() {
+            s.lod_events += 1;
+        }
+        self.stalled_on = blocking;
     }
 
     // ------------------------------------------------------------- harvest
@@ -457,78 +488,55 @@ impl OooCore {
 
     // ------------------------------------------------------------ dispatch
 
-    fn dispatch(&mut self, ctx: &mut CoreCtx<'_>) -> Result<()> {
-        let mut stalled: Option<Queue> = None;
-        let mut mem_dep = false;
+    fn dispatch(&mut self, ctx: &mut CoreCtx<'_>) -> Result<Outcome> {
         for _ in 0..self.cfg.dispatch_width {
             let Some(&f) = self.ifq.front() else { break };
-            if self.ruu.is_full() {
-                self.stats.ruu_full_cycles += 1;
+            let outcome = self.dispatch_one(f, ctx)?;
+            if outcome != Outcome::Ok {
+                return Ok(outcome);
+            }
+            self.ifq.pop_front();
+            self.stats.dispatched += 1;
+            if matches!(f.instr, Instr::Halt) {
                 break;
             }
-            if f.instr.is_mem() && self.lsq.is_full() {
-                self.stats.lsq_full_cycles += 1;
-                break;
+        }
+        Ok(Outcome::Ok)
+    }
+
+    /// Dispatches one instruction: structural checks, functional
+    /// execution, RUU/LSQ allocation, dependence capture, branch handling.
+    /// Anything but [`Outcome::Ok`] leaves the core unchanged.
+    fn dispatch_one(&mut self, f: Fetched, ctx: &mut CoreCtx<'_>) -> Result<Outcome> {
+        let Fetched {
+            pc,
+            instr,
+            predicted_taken,
+        } = f;
+        if self.ruu.is_full() {
+            return Ok(Outcome::RuuFull);
+        }
+        if instr.is_mem() {
+            if self.lsq.is_full() {
+                return Ok(Outcome::LsqFull);
             }
-            if f.instr.is_mem() && !self.fu.exists(FuClass::Mem) {
+            if !self.fu.exists(FuClass::Mem) {
                 return Err(IsaError::Exec {
-                    pc: f.pc,
+                    pc,
                     msg: format!(
                         "memory instruction on core {} with no memory ports",
                         self.name
                     ),
                 });
             }
-            if f.instr.is_fp() && !self.fu.exists(f.instr.fu_class()) {
-                return Err(IsaError::Exec {
-                    pc: f.pc,
-                    msg: format!("fp instruction on core {} with no fp units", self.name),
-                });
-            }
-
-            match self.dispatch_one(f, ctx)? {
-                DispatchOutcome::Ok => {
-                    self.ifq.pop_front();
-                    self.stats.dispatched += 1;
-                    if matches!(f.instr, Instr::Halt) {
-                        break;
-                    }
-                }
-                DispatchOutcome::QueueEmpty(q) => {
-                    self.stats.stall_dispatch(q);
-                    stalled = Some(q);
-                    break;
-                }
-                DispatchOutcome::MemDep => {
-                    self.stats.mem_dep_stalls += 1;
-                    if ctx.trace.on(Category::Pipeline) {
-                        ctx.trace.emit(EventData::LsqConflict { pc: f.pc });
-                    }
-                    mem_dep = true;
-                    break;
-                }
-            }
         }
-        // Loss-of-decoupling event = a fresh episode of blocking on a queue
-        // pop (or on cross-stream store data).
-        let blocking = stalled.or(if mem_dep { Some(Queue::Sdq) } else { None });
-        if blocking.is_some() && self.stalled_on.is_none() {
-            self.stats.lod_events += 1;
+        if instr.is_fp() && !self.fu.exists(instr.fu_class()) {
+            return Err(IsaError::Exec {
+                pc,
+                msg: format!("fp instruction on core {} with no fp units", self.name),
+            });
         }
-        self.stalled_on = blocking;
-        Ok(())
-    }
-
-    /// Dispatches one instruction: functional execution, RUU/LSQ
-    /// allocation, dependence capture, branch handling.
-    fn dispatch_one(&mut self, f: Fetched, ctx: &mut CoreCtx<'_>) -> Result<DispatchOutcome> {
-        let Fetched {
-            pc,
-            instr,
-            predicted_taken,
-        } = f;
         let mut payload: u64 = 0;
-        let mut lsq_entry: Option<LsqEntry> = None;
         let mut branch_actual = false;
         let mut correct_next = pc + 1;
 
@@ -563,161 +571,15 @@ impl OooCore {
                 let v = f64_to_i64(self.regs.get_f(src));
                 self.regs.set_i(dst, v);
             }
-            _ => {}
-        }
-
-        // Memory & queue instructions need more careful handling; do them
-        // in a second match so the first can stay simple.
-        match instr {
-            Instr::Load {
-                dst,
-                base,
-                off,
-                width,
-                signed,
-            } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                let v = match self.lsq.check_load(u64::MAX, addr, width) {
-                    LoadCheck::Clear => ctx.data.load(addr, width, signed)?,
-                    LoadCheck::Forward(raw) => {
-                        self.stats.forwarded_loads += 1;
-                        extend(raw, width, signed)
-                    }
-                    LoadCheck::Blocked(_) => return Ok(DispatchOutcome::MemDep),
-                };
-                self.regs.set_i(dst, v);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0, // patched below
-                    is_store: false,
-                    addr,
-                    width,
-                    value: v,
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
-            Instr::LoadF { dst, base, off } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                let v = match self.lsq.check_load(u64::MAX, addr, Width::D) {
-                    LoadCheck::Clear => ctx.data.read_f64(addr)?,
-                    LoadCheck::Forward(raw) => {
-                        self.stats.forwarded_loads += 1;
-                        f64::from_bits(raw as u64)
-                    }
-                    LoadCheck::Blocked(_) => return Ok(DispatchOutcome::MemDep),
-                };
-                self.regs.set_f(dst, v);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: false,
-                    addr,
-                    width: Width::D,
-                    value: v.to_bits() as i64,
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
-            Instr::LoadQ {
-                q: _,
-                base,
-                off,
-                width,
-                signed,
-            } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                let v = match self.lsq.check_load(u64::MAX, addr, width) {
-                    LoadCheck::Clear => ctx.data.load(addr, width, signed)?,
-                    LoadCheck::Forward(raw) => {
-                        self.stats.forwarded_loads += 1;
-                        extend(raw, width, signed)
-                    }
-                    LoadCheck::Blocked(_) => return Ok(DispatchOutcome::MemDep),
-                };
-                payload = v as u64;
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: false,
-                    addr,
-                    width,
-                    value: v,
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
-            Instr::Store {
-                src,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: true,
-                    addr,
-                    width,
-                    value: self.regs.get_i(src),
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
-            Instr::StoreF { src, base, off } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: true,
-                    addr,
-                    width: Width::D,
-                    value: self.regs.get_f(src).to_bits() as i64,
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
-            Instr::StoreQ {
-                q,
-                base,
-                off,
-                width,
-            } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: true,
-                    addr,
-                    width,
-                    value: 0,
-                    data_known: false,
-                    data_queue: Some(q),
-                    performed: false,
-                });
-            }
-            Instr::Prefetch { base, off } => {
-                let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                lsq_entry = Some(LsqEntry {
-                    seq: 0,
-                    is_store: false,
-                    addr,
-                    width: Width::D,
-                    value: 0,
-                    data_known: true,
-                    data_queue: None,
-                    performed: false,
-                });
-            }
             Instr::SendI { q: _, src } => payload = self.regs.get_i(src) as u64,
             Instr::SendF { q: _, src } => payload = self.regs.get_f(src).to_bits(),
             Instr::RecvI { q, dst } => match ctx.pop_queue(q) {
                 Some(v) => self.regs.set_i(dst, v as i64),
-                None => return Ok(DispatchOutcome::QueueEmpty(q)),
+                None => return Ok(Outcome::QueueEmpty(q)),
             },
             Instr::RecvF { q, dst } => match ctx.pop_queue(q) {
                 Some(v) => self.regs.set_f(dst, f64::from_bits(v)),
-                None => return Ok(DispatchOutcome::QueueEmpty(q)),
+                None => return Ok(Outcome::QueueEmpty(q)),
             },
             Instr::GetScq => {
                 // Never blocks: an empty SCQ just means the CMP is behind.
@@ -733,7 +595,7 @@ impl OooCore {
                     branch_actual = v != 0;
                     correct_next = if branch_actual { target } else { pc + 1 };
                 }
-                None => return Ok(DispatchOutcome::QueueEmpty(Queue::Cq)),
+                None => return Ok(Outcome::QueueEmpty(Queue::Cq)),
             },
             Instr::Jump { target } => {
                 correct_next = target;
@@ -741,6 +603,58 @@ impl OooCore {
             }
             _ => {}
         }
+
+        // ---- memory: one address, one load path, one LSQ entry ----
+        let lsq_entry = if let (Some((base, off)), Some(width)) =
+            (instr.mem_addr_operands(), instr.mem_width())
+        {
+            let addr = (self.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
+            let (value, data_queue) = match instr {
+                Instr::Store { src, .. } => (self.regs.get_i(src), None),
+                Instr::StoreF { src, .. } => (self.regs.get_f(src).to_bits() as i64, None),
+                Instr::StoreQ { q, .. } => (0, Some(q)),
+                Instr::Prefetch { .. } => (0, None),
+                // `ld`, `l.q` and the fp `l.d` (an unsigned doubleword
+                // load of the f64's bits).
+                _ => {
+                    let signed = matches!(
+                        instr,
+                        Instr::Load { signed: true, .. } | Instr::LoadQ { signed: true, .. }
+                    );
+                    let v = match self.lsq.check_load(u64::MAX, addr, width) {
+                        LoadCheck::Clear => ctx.data.load(addr, width, signed)?,
+                        LoadCheck::Forward(raw) => {
+                            self.stats.forwarded_loads += 1;
+                            extend(raw, width, signed)
+                        }
+                        LoadCheck::Blocked(_) => {
+                            if ctx.trace.on(Category::Pipeline) {
+                                ctx.trace.emit(EventData::LsqConflict { pc });
+                            }
+                            return Ok(Outcome::MemDep);
+                        }
+                    };
+                    match instr {
+                        Instr::Load { dst, .. } => self.regs.set_i(dst, v),
+                        Instr::LoadF { dst, .. } => self.regs.set_f(dst, f64::from_bits(v as u64)),
+                        _ => payload = v as u64,
+                    }
+                    (v, None)
+                }
+            };
+            Some(LsqEntry {
+                seq: 0, // patched below
+                is_store: instr.is_store(),
+                addr,
+                width,
+                value,
+                data_known: data_queue.is_none(),
+                data_queue,
+                performed: false,
+            })
+        } else {
+            None
+        };
 
         // ---- allocate the RUU entry and capture timing dependences ----
         let deps = {
@@ -792,37 +706,28 @@ impl OooCore {
         }
 
         // ---- branch outcome handling ----
-        match instr {
-            Instr::Branch { .. } => {
-                self.predictor.update(pc, branch_actual, predicted_taken);
-                if branch_actual != predicted_taken {
+        if matches!(instr, Instr::Branch { .. } | Instr::CBranch { .. }) {
+            self.predictor.update(pc, branch_actual, predicted_taken);
+            if branch_actual != predicted_taken {
+                if ctx.trace.on(Category::Pipeline) {
+                    ctx.trace.emit(EventData::Mispredict { pc });
+                }
+                self.ifq.clear();
+                if matches!(instr, Instr::CBranch { .. }) {
+                    // The pop *is* the resolution: redirect immediately,
+                    // paying only the front-end refill penalty.
+                    self.stats.cbranch_redirects += 1;
+                    self.fetch_pc = correct_next;
+                    self.fetch_halted = false;
+                    self.frontend_ready_at = self.now + self.cfg.frontend_penalty as u64;
+                } else {
                     self.stats.mispredicts += 1;
-                    if ctx.trace.on(Category::Pipeline) {
-                        ctx.trace.emit(EventData::Mispredict { pc });
-                    }
-                    self.ifq.clear();
                     self.ruu.get_mut(seq).unwrap().mispredicted = true;
                     self.mispredict_pending = Some((seq, correct_next));
                 }
             }
-            Instr::CBranch { .. } => {
-                self.predictor.update(pc, branch_actual, predicted_taken);
-                if branch_actual != predicted_taken {
-                    self.stats.cbranch_redirects += 1;
-                    if ctx.trace.on(Category::Pipeline) {
-                        ctx.trace.emit(EventData::Mispredict { pc });
-                    }
-                    self.ifq.clear();
-                    // The pop *is* the resolution: redirect immediately,
-                    // paying only the front-end refill penalty.
-                    self.fetch_pc = correct_next;
-                    self.fetch_halted = false;
-                    self.frontend_ready_at = self.now + self.cfg.frontend_penalty as u64;
-                }
-            }
-            _ => {}
         }
-        Ok(DispatchOutcome::Ok)
+        Ok(Outcome::Ok)
     }
 
     /// Last in-flight producer of a register whose result is not yet
@@ -1058,7 +963,8 @@ impl OooCore {
 
     // -------------------------------------------------------------- commit
 
-    fn commit(&mut self, ctx: &mut CoreCtx<'_>) -> Result<()> {
+    /// Commits in order; returns the queue commit stalled on, if any.
+    fn commit(&mut self, ctx: &mut CoreCtx<'_>) -> Result<Option<Queue>> {
         for _ in 0..self.cfg.commit_width {
             let Some(front) = self.ruu.front() else { break };
             if front.state != EntryState::Done || front.complete_at > self.now {
@@ -1078,8 +984,7 @@ impl OooCore {
                     (le.addr, le.width, le.value, le.data_known, le.data_queue)
                 };
                 if !data_known {
-                    self.stats.stall_commit(data_queue.unwrap_or(Queue::Sdq));
-                    break;
+                    return Ok(Some(data_queue.unwrap_or(Queue::Sdq)));
                 }
                 match ctx
                     .mem_sys
@@ -1098,16 +1003,14 @@ impl OooCore {
             // Queue pushes (all-or-nothing per entry).
             if let Some(q) = instr.queue_push() {
                 if !ctx.push_queue(q, payload) {
-                    self.stats.stall_commit(q);
-                    break;
+                    return Ok(Some(q));
                 }
             }
             if annot.push_cq
                 && instr.is_control()
                 && !ctx.push_queue(Queue::Cq, actual_taken as u64)
             {
-                self.stats.stall_commit(Queue::Cq);
-                break;
+                return Ok(Some(Queue::Cq));
             }
 
             // Slip control: the compiler's GET_SCQ (never blocks).
@@ -1140,7 +1043,7 @@ impl OooCore {
                 break;
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 

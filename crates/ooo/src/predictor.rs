@@ -61,13 +61,29 @@ impl Bimodal {
         (self.predictions, self.mispredictions)
     }
 
-    /// Misprediction rate in `[0, 1]`.
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
+    /// Serialises the predictor's dynamic state (the table size comes
+    /// from the config, which the checkpoint header pins).
+    pub fn save_state(&self, e: &mut Enc) {
+        e.usize(self.table.len());
+        e.bytes(&self.table);
+        e.u64(self.predictions);
+        e.u64(self.mispredictions);
+    }
+
+    /// Restores the dynamic state; the receiver must already have the
+    /// same table size.
+    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
+        let n = d.usize()?;
+        if n != self.table.len() {
+            return Err(WireError {
+                pos: 0,
+                what: "predictor table size mismatch",
+            });
         }
+        self.table.copy_from_slice(d.bytes(n)?);
+        self.predictions = d.u64()?;
+        self.mispredictions = d.u64()?;
+        Ok(())
     }
 }
 
@@ -98,7 +114,6 @@ mod tests {
         assert!(pred);
         p.update(0, false, pred);
         assert_eq!(p.stats().1, 1);
-        assert!(p.misprediction_rate() > 0.0);
     }
 
     #[test]
@@ -116,228 +131,5 @@ mod tests {
     #[should_panic]
     fn non_pow2_rejected() {
         Bimodal::new(12);
-    }
-}
-
-/// Gshare predictor: 2-bit counters indexed by `pc ⊕ global-history`.
-/// Not used by the paper's Table-1 configuration (which is bimodal), but
-/// available for sensitivity studies.
-#[derive(Debug, Clone)]
-pub struct GShare {
-    table: Vec<u8>,
-    mask: u32,
-    history: u32,
-    history_mask: u32,
-    predictions: u64,
-    mispredictions: u64,
-}
-
-impl GShare {
-    /// Creates a gshare predictor with `entries` counters (power of two)
-    /// and `history_bits` of global history.
-    pub fn new(entries: u32, history_bits: u32) -> GShare {
-        assert!(
-            entries.is_power_of_two(),
-            "predictor size must be a power of two"
-        );
-        assert!(history_bits <= 16);
-        GShare {
-            table: vec![2; entries as usize],
-            mask: entries - 1,
-            history: 0,
-            history_mask: (1 << history_bits) - 1,
-            predictions: 0,
-            mispredictions: 0,
-        }
-    }
-
-    #[inline]
-    fn idx(&self, pc: u32) -> usize {
-        ((pc ^ self.history) & self.mask) as usize
-    }
-
-    /// Predicts the branch at `pc` under the current global history.
-    pub fn predict(&mut self, pc: u32) -> bool {
-        self.predictions += 1;
-        self.table[self.idx(pc)] >= 2
-    }
-
-    /// Trains with the outcome and shifts the global history.
-    pub fn update(&mut self, pc: u32, taken: bool, predicted: bool) {
-        if predicted != taken {
-            self.mispredictions += 1;
-        }
-        let i = self.idx(pc);
-        let c = &mut self.table[i];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
-        self.history = ((self.history << 1) | taken as u32) & self.history_mask;
-    }
-
-    /// `(predictions, mispredictions)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.predictions, self.mispredictions)
-    }
-}
-
-/// Which predictor a core uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// Table-1 default.
-    Bimodal,
-    /// Gshare with the given history length.
-    GShare { history_bits: u32 },
-}
-
-/// A configured branch predictor.
-#[derive(Debug, Clone)]
-pub enum Predictor {
-    Bimodal(Bimodal),
-    GShare(GShare),
-}
-
-impl Predictor {
-    /// Builds a predictor of the given kind and size.
-    pub fn new(kind: PredictorKind, entries: u32) -> Predictor {
-        match kind {
-            PredictorKind::Bimodal => Predictor::Bimodal(Bimodal::new(entries)),
-            PredictorKind::GShare { history_bits } => {
-                Predictor::GShare(GShare::new(entries, history_bits))
-            }
-        }
-    }
-
-    /// Predicts the branch at `pc`.
-    pub fn predict(&mut self, pc: u32) -> bool {
-        match self {
-            Predictor::Bimodal(p) => p.predict(pc),
-            Predictor::GShare(p) => p.predict(pc),
-        }
-    }
-
-    /// Trains with the actual outcome.
-    pub fn update(&mut self, pc: u32, taken: bool, predicted: bool) {
-        match self {
-            Predictor::Bimodal(p) => p.update(pc, taken, predicted),
-            Predictor::GShare(p) => p.update(pc, taken, predicted),
-        }
-    }
-
-    /// `(predictions, mispredictions)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        match self {
-            Predictor::Bimodal(p) => p.stats(),
-            Predictor::GShare(p) => p.stats(),
-        }
-    }
-
-    /// Serialises the predictor's dynamic state (table sizes come from
-    /// the config, which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        match self {
-            Predictor::Bimodal(p) => {
-                e.usize(p.table.len());
-                e.bytes(&p.table);
-                e.u64(p.predictions);
-                e.u64(p.mispredictions);
-            }
-            Predictor::GShare(p) => {
-                e.usize(p.table.len());
-                e.bytes(&p.table);
-                e.u32(p.history);
-                e.u64(p.predictions);
-                e.u64(p.mispredictions);
-            }
-        }
-    }
-
-    /// Restores the dynamic state; the receiver must already be
-    /// configured identically (same kind and table size).
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let mismatch = |pos| WireError {
-            pos,
-            what: "predictor table size mismatch",
-        };
-        let n = d.usize()?;
-        match self {
-            Predictor::Bimodal(p) => {
-                if n != p.table.len() {
-                    return Err(mismatch(0));
-                }
-                p.table.copy_from_slice(d.bytes(n)?);
-                p.predictions = d.u64()?;
-                p.mispredictions = d.u64()?;
-            }
-            Predictor::GShare(p) => {
-                if n != p.table.len() {
-                    return Err(mismatch(0));
-                }
-                p.table.copy_from_slice(d.bytes(n)?);
-                p.history = d.u32()?;
-                p.predictions = d.u64()?;
-                p.mispredictions = d.u64()?;
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod gshare_tests {
-    use super::*;
-
-    #[test]
-    fn learns_alternating_pattern_that_defeats_bimodal() {
-        // T,N,T,N... bimodal oscillates; gshare with history learns it.
-        let mut g = GShare::new(1024, 8);
-        let mut b = Bimodal::new(1024);
-        let mut g_miss = 0;
-        let mut b_miss = 0;
-        for i in 0..2000u32 {
-            let taken = i % 2 == 0;
-            let gp = g.predict(77);
-            let bp = b.predict(77);
-            if gp != taken {
-                g_miss += 1;
-            }
-            if bp != taken {
-                b_miss += 1;
-            }
-            g.update(77, taken, gp);
-            b.update(77, taken, bp);
-        }
-        assert!(
-            g_miss * 4 < b_miss,
-            "gshare ({g_miss}) should crush bimodal ({b_miss}) on alternation"
-        );
-    }
-
-    #[test]
-    fn predictor_enum_dispatches() {
-        let mut p = Predictor::new(PredictorKind::GShare { history_bits: 4 }, 64);
-        for _ in 0..8 {
-            let pr = p.predict(3);
-            p.update(3, true, pr);
-        }
-        assert!(p.predict(3));
-        assert!(p.stats().0 >= 9);
-        let mut b = Predictor::new(PredictorKind::Bimodal, 64);
-        let pr = b.predict(3);
-        b.update(3, false, pr);
-        assert_eq!(b.stats().1, 1);
-    }
-
-    #[test]
-    fn history_masking() {
-        let mut g = GShare::new(64, 2);
-        for _ in 0..100 {
-            let p = g.predict(0);
-            g.update(0, true, p);
-        }
-        // history saturates within the mask without overflow
-        assert!(g.predict(0));
     }
 }

@@ -67,21 +67,6 @@ impl CoreStats {
     pub fn stall_commit(&mut self, q: Queue) {
         self.commit_stall_q[qslot(q)] += 1;
     }
-
-    /// Total cycles dispatch spent blocked on queue pops.
-    pub fn total_dispatch_stall(&self) -> u64 {
-        self.dispatch_stall_q.iter().sum()
-    }
-
-    /// Committed instructions per cycle *of this stream* (not the
-    /// workload-level IPC, which is computed by the machine driver).
-    pub fn stream_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
-    }
 }
 
 impl Counters for CoreStats {
@@ -137,17 +122,5 @@ mod tests {
         assert_eq!(s.dispatch_stall_q[0], 2);
         assert_eq!(s.dispatch_stall_q[3], 1);
         assert_eq!(s.commit_stall_q[1], 1);
-        assert_eq!(s.total_dispatch_stall(), 3);
-    }
-
-    #[test]
-    fn stream_ipc() {
-        let s = CoreStats {
-            cycles: 10,
-            committed: 25,
-            ..Default::default()
-        };
-        assert!((s.stream_ipc() - 2.5).abs() < 1e-12);
-        assert_eq!(CoreStats::default().stream_ipc(), 0.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Direct tests of the decoupled-queue semantics in the out-of-order
 //! core: blocking pops at dispatch, pushes at commit with backpressure,
-//! store-data pairing through the LSQ, CQ tokens and trigger forks.
+//! store-data pairing through the LSQ, CQ tokens and trigger forks —
+//! and which stall counter each stop reason moves.
 
 use hidisc_isa::asm::assemble;
 use hidisc_isa::mem::Memory;
@@ -48,6 +49,82 @@ impl Rig {
             assert!(self.now < limit, "exceeded {limit} cycles");
         }
     }
+}
+
+/// Asserts that each stop counter named in `moved` is non-zero and every
+/// other one is zero, so a stop reason routed to the wrong counter fails
+/// by name.
+fn assert_only_moved(core: &OooCore, moved: &[&str]) {
+    let s = core.stats();
+    let mut counters = vec![
+        ("ruu_full_cycles".to_string(), s.ruu_full_cycles),
+        ("lsq_full_cycles".to_string(), s.lsq_full_cycles),
+        ("mem_dep_stalls".to_string(), s.mem_dep_stalls),
+        ("lod_events".to_string(), s.lod_events),
+    ];
+    for (i, q) in ["LDQ", "SDQ", "CDQ", "CQ", "SCQ"].iter().enumerate() {
+        counters.push((format!("dispatch_stall_q[{q}]"), s.dispatch_stall_q[i]));
+        counters.push((format!("commit_stall_q[{q}]"), s.commit_stall_q[i]));
+    }
+    for (name, v) in counters {
+        if moved.contains(&name.as_str()) {
+            assert!(v > 0, "{name} should have moved");
+        } else {
+            assert_eq!(v, 0, "{name} should not have moved");
+        }
+    }
+}
+
+/// `li r1, 0x10000`, a cold-miss load, then `body` repeated `n` times and
+/// `halt`: everything behind the load waits for it to commit.
+fn behind_a_miss(body: &str, n: usize) -> String {
+    format!(
+        "li r1, 0x10000\nld r2, 0(r1)\n{}halt",
+        format!("{body}\n").repeat(n)
+    )
+}
+
+#[test]
+fn full_ruu_counts_only_ruu_full_cycles() {
+    // 70 independent ops behind the miss overflow the 64-entry RUU.
+    let prog = assemble("t", &behind_a_miss("add r3, r0, 1", 70)).unwrap();
+    let mut core = OooCore::new("t", CoreConfig::paper_superscalar(), prog);
+    let mut rig = Rig::new(QueueConfig::paper());
+    rig.run_until_done(&mut core, 2_000);
+    assert_only_moved(&core, &["ruu_full_cycles"]);
+}
+
+#[test]
+fn full_lsq_counts_only_lsq_full_cycles() {
+    // 40 loads behind the miss overflow the 32-entry LSQ long before the
+    // 64-entry RUU fills.
+    let prog = assemble("t", &behind_a_miss("ld r3, 8(r1)", 40)).unwrap();
+    let mut core = OooCore::new("t", CoreConfig::paper_superscalar(), prog);
+    let mut rig = Rig::new(QueueConfig::paper());
+    rig.run_until_done(&mut core, 2_000);
+    assert_only_moved(&core, &["lsq_full_cycles"]);
+}
+
+#[test]
+fn load_behind_unfilled_storeq_is_one_mem_dep_episode() {
+    // The load reads the address the `s.q` store writes, whose SDQ data
+    // has not arrived: dispatch stops on the memory dependence every
+    // cycle, and once the store reaches the head commit waits on the SDQ.
+    let prog = assemble("t", "li r1, 0x4000\ns.d SDQ, 0(r1)\nld r2, 0(r1)\nhalt").unwrap();
+    let mut core = OooCore::new("t", CoreConfig::paper_ap(), prog);
+    let mut rig = Rig::new(QueueConfig::paper());
+    for _ in 0..50 {
+        rig.step(&mut core);
+    }
+    assert!(core.stats().mem_dep_stalls > 40, "stalls every cycle");
+    rig.queues.try_push(Queue::Sdq, 77);
+    rig.run_until_done(&mut core, 500);
+    assert_eq!(core.regs.get_i(IntReg::new(2)), 77);
+    assert_eq!(core.stats().lod_events, 1, "one blocking episode");
+    assert_only_moved(
+        &core,
+        &["mem_dep_stalls", "lod_events", "commit_stall_q[SDQ]"],
+    );
 }
 
 #[test]

@@ -3,6 +3,12 @@
 //! Any change in simulated behaviour shows up here as an explicit diff to
 //! review; regenerate the file with the same command when the change is
 //! intended.
+//!
+//! The Paper-scale counterpart, `tests/golden/all_paper.csv`, is too slow
+//! for this suite: CI's `test` job runs
+//! `repro all --scale paper --format csv` and `cmp`s its output with that
+//! file. Regenerate it with the same command, in the same change as an
+//! intended behaviour change.
 
 use std::process::Command;
 
