@@ -164,11 +164,6 @@ impl CmpEngine {
         }
     }
 
-    /// Current slip bound (tokens) — `usize::MAX` when static.
-    pub fn slip_limit(&self) -> usize {
-        self.slip.limit()
-    }
-
     /// Number of live threads.
     pub fn live_threads(&self) -> usize {
         self.threads.len()

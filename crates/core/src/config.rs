@@ -54,12 +54,6 @@ impl Model {
     pub fn has_cmp(self) -> bool {
         matches!(self, Model::CpCmp | Model::HiDisc)
     }
-
-    /// True when the model runs the separated CS/AS streams (vs the
-    /// original single stream).
-    pub fn is_decoupled(self) -> bool {
-        matches!(self, Model::CpAp | Model::HiDisc)
-    }
 }
 
 impl std::fmt::Display for Model {
@@ -627,9 +621,6 @@ mod tests {
         assert!(!Model::CpAp.has_cmp());
         assert!(Model::CpCmp.has_cmp());
         assert!(Model::HiDisc.has_cmp());
-        assert!(Model::CpAp.is_decoupled());
-        assert!(Model::HiDisc.is_decoupled());
-        assert!(!Model::CpCmp.is_decoupled());
         assert_eq!(Model::ALL.len(), 4);
     }
 

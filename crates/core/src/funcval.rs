@@ -160,9 +160,9 @@ pub fn run_decoupled(
                 msg: format!(
                     "decoupled deadlock: CP blocked at {} ({}), AP blocked at {} ({})",
                     cp.pc,
-                    hidisc_isa::encode::render_instr(cs.instr(cp.pc.min(cs.len() - 1)), cs),
+                    hidisc_isa::asm::render_instr(cs.instr(cp.pc.min(cs.len() - 1)), cs),
                     ap.pc,
-                    hidisc_isa::encode::render_instr(
+                    hidisc_isa::asm::render_instr(
                         access.instr(ap.pc.min(access.len() - 1)),
                         access
                     ),

@@ -7,7 +7,7 @@ use crate::error::RunError;
 use crate::stats::MachineStats;
 use hidisc_isa::mem::Memory;
 use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
-use hidisc_isa::{IntReg, Program, Queue};
+use hidisc_isa::{Program, Queue};
 use hidisc_mem::{MemStats, MemSystem};
 use hidisc_ooo::queues::QueueStats;
 use hidisc_ooo::{CoreCtx, CoreStats, OooCore, QueueFile, TriggerFork};
@@ -698,12 +698,6 @@ impl Machine {
             ff_jumps: self.ff_jumps,
             ff_skipped_cycles: self.ff_skipped,
         }
-    }
-
-    /// Reads an integer register of core `idx` (result inspection in
-    /// tests).
-    pub fn core_reg(&self, idx: usize, r: IntReg) -> i64 {
-        self.cores[idx].regs.get_i(r)
     }
 }
 

@@ -120,16 +120,6 @@ impl MachineStats {
         self.cores.iter().map(|(_, s)| s.committed).sum()
     }
 
-    /// Communication/duplication overhead factor: committed instructions
-    /// across all processors divided by useful work.
-    pub fn overhead_factor(&self) -> f64 {
-        if self.work_instrs == 0 {
-            0.0
-        } else {
-            self.total_committed() as f64 / self.work_instrs as f64
-        }
-    }
-
     /// Simulator throughput in millions of simulated instructions
     /// (committed, across all cores) per host wall-clock second.
     pub fn msips(&self) -> f64 {
@@ -137,16 +127,6 @@ impl MachineStats {
             0.0
         } else {
             self.total_committed() as f64 * 1e3 / self.host_wall_ns as f64
-        }
-    }
-
-    /// Host nanoseconds spent per simulated cycle (simulation speed; with
-    /// fast-forward on, skipped cycles make this drop on stall-heavy runs).
-    pub fn host_ns_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.host_wall_ns as f64 / self.cycles as f64
         }
     }
 

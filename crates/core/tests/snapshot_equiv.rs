@@ -9,6 +9,7 @@
 //! invariant this test pins down.
 
 use hidisc::{Machine, MachineConfig, Model};
+use hidisc_isa::wire::Enc;
 use hidisc_slicer::{compile, CompiledWorkload, CompilerConfig, ExecEnv};
 use hidisc_workloads::{suite, Scale, Workload};
 use proptest::prelude::*;
@@ -151,6 +152,41 @@ fn checkpoint_header_is_validated() {
     assert!(fresh.load_checkpoint(&garbled, WORKLOAD_ID).is_err());
     // The pristine bytes still load.
     assert!(fresh.load_checkpoint(&bytes, WORKLOAD_ID).is_ok());
+}
+
+/// A corrupt page count in the memory section — the last section before
+/// the trailing `now`, `ff_jumps` and `ff_skipped` u64s — is a typed
+/// error for both the exact and the warm loader, never an allocation of
+/// that many pages.
+#[test]
+fn corrupt_memory_page_count_is_an_error() {
+    let w = &suite(Scale::Test, 42)[0];
+    let env = env_of(w);
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let mut m = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+    m.run_to_cycle(100).unwrap();
+    let mut section = Enc::new();
+    m.data.save_state(&mut section);
+    let section = section.finish();
+
+    for (bytes, warm) in [
+        (m.save_checkpoint(WORKLOAD_ID), false),
+        (m.save_warm_checkpoint(WORKLOAD_ID), true),
+    ] {
+        let at = bytes.len() - 24 - section.len();
+        assert_eq!(&bytes[at..at + 8], &section[..8], "page count offset");
+        for count in [1u64 << 36, 1 << 60] {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let mut fresh = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+            let loaded = if warm {
+                fresh.load_warm_checkpoint(&patched, WORKLOAD_ID)
+            } else {
+                fresh.load_checkpoint(&patched, WORKLOAD_ID)
+            };
+            assert!(loaded.is_err(), "count {count:#x} (warm: {warm}) loaded");
+        }
+    }
 }
 
 proptest! {

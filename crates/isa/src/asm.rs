@@ -1,8 +1,9 @@
-//! The DISA text assembler.
+//! The DISA text assembler and disassembler.
 //!
-//! Accepts the canonical syntax produced by the disassembler
-//! ([`crate::encode::render_instr`]); round-trip `asm → text → asm` is
-//! property-tested. Grammar, line oriented:
+//! [`assemble`] parses DISA text into a [`Program`]; [`render_instr`]
+//! prints one instruction back in the canonical syntax the assembler
+//! accepts (used by `Program`'s `Display`). The round-trip
+//! `asm → text → asm` is property-tested. Grammar, line oriented:
 //!
 //! ```text
 //! line      := [label ':'] [instruction] [comment]
@@ -475,6 +476,88 @@ pub fn assemble(name: impl Into<String>, src: &str) -> Result<Program> {
         p.instr_mut(t.pc).set_target(at);
     }
     Ok(p)
+}
+
+/// Renders the target of a control instruction: a label name if one is
+/// defined at the target index, else `@index`.
+fn render_target(t: u32, p: &Program) -> String {
+    match p.labels_at(t).next() {
+        Some(l) => l.to_string(),
+        None => format!("@{t}"),
+    }
+}
+
+/// Renders one instruction in canonical assembler syntax.
+pub fn render_instr(i: &Instr, p: &Program) -> String {
+    match *i {
+        Instr::IntOp { op, dst, a, b } => format!("{op} {dst}, {a}, {b}"),
+        Instr::Li { dst, imm } => format!("li {dst}, {imm}"),
+        Instr::FpBin { op, dst, a, b } => format!("{op} {dst}, {a}, {b}"),
+        Instr::FpUn { op, dst, a } => format!("{op} {dst}, {a}"),
+        Instr::FpCmp { op, dst, a, b } => format!("{op} {dst}, {a}, {b}"),
+        Instr::CvtIf { dst, src } => format!("cvt.d.l {dst}, {src}"),
+        Instr::CvtFi { dst, src } => format!("cvt.l.d {dst}, {src}"),
+        Instr::Load {
+            dst,
+            base,
+            off,
+            width,
+            signed,
+        } => {
+            let u = if !signed && width != Width::D {
+                "u"
+            } else {
+                ""
+            };
+            format!("l{}{} {dst}, {off}({base})", width.suffix(), u)
+        }
+        Instr::LoadF { dst, base, off } => format!("l.d {dst}, {off}({base})"),
+        Instr::Store {
+            src,
+            base,
+            off,
+            width,
+        } => {
+            format!("s{} {src}, {off}({base})", width.suffix())
+        }
+        Instr::StoreF { src, base, off } => format!("s.d {src}, {off}({base})"),
+        Instr::Prefetch { base, off } => format!("pref {off}({base})"),
+        Instr::LoadQ {
+            q,
+            base,
+            off,
+            width,
+            signed,
+        } => {
+            let u = if !signed && width != Width::D {
+                "u"
+            } else {
+                ""
+            };
+            format!("l{}{}.q {q}, {off}({base})", width.suffix(), u)
+        }
+        Instr::StoreQ {
+            q,
+            base,
+            off,
+            width,
+        } => {
+            format!("s{}.q {q}, {off}({base})", width.suffix())
+        }
+        Instr::SendI { q, src } => format!("send {q}, {src}"),
+        Instr::SendF { q, src } => format!("send.d {q}, {src}"),
+        Instr::RecvI { q, dst } => format!("recv {dst}, {q}"),
+        Instr::RecvF { q, dst } => format!("recv.d {dst}, {q}"),
+        Instr::PutScq => "putscq".into(),
+        Instr::GetScq => "getscq".into(),
+        Instr::Branch { cond, a, b, target } => {
+            format!("{} {a}, {b}, {}", cond.mnemonic(), render_target(target, p))
+        }
+        Instr::Jump { target } => format!("j {}", render_target(target, p)),
+        Instr::CBranch { target } => format!("cbr {}", render_target(target, p)),
+        Instr::Halt => "halt".into(),
+        Instr::Nop => "nop".into(),
+    }
 }
 
 #[cfg(test)]

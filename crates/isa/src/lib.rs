@@ -13,8 +13,8 @@
 //!   separation decided by the HiDISC compiler (Computation vs Access
 //!   stream, CMAS membership, trigger points) — the equivalent of the
 //!   annotation field of a SimpleScalar binary,
-//! * a text assembler ([`asm::assemble`]) and disassembler,
-//! * a [`builder::ProgramBuilder`] API for generating programs from Rust,
+//! * a text assembler ([`asm::assemble`]), which builds every kernel and
+//!   generated test program, and its disassembler ([`asm::render_instr`]),
 //! * a functional (architectural) interpreter ([`interp::Interp`]) used for
 //!   reference execution, cache profiling and slicer validation,
 //! * the byte-addressed sparse [`mem::Memory`] shared by the functional and
@@ -28,8 +28,6 @@
 
 pub mod annot;
 pub mod asm;
-pub mod builder;
-pub mod encode;
 pub mod instr;
 pub mod interp;
 pub mod mem;
@@ -59,8 +57,6 @@ pub enum IsaError {
     Exec { pc: u32, msg: String },
     /// Memory access fault (unaligned or out of simulated range).
     Mem { addr: u64, msg: String },
-    /// Instruction encoding/decoding failure.
-    Encode(String),
 }
 
 impl std::fmt::Display for IsaError {
@@ -71,7 +67,6 @@ impl std::fmt::Display for IsaError {
             IsaError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
             IsaError::Exec { pc, msg } => write!(f, "execution error at pc {pc}: {msg}"),
             IsaError::Mem { addr, msg } => write!(f, "memory error at {addr:#x}: {msg}"),
-            IsaError::Encode(m) => write!(f, "encoding error: {m}"),
         }
     }
 }

@@ -180,37 +180,11 @@ impl Memory {
         }
     }
 
-    /// Bulk-writes a slice of i64 words starting at `base` (8-byte aligned).
-    pub fn write_i64_slice(&mut self, base: u64, vals: &[i64]) -> Result<()> {
-        for (k, &v) in vals.iter().enumerate() {
-            self.write_i64(base + 8 * k as u64, v)?;
-        }
-        Ok(())
-    }
-
-    /// Bulk-writes a slice of f64 values starting at `base` (8-byte aligned).
-    pub fn write_f64_slice(&mut self, base: u64, vals: &[f64]) -> Result<()> {
-        for (k, &v) in vals.iter().enumerate() {
-            self.write_f64(base + 8 * k as u64, v)?;
-        }
-        Ok(())
-    }
-
     /// Bulk-writes raw bytes starting at `base`.
     pub fn write_bytes(&mut self, base: u64, bytes: &[u8]) {
         for (k, &b) in bytes.iter().enumerate() {
             self.write_u8(base + k as u64, b);
         }
-    }
-
-    /// Bulk-reads `n` i64 words starting at `base`.
-    pub fn read_i64_slice(&self, base: u64, n: usize) -> Result<Vec<i64>> {
-        (0..n).map(|k| self.read_i64(base + 8 * k as u64)).collect()
-    }
-
-    /// Number of pages touched so far.
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
     }
 
     /// An order-independent checksum of all touched memory, used by the
@@ -250,10 +224,13 @@ impl Memory {
     }
 
     /// Replaces the entire contents from a [`save_state`](Self::save_state)
-    /// stream.
+    /// stream. A page count the stream cannot hold is a
+    /// [`WireError`](crate::wire::WireError), never an allocation of that
+    /// size.
     pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
         let n = d.usize()?;
-        let mut pages = HashMap::with_capacity(n);
+        // The count is untrusted: reserve no more pages than remain encoded.
+        let mut pages = HashMap::with_capacity(n.min(d.remaining() / (8 + PAGE_SIZE as usize)));
         for _ in 0..n {
             let k = d.u64()?;
             let bytes = d.bytes(PAGE_SIZE as usize)?;
@@ -328,7 +305,6 @@ mod tests {
         m.write_u8(PAGE_SIZE, 2);
         assert_eq!(m.read_u8(PAGE_SIZE - 1), 1);
         assert_eq!(m.read_u8(PAGE_SIZE), 2);
-        assert_eq!(m.touched_pages(), 2);
     }
 
     #[test]
@@ -376,10 +352,28 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_page_count_is_an_error() {
+        let mut a = Memory::new();
+        a.write_u64(0x1000, 5).unwrap();
+        for count in [1u64 << 36, 1 << 60] {
+            let mut e = crate::wire::Enc::new();
+            e.u64(count);
+            e.u64(0x1000);
+            e.bytes(&[0; PAGE_SIZE as usize]);
+            let buf = e.finish();
+            let mut b = a.clone();
+            assert!(b.load_state(&mut crate::wire::Dec::new(&buf)).is_err());
+            assert_eq!(
+                b.read_u64(0x1000).unwrap(),
+                5,
+                "failed load left memory alone"
+            );
+        }
+    }
+
+    #[test]
     fn slice_helpers() {
         let mut m = Memory::new();
-        m.write_i64_slice(0x4000, &[1, -2, 3]).unwrap();
-        assert_eq!(m.read_i64_slice(0x4000, 3).unwrap(), vec![1, -2, 3]);
         m.write_bytes(0x5000, b"hello");
         assert_eq!(m.read_u8(0x5004), b'o');
     }

@@ -201,7 +201,7 @@ impl fmt::Display for Program {
                 }
             }
             let a = &self.annots[pc];
-            write!(f, "    {}", crate::encode::render_instr(i, self))?;
+            write!(f, "    {}", crate::asm::render_instr(i, self))?;
             let mut marks = Vec::new();
             if a.cmas {
                 marks.push("cmas".to_string());

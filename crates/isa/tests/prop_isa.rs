@@ -1,13 +1,10 @@
-//! Property tests for the ISA layer: assembler and binary-encoding
-//! round-trips over arbitrary instructions, and memory laws.
+//! Property tests for the ISA layer: assembler round-trips over arbitrary
+//! instructions, and memory laws.
 
 use hidisc_isa::asm::assemble;
-use hidisc_isa::encode::{decode_annot, decode_instr, encode_annot, encode_instr};
 use hidisc_isa::instr::{BranchCond, Src, Width};
 use hidisc_isa::mem::Memory;
-use hidisc_isa::{
-    Annot, FpBinOp, FpCmpOp, FpReg, FpUnOp, Instr, IntOp, IntReg, Queue, SpecDir, Stream,
-};
+use hidisc_isa::{FpBinOp, FpCmpOp, FpReg, FpUnOp, Instr, IntOp, IntReg, Queue};
 use proptest::prelude::*;
 
 fn int_reg() -> impl Strategy<Value = IntReg> {
@@ -165,12 +162,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn binary_encoding_round_trips(i in any_instr()) {
-        let w = encode_instr(&i).unwrap();
-        prop_assert_eq!(decode_instr(w).unwrap(), i);
-    }
-
-    #[test]
     fn assembler_round_trips_instruction_sequences(
         instrs in prop::collection::vec(any_instr(), 1..40)
     ) {
@@ -203,28 +194,6 @@ proptest! {
         let text = p.to_string();
         let p2 = assemble("prop", &text).unwrap();
         prop_assert_eq!(p.instrs(), p2.instrs());
-    }
-
-    #[test]
-    fn annot_encoding_round_trips(
-        access in any::<bool>(),
-        cmas in any::<bool>(),
-        push_cq in any::<bool>(),
-        miss in any::<bool>(),
-        scq in any::<bool>(),
-        trig in prop::option::of(0u32..(1 << 24)),
-        spec in prop::option::of(any::<bool>()),
-    ) {
-        let a = Annot {
-            stream: if access { Stream::Access } else { Stream::Computation },
-            cmas,
-            push_cq,
-            probable_miss: miss,
-            scq_get: scq,
-            trigger: trig,
-            speculate: spec.map(|t| if t { SpecDir::Taken } else { SpecDir::NotTaken }),
-        };
-        prop_assert_eq!(decode_annot(encode_annot(&a).unwrap()), a);
     }
 
     #[test]

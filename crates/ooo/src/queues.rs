@@ -163,12 +163,6 @@ impl QueueFile {
         &self.cfg
     }
 
-    /// True when every queue is empty (used by deadlock/termination
-    /// checks).
-    pub fn all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-    }
-
     /// Statistics of all five queues, in [`hidisc_isa::Queue::ALL`] order.
     pub fn all_stats(&self) -> [QueueStats; 5] {
         self.stats
@@ -309,9 +303,6 @@ mod tests {
         assert_eq!(f.len(Queue::Cq), 1);
         assert_eq!(f.len(Queue::Sdq), 0);
         assert_eq!(f.try_pop(Queue::Cq), Some(20));
-        assert!(!f.all_empty());
-        f.try_pop(Queue::Ldq);
-        assert!(f.all_empty());
     }
 
     #[test]

@@ -962,12 +962,6 @@ impl Service {
         self.addr
     }
 
-    /// True once `POST /shutdown` was received (or [`Service::shutdown`]
-    /// began).
-    pub fn stop_requested(&self) -> bool {
-        self.state.stop.load(Ordering::Relaxed)
-    }
-
     /// Blocks until a `POST /shutdown` arrives, then tears down
     /// gracefully: the listener closes, in-flight jobs finish, still
     /// queued jobs are failed.

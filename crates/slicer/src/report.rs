@@ -96,7 +96,7 @@ pub fn render(w: &CompiledWorkload) -> String {
         let _ = writeln!(
             out,
             "{pc:4}  [{tag}]{marks:<18} {}",
-            hidisc_isa::encode::render_instr(w.original.instr(pc), &w.original)
+            hidisc_isa::asm::render_instr(w.original.instr(pc), &w.original)
         );
     }
     let _ = writeln!(out, "\n--- computation stream ---\n{}", w.cs);

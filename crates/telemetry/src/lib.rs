@@ -594,12 +594,6 @@ impl Telemetry {
         self.cfg.mask & cat.bit() != 0
     }
 
-    /// True when interval metrics are being recorded.
-    #[inline(always)]
-    pub fn metrics_on(&self) -> bool {
-        self.metrics.is_some()
-    }
-
     /// The metrics sampling interval (0 = off).
     #[inline]
     pub fn metrics_interval(&self) -> u64 {
@@ -1191,7 +1185,6 @@ mod tests {
     fn disabled_records_nothing() {
         let mut t = Telemetry::disabled();
         assert!(!t.on(Category::Pipeline));
-        assert!(!t.metrics_on());
         t.record_miss_latency(100);
         t.record_sample(IntervalSample {
             cycle: 0,

@@ -103,8 +103,8 @@ pub fn check(
                         msg: format!(
                             "segment {k} ends in unpairable control: access stream `{}` \
                              vs computation stream `{}`",
-                            hidisc_isa::encode::render_instr(ai, access),
-                            hidisc_isa::encode::render_instr(ci, cs),
+                            hidisc_isa::asm::render_instr(ai, access),
+                            hidisc_isa::asm::render_instr(ci, cs),
                         ),
                     });
                 } else if matches!(ai, Instr::Branch { .. }) && !access.annot(apc).push_cq {

@@ -66,7 +66,7 @@ fn check_thread(t: &CmasThread, out: &mut Vec<Diagnostic>) {
                 queue: None,
                 msg: format!(
                     "CMAS performs an architectural store `{}` — prefetch slices must be side-effect free",
-                    hidisc_isa::encode::render_instr(i, &t.prog)
+                    hidisc_isa::asm::render_instr(i, &t.prog)
                 ),
             });
             continue;
@@ -103,7 +103,7 @@ fn check_thread(t: &CmasThread, out: &mut Vec<Diagnostic>) {
                 queue: None,
                 msg: format!(
                     "floating-point instruction `{}` in CMAS — the CMP has no FP units",
-                    hidisc_isa::encode::render_instr(i, &t.prog)
+                    hidisc_isa::asm::render_instr(i, &t.prog)
                 ),
             });
         } else if i.is_mem() && !a.cmas {
@@ -114,7 +114,7 @@ fn check_thread(t: &CmasThread, out: &mut Vec<Diagnostic>) {
                 msg: format!(
                     "memory operation `{}` in CMAS is not prefetch-tagged \
                      (missing the cmas annotation; it would issue as a demand access)",
-                    hidisc_isa::encode::render_instr(i, &t.prog)
+                    hidisc_isa::asm::render_instr(i, &t.prog)
                 ),
             });
         }
