@@ -12,18 +12,19 @@
 
 use std::process::Command;
 
-#[test]
-fn repro_all_test_scale_csv_matches_golden() {
+/// Runs `repro <args>` and panics with the first differing line unless its
+/// stdout equals `golden` (the contents of `tests/golden/<file>`).
+fn assert_matches_golden(args: &[&str], file: &str, golden: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["all", "--scale", "test", "--format", "csv"])
+        .args(args)
         .output()
         .expect("run repro");
     assert!(
         out.status.success(),
-        "repro failed: {}",
+        "repro {} failed: {}",
+        args.join(" "),
         String::from_utf8_lossy(&out.stderr)
     );
-    let golden = include_str!("golden/all_test.csv");
     let got = String::from_utf8(out.stdout).expect("CSV is UTF-8");
     if got != golden {
         let line = got
@@ -32,11 +33,61 @@ fn repro_all_test_scale_csv_matches_golden() {
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| got.lines().count().min(golden.lines().count()));
         panic!(
-            "repro all --scale test --format csv differs from tests/golden/all_test.csv \
-             at line {}:\n  got:    {:?}\n  golden: {:?}",
+            "repro {} differs from tests/golden/{file} at line {}:\n  got:    {:?}\n  golden: {:?}",
+            args.join(" "),
             line + 1,
             got.lines().nth(line),
             golden.lines().nth(line)
         );
+    }
+}
+
+#[test]
+fn repro_all_test_scale_csv_matches_golden() {
+    assert_matches_golden(
+        &["all", "--scale", "test", "--format", "csv"],
+        "all_test.csv",
+        include_str!("golden/all_test.csv"),
+    );
+}
+
+/// The studies outside `repro all`: the ablation and related-work grids,
+/// the auxiliary speed-up suites and the sampled suite. Each file is the
+/// stdout of `repro <args>` with the arguments in its row, e.g.
+/// `repro ablate --scale test --format csv > tests/golden/ablate_test.csv`;
+/// regenerate a file that way only for an intended behaviour change.
+#[test]
+fn repro_study_csvs_match_golden() {
+    let csv = ["--scale", "test", "--format", "csv"];
+    let study = |cmd: &'static str| [&[cmd][..], &csv[..]].concat();
+    let cases: [(Vec<&str>, &str, &str); 5] = [
+        (
+            study("ablate"),
+            "ablate_test.csv",
+            include_str!("golden/ablate_test.csv"),
+        ),
+        (
+            study("related"),
+            "related_test.csv",
+            include_str!("golden/related_test.csv"),
+        ),
+        (
+            study("micro"),
+            "micro_test.csv",
+            include_str!("golden/micro_test.csv"),
+        ),
+        (
+            study("extras"),
+            "extras_test.csv",
+            include_str!("golden/extras_test.csv"),
+        ),
+        (
+            [&["fig8", "--sample", "500:2000"][..], &csv[..]].concat(),
+            "fig8_sampled_test.csv",
+            include_str!("golden/fig8_sampled_test.csv"),
+        ),
+    ];
+    for (args, file, golden) in &cases {
+        assert_matches_golden(args, file, golden);
     }
 }
