@@ -115,7 +115,7 @@ impl Prepared {
             // observed peaks — a peak above its bound means the interval
             // analysis is unsound for this triple.
             for b in &report.bounds {
-                let peak = report.greedy_peaks[hidisc_verify::queue_index(b.queue)];
+                let peak = report.greedy_peaks[b.queue.index()];
                 assert!(
                     b.bound >= peak,
                     "{name}: symbolic {} bound {} below greedy peak {peak}",
@@ -132,62 +132,91 @@ impl Prepared {
     }
 }
 
-/// Runs every model of one prepared workload under `cfg`, cross-checking
-/// that all models compute the same final memory.
-fn run_prepared(p: &Prepared, cfg: MachineConfig) -> SuiteResult {
-    let per_model: Vec<MachineStats> = Model::ALL
-        .into_iter()
-        .map(|m| {
-            run_model(m, &p.compiled, &p.env, cfg)
-                .unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name))
+/// Generates and prepares the named workload. The workload comes back too,
+/// for studies that recompile its program.
+fn prepare_named(name: &str, scale: Scale, seed: u64) -> (Workload, Prepared) {
+    let (w, env, compiled) = compile_named(name, scale, seed);
+    let p = Prepared::new(w.name, env, compiled);
+    (w, p)
+}
+
+/// The outcome of one grid cell: its run's statistics, plus whatever else
+/// the study reads off the machine.
+trait Cell: Send {
+    fn stats(&self) -> &MachineStats;
+}
+
+impl Cell for MachineStats {
+    fn stats(&self) -> &MachineStats {
+        self
+    }
+}
+
+impl<T: Send> Cell for (MachineStats, T) {
+    fn stats(&self) -> &MachineStats {
+        &self.0
+    }
+}
+
+/// The one experiment grid behind every figure and study. Prepares each
+/// workload (a [`Prepared`] plus whatever else its cells share), then runs
+/// the flattened (workload × cell) grid on the worker pool, and returns
+/// each workload's name with its cells in order.
+///
+/// Models, latencies and variants change timing, never results: every
+/// cell of a workload must end with the same final memory as its cell 0.
+fn grid<W: Sync, X: Send + Sync, C: Cell>(
+    workloads: &[W],
+    prepare: impl Fn(&W) -> (Prepared, X) + Sync,
+    cells: usize,
+    cell: impl Fn(&Prepared, &X, usize) -> C + Sync,
+) -> Vec<(&'static str, Vec<C>)> {
+    let prepared = pool::run_indexed(workloads.len(), |i| prepare(&workloads[i]));
+    let mut done = pool::run_indexed(prepared.len() * cells, |k| {
+        let (p, x) = &prepared[k / cells];
+        cell(p, x, k % cells)
+    })
+    .into_iter();
+    prepared
+        .iter()
+        .map(|(p, _)| {
+            let row: Vec<C> = done.by_ref().take(cells).collect();
+            for (i, c) in row.iter().enumerate() {
+                let (s, first) = (c.stats(), row[0].stats());
+                assert_eq!(
+                    s.mem_checksum, first.mem_checksum,
+                    "{}: cell {i} ({}) diverged from cell 0 ({}) memory",
+                    p.name, s.model, first.model
+                );
+            }
+            (p.name, row)
         })
-        .collect();
-    check_models_agree(p.name, &per_model);
-    SuiteResult {
-        name: p.name,
-        per_model,
-    }
+        .collect()
 }
 
-/// Cross-model safety net: every model must compute the same final memory.
-fn check_models_agree(name: &str, per_model: &[MachineStats]) {
-    for s in &per_model[1..] {
-        assert_eq!(
-            s.mem_checksum, per_model[0].mem_checksum,
-            "{}: {} diverged from baseline memory",
-            name, s.model
-        );
-    }
+/// Every model of every workload, one grid cell each, with `run` as the
+/// cell.
+fn model_grid(
+    workloads: &[Workload],
+    run: impl Fn(Model, &Prepared) -> MachineStats + Sync,
+) -> Vec<SuiteResult> {
+    let cell = |p: &Prepared, _: &(), i: usize| run(Model::ALL[i], p);
+    grid(workloads, |w| (prepare(w), ()), Model::ALL.len(), cell)
+        .into_iter()
+        .map(|(name, per_model)| SuiteResult { name, per_model })
+        .collect()
 }
 
-/// Compiles and runs one workload on every model.
-pub fn run_workload(w: &Workload, cfg: MachineConfig) -> SuiteResult {
-    run_prepared(&prepare(w), cfg)
+/// One exact run of a grid cell.
+fn run_exact(m: Model, p: &Prepared, cfg: MachineConfig) -> MachineStats {
+    run_model(m, &p.compiled, &p.env, cfg).unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name))
 }
 
 /// Runs the full seven-benchmark suite on the worker pool: compilation is
 /// parallel over benchmarks, then the flattened (benchmark × model) grid
 /// is parallel over all cells.
 pub fn run_suite(scale: Scale, seed: u64, cfg: MachineConfig) -> Vec<SuiteResult> {
-    let workloads = suite(scale, seed);
-    let prepared = pool::run_indexed(workloads.len(), |i| prepare(&workloads[i]));
-    let nm = Model::ALL.len();
-    let stats = pool::run_indexed(prepared.len() * nm, |k| {
-        let p = &prepared[k / nm];
-        let m = Model::ALL[k % nm];
-        run_model(m, &p.compiled, &p.env, cfg).unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name))
-    });
-    prepared
-        .iter()
-        .zip(stats.chunks(nm))
-        .map(|(p, per_model)| {
-            check_models_agree(p.name, per_model);
-            SuiteResult {
-                name: p.name,
-                per_model: per_model.to_vec(),
-            }
-        })
-        .collect()
+    model_grid(&suite(scale, seed), |m, p| run_exact(m, p, cfg))
 }
 
 /// Simulator-performance summary of a set of runs: committed instructions,
@@ -283,16 +312,9 @@ pub struct Fig8Row {
 pub fn fig8(results: &[SuiteResult]) -> Vec<Fig8Row> {
     results
         .iter()
-        .map(|r| {
-            let base = r.baseline();
-            let mut speedup = [0.0; 4];
-            for (i, s) in r.per_model.iter().enumerate() {
-                speedup[i] = s.speedup_over(base);
-            }
-            Fig8Row {
-                name: r.name,
-                speedup,
-            }
+        .map(|r| Fig8Row {
+            name: r.name,
+            speedup: std::array::from_fn(|i| r.per_model[i].speedup_over(r.baseline())),
         })
         .collect()
 }
@@ -388,17 +410,10 @@ pub struct Fig9Row {
 pub fn fig9(results: &[SuiteResult]) -> Vec<Fig9Row> {
     results
         .iter()
-        .map(|r| {
-            let base = r.baseline();
-            let mut ratio = [0.0; 4];
-            for (i, s) in r.per_model.iter().enumerate() {
-                ratio[i] = s.miss_rate_ratio(base);
-            }
-            Fig9Row {
-                name: r.name,
-                ratio,
-                base_miss_rate: base.l1_miss_rate(),
-            }
+        .map(|r| Fig9Row {
+            name: r.name,
+            ratio: std::array::from_fn(|i| r.per_model[i].miss_rate_ratio(r.baseline())),
+            base_miss_rate: r.baseline().l1_miss_rate(),
         })
         .collect()
 }
@@ -449,44 +464,26 @@ pub struct Fig10Series {
 /// Figure 10: latency tolerance for the given benchmarks (the paper uses
 /// Pointer and Neighborhood).
 pub fn fig10(names: &[&str], scale: Scale, seed: u64) -> Vec<Fig10Series> {
-    let prepared = pool::run_indexed(names.len(), |i| {
-        let (w, env, compiled) = compile_named(names[i], scale, seed);
-        Prepared::new(w.name, env, compiled)
-    });
-    // One flat grid over (benchmark × latency point × model): each cell is
-    // an independent simulation sharing the Arc'd compiled program.
-    let nl = FIG10_LATENCIES.len();
+    // One cell per (latency point × model), all sharing the Arc'd program.
     let nm = Model::ALL.len();
-    let stats = pool::run_indexed(prepared.len() * nl * nm, |k| {
-        let p = &prepared[k / (nl * nm)];
-        let (l2, mem) = FIG10_LATENCIES[(k / nm) % nl];
+    let cells = FIG10_LATENCIES.len() * nm;
+    let prep = |name: &&str| (prepare_named(name, scale, seed).1, ());
+    grid(names, prep, cells, |p, _, k| {
+        let (l2, mem) = FIG10_LATENCIES[k / nm];
         let m = Model::ALL[k % nm];
-        run_model(
-            m,
-            &p.compiled,
-            &p.env,
-            MachineConfig::paper_with_latency(l2, mem),
-        )
-        .unwrap_or_else(|e| panic!("{} on {m} at {l2}/{mem}: {e}", p.name))
-    });
-    prepared
-        .iter()
-        .zip(stats.chunks(nl * nm))
-        .map(|(p, per_point)| {
-            let ipc = per_point
-                .chunks(nm)
-                .map(|per_model| {
-                    check_models_agree(p.name, per_model);
-                    let mut row = [0.0; 4];
-                    for (i, st) in per_model.iter().enumerate() {
-                        row[i] = st.ipc();
-                    }
-                    row
-                })
-                .collect();
-            Fig10Series { name: p.name, ipc }
-        })
-        .collect()
+        let cfg = MachineConfig::paper_with_latency(l2, mem);
+        run_model(m, &p.compiled, &p.env, cfg)
+            .unwrap_or_else(|e| panic!("{} on {m} at {l2}/{mem}: {e}", p.name))
+    })
+    .into_iter()
+    .map(|(name, stats)| Fig10Series {
+        name,
+        ipc: stats
+            .chunks(nm)
+            .map(|per_model| std::array::from_fn(|i| per_model[i].ipc()))
+            .collect(),
+    })
+    .collect()
 }
 
 /// [`Report`] for Figure 10 (see [`fig10`]).
@@ -629,16 +626,9 @@ pub struct SpeedupReport {
 impl SpeedupReport {
     /// Builds the table by running every workload on all four models.
     pub fn from_workloads(title: &'static str, workloads: &[Workload], cfg: MachineConfig) -> Self {
-        let rows = workloads
-            .iter()
-            .map(|w| {
-                let r = run_workload(w, cfg);
-                let mut s = [0.0; 4];
-                for (i, st) in r.per_model.iter().enumerate() {
-                    s[i] = st.speedup_over(r.baseline());
-                }
-                (r.name, s)
-            })
+        let rows = fig8(&model_grid(workloads, |m, p| run_exact(m, p, cfg)))
+            .into_iter()
+            .map(|r| (r.name, r.speedup))
             .collect();
         SpeedupReport { title, rows }
     }
@@ -1137,7 +1127,7 @@ mod check_tests {
                 for depths in [depths_of(&MachineConfig::paper()), deep] {
                     let c = check_workload(name, Scale::Test, seed, depths);
                     for b in &c.report.bounds {
-                        let peak = c.report.greedy_peaks[hidisc_verify::queue_index(b.queue)];
+                        let peak = c.report.greedy_peaks[b.queue.index()];
                         assert!(
                             b.bound >= peak,
                             "{name} seed {seed}: symbolic {} bound {} below greedy peak {peak}",
@@ -1329,51 +1319,31 @@ pub struct AblationRow {
     pub speedup: Vec<(Ablation, f64)>,
 }
 
-/// Runs the ablation study over the given workloads: per-workload
-/// compilation and baselines in one pooled pass, then the flattened
-/// (workload × variant) grid in a second.
+/// Runs the ablation study over the given workloads. Each workload's grid
+/// row is the superscalar baseline (cell 0) followed by one HiDISC run per
+/// variant.
 pub fn ablate(names: &[&str], scale: Scale, seed: u64) -> Vec<AblationRow> {
-    use hidisc::{DynamicConfig, Model};
-
-    struct AblatePrep {
-        name: &'static str,
-        env: ExecEnv,
-        compiled: Arc<CompiledWorkload>,
-        no_cmas: Arc<CompiledWorkload>,
-        base: MachineStats,
-    }
-
-    let prepared = pool::run_indexed(names.len(), |i| {
-        let (w, env, compiled) = compile_named(names[i], scale, seed);
-        let no_cmas = compile(
-            &w.prog,
-            &env,
-            &CompilerConfig {
-                enable_cmas: false,
-                ..CompilerConfig::default()
-            },
-        )
-        .unwrap();
-        let base =
-            hidisc::run_model(Model::Superscalar, &compiled, &env, MachineConfig::paper()).unwrap();
-        AblatePrep {
-            name: w.name,
-            env,
-            compiled: Arc::new(compiled),
-            no_cmas: Arc::new(no_cmas),
-            base,
-        }
-    });
+    use hidisc::DynamicConfig;
 
     let variants = Ablation::all();
-    let nv = variants.len();
-    let cells = pool::run_indexed(prepared.len() * nv, |k| {
-        let p = &prepared[k / nv];
-        let a = variants[k % nv];
+    let prep = |name: &&str| {
+        let (w, p) = prepare_named(name, scale, seed);
+        let no_cmas = CompilerConfig {
+            enable_cmas: false,
+            ..CompilerConfig::default()
+        };
+        let no_cmas = compile(&w.prog, &p.env, &no_cmas).unwrap();
+        (p, no_cmas)
+    };
+    grid(names, prep, 1 + variants.len(), |p, no_cmas, k| {
         let mut cfg = MachineConfig::paper();
-        let c = match a {
+        if k == 0 {
+            return run_exact(Model::Superscalar, p, cfg);
+        }
+        let a = variants[k - 1];
+        let c: &CompiledWorkload = match a {
             Ablation::Full => &p.compiled,
-            Ablation::NoCmas => &p.no_cmas,
+            Ablation::NoCmas => no_cmas,
             Ablation::NextLineAssist => {
                 cfg.cmp.next_line_assist = true;
                 &p.compiled
@@ -1394,24 +1364,19 @@ pub fn ablate(names: &[&str], scale: Scale, seed: u64) -> Vec<AblationRow> {
                 &p.compiled
             }
         };
-        let st = hidisc::run_model(Model::HiDisc, c, &p.env, cfg)
-            .unwrap_or_else(|e| panic!("{} ablation {}: {e}", p.name, a.label()));
-        assert_eq!(
-            st.mem_checksum, p.base.mem_checksum,
-            "{}: ablation diverged",
-            p.name
-        );
-        (a, st.speedup_over(&p.base))
-    });
-
-    prepared
-        .iter()
-        .zip(cells.chunks(nv))
-        .map(|(p, speedup)| AblationRow {
-            name: p.name,
-            speedup: speedup.to_vec(),
-        })
-        .collect()
+        run_model(Model::HiDisc, c, &p.env, cfg)
+            .unwrap_or_else(|e| panic!("{} ablation {}: {e}", p.name, a.label()))
+    })
+    .into_iter()
+    .map(|(name, runs)| AblationRow {
+        name,
+        speedup: variants
+            .iter()
+            .zip(&runs[1..])
+            .map(|(&a, st)| (a, st.speedup_over(&runs[0])))
+            .collect(),
+    })
+    .collect()
 }
 
 /// [`Report`] for the ablation study (see [`ablate`]).
@@ -1493,10 +1458,6 @@ impl CmpPeakObserver {
 /// includes live-occupancy peaks alongside the end-of-run counters.
 pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
     use std::fmt::Write;
-    let (w, env, compiled) = compile_named(name, scale, seed);
-    let mut per_model = Vec::new();
-    let mut peaks = Vec::new();
-    let mut queue_peaks = Vec::new();
     // Queue-category telemetry feeds the peak-depth column; recording is
     // simulation-invisible (see the telemetry_equiv test in `hidisc`).
     let mut cfg = MachineConfig::paper();
@@ -1504,27 +1465,28 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
         mask: Category::Queue.bit(),
         ..TraceConfig::OFF
     };
-    for m in Model::ALL {
+    let prep = |name: &&str| (prepare_named(name, scale, seed).1, ());
+    let (name, cells) = grid(&[name], prep, Model::ALL.len(), |p, _, i| {
+        let m = Model::ALL[i];
         let mut obs = CmpPeakObserver::default();
-        let mut machine = Machine::new(m, &compiled, &env, cfg);
+        let mut machine = Machine::new(m, &p.compiled, &p.env, cfg);
         let st = machine
-            .run_observed(compiled.profile.dyn_instrs, |mach: &Machine| {
+            .run_observed(p.compiled.profile.dyn_instrs, |mach: &Machine| {
                 obs.on_cycle(mach)
             })
-            .unwrap_or_else(|e| panic!("{} on {m}: {e}", w.name));
-        per_model.push(st);
-        peaks.push(obs);
-        queue_peaks.push(machine.telemetry().queue_peaks());
-    }
-    check_models_agree(w.name, &per_model);
+            .unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name));
+        (st, (obs, machine.telemetry().queue_peaks()))
+    })
+    .pop()
+    .expect("one workload");
     let mut out = String::new();
-    let base = &per_model[0];
+    let base = &cells[0].0;
     let _ = writeln!(
         out,
-        "=== {} (work = {} dynamic instructions) ===",
-        w.name, base.work_instrs
+        "=== {name} (work = {} dynamic instructions) ===",
+        base.work_instrs
     );
-    for ((st, peak), qp) in per_model.iter().zip(&peaks).zip(&queue_peaks) {
+    for (st, (peak, qp)) in &cells {
         let _ = writeln!(
             out,
             "\n{}: {} cycles, IPC {:.3}, L1 miss {:.2}%, speed-up {:.3}x",
@@ -1809,46 +1771,34 @@ pub fn related_work(names: &[&str], scale: Scale, seed: u64) -> Vec<RelatedRow> 
     use hidisc_mem::RptConfig;
     use hidisc_slicer::swpref::insert_software_prefetch;
 
-    names
-        .iter()
-        .map(|&name| {
-            let (w, env, compiled) = compile_named(name, scale, seed);
-
-            let base =
-                run_model(Model::Superscalar, &compiled, &env, MachineConfig::paper()).unwrap();
-
-            // 1. superscalar + hardware stride prefetcher
-            let mut hw_cfg = MachineConfig::paper();
-            hw_cfg.superscalar.hw_prefetcher = Some(RptConfig::default());
-            let hw = run_model(Model::Superscalar, &compiled, &env, hw_cfg).unwrap();
-            assert_eq!(hw.mem_checksum, base.mem_checksum, "{name}: RPT diverged");
-
-            // 2. superscalar running the software-prefetched binary
-            let (sw_prog, _) = insert_software_prefetch(&w.prog, 8);
-            let sw_compiled = compile(&sw_prog, &env, &CompilerConfig::default()).unwrap();
-            let sw = run_model(
-                Model::Superscalar,
-                &sw_compiled,
-                &env,
-                MachineConfig::paper(),
-            )
-            .unwrap();
-            assert_eq!(
-                sw.mem_checksum, base.mem_checksum,
-                "{name}: swpref diverged"
-            );
-
-            // 3 & 4. the paper's models
-            let cp_cmp = run_model(Model::CpCmp, &compiled, &env, MachineConfig::paper()).unwrap();
-            let hidisc = run_model(Model::HiDisc, &compiled, &env, MachineConfig::paper()).unwrap();
-
-            let s = |v: &hidisc::MachineStats| base.cycles as f64 / v.cycles as f64;
-            RelatedRow {
-                name: w.name,
-                speedup: [s(&hw), s(&sw), s(&cp_cmp), s(&hidisc)],
+    let prep = |name: &&str| {
+        let (w, p) = prepare_named(name, scale, seed);
+        let (sw_prog, _) = insert_software_prefetch(&w.prog, 8);
+        let sw_compiled = compile(&sw_prog, &p.env, &CompilerConfig::default()).unwrap();
+        (p, sw_compiled)
+    };
+    // Cells: the plain superscalar, then the four comparators in
+    // [`RelatedRow::speedup`] order.
+    grid(names, prep, 5, |p, sw_compiled, k| {
+        let mut cfg = MachineConfig::paper();
+        let (model, c): (Model, &CompiledWorkload) = match k {
+            0 => (Model::Superscalar, &p.compiled),
+            1 => {
+                cfg.superscalar.hw_prefetcher = Some(RptConfig::default());
+                (Model::Superscalar, &p.compiled)
             }
-        })
-        .collect()
+            2 => (Model::Superscalar, sw_compiled),
+            3 => (Model::CpCmp, &p.compiled),
+            _ => (Model::HiDisc, &p.compiled),
+        };
+        run_model(model, c, &p.env, cfg).unwrap()
+    })
+    .into_iter()
+    .map(|(name, runs)| RelatedRow {
+        name,
+        speedup: std::array::from_fn(|i| runs[0].cycles as f64 / runs[i + 1].cycles as f64),
+    })
+    .collect()
 }
 
 /// [`Report`] for the related-work comparison (see [`related_work`]).

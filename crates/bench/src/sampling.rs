@@ -8,8 +8,8 @@
 //! exact — every instruction executes — so the figure pipelines
 //! (`fig8`/`fig9`) work unchanged on sampled statistics.
 
-use crate::{check_models_agree, compile_named, pool, prepare, Report, SuiteResult};
-use hidisc::{Machine, MachineConfig, MachineStats, Model, SampledStats};
+use crate::{compile_named, model_grid, Report, SuiteResult};
+use hidisc::{Machine, MachineConfig, MachineStats, Model};
 use hidisc_workloads::Scale;
 
 /// Default sampling regime of `repro --sample` (detail:skip pacing-core
@@ -30,15 +30,6 @@ pub const SAMPLE_ERROR_BUDGET: f64 = 0.02;
 /// would otherwise dominate the recorded speed-up.
 const TIMING_REPS: u32 = 3;
 
-/// Converts a sampled run into the [`MachineStats`] shape the figure
-/// pipelines consume: the extrapolated cycle count replaces the raw mixed
-/// (detailed + warm) iteration count.
-pub fn sampled_machine_stats(s: SampledStats) -> MachineStats {
-    let mut st = s.stats;
-    st.cycles = s.est_cycles;
-    st
-}
-
 /// Sampled variant of [`crate::run_suite`]: every (benchmark × model)
 /// cell runs in sampling mode on the worker pool. The cross-model memory
 /// check still applies — sampling must not change architectural results.
@@ -49,29 +40,18 @@ pub fn run_suite_sampled(
     detail: u64,
     skip: u64,
 ) -> Vec<SuiteResult> {
-    let workloads = hidisc_workloads::suite(scale, seed);
-    let prepared = pool::run_indexed(workloads.len(), |i| prepare(&workloads[i]));
-    let nm = Model::ALL.len();
-    let stats = pool::run_indexed(prepared.len() * nm, |k| {
-        let p = &prepared[k / nm];
-        let m = Model::ALL[k % nm];
+    model_grid(&hidisc_workloads::suite(scale, seed), |m, p| {
         let mut machine = Machine::new(m, &p.compiled, &p.env, cfg);
         let s = machine
             .run_sampled(p.compiled.profile.dyn_instrs, detail, skip)
             .unwrap_or_else(|e| panic!("{} on {m} (sampled): {e}", p.name));
-        sampled_machine_stats(s)
-    });
-    prepared
-        .iter()
-        .zip(stats.chunks(nm))
-        .map(|(p, per_model)| {
-            check_models_agree(p.name, per_model);
-            SuiteResult {
-                name: p.name,
-                per_model: per_model.to_vec(),
-            }
-        })
-        .collect()
+        // The figures read the extrapolated cycle count, not the raw mixed
+        // (detailed + warm) iteration count.
+        MachineStats {
+            cycles: s.est_cycles,
+            ..s.stats
+        }
+    })
 }
 
 /// One exact-vs-sampled comparison of a workload on one model.

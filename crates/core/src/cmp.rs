@@ -188,7 +188,7 @@ impl CmpEngine {
     /// round-robin pointer are excluded: both move on cycles where every
     /// thread is blocked.
     pub fn progress_token(&self) -> u64 {
-        use hidisc_ooo::queues::token_mix as mix;
+        use hidisc_isa::wire::token_mix as mix;
         let mut h = mix(0, self.stats.instrs);
         h = mix(h, self.stats.forks);
         h = mix(h, self.stats.dropped_forks);

@@ -17,26 +17,16 @@ pub struct UnboundedQueues {
     q: [VecDeque<u64>; 5],
 }
 
-fn qi(q: Queue) -> usize {
-    match q {
-        Queue::Ldq => 0,
-        Queue::Sdq => 1,
-        Queue::Cdq => 2,
-        Queue::Cq => 3,
-        Queue::Scq => 4,
-    }
-}
-
 impl QueueEnv for UnboundedQueues {
     fn pop(&mut self, q: Queue) -> Result<PopResult> {
-        match self.q[qi(q)].pop_front() {
+        match self.q[q.index()].pop_front() {
             Some(v) => Ok(PopResult::Value(v)),
             None if q == Queue::Scq => Ok(PopResult::Value(0)),
             None => Ok(PopResult::Blocked),
         }
     }
     fn push(&mut self, q: Queue, v: u64) -> Result<PushResult> {
-        self.q[qi(q)].push_back(v);
+        self.q[q.index()].push_back(v);
         Ok(PushResult::Done)
     }
 }
@@ -44,7 +34,7 @@ impl QueueEnv for UnboundedQueues {
 impl UnboundedQueues {
     /// Occupancy of one queue.
     pub fn len(&self, q: Queue) -> usize {
-        self.q[qi(q)].len()
+        self.q[q.index()].len()
     }
 
     /// True when all data queues are drained (SCQ may legitimately retain
@@ -52,7 +42,7 @@ impl UnboundedQueues {
     pub fn drained(&self) -> bool {
         [Queue::Ldq, Queue::Sdq, Queue::Cdq, Queue::Cq]
             .into_iter()
-            .all(|q| self.q[qi(q)].is_empty())
+            .all(|q| self.q[q.index()].is_empty())
     }
 }
 

@@ -266,10 +266,7 @@ impl Machine {
     /// Takes one interval-metrics sample at the current cycle.
     fn sample_metrics(&mut self) {
         let committed: u64 = self.cores.iter().map(|c| c.stats().committed).sum();
-        let mut queue_depth = [0u32; 5];
-        for (i, q) in Queue::ALL.into_iter().enumerate() {
-            queue_depth[i] = self.queues.len(q) as u32;
-        }
+        let queue_depth = Queue::ALL.map(|q| self.queues.len(q) as u32);
         let mshr = self.mem_sys.outstanding(self.now) as u32;
         let live_threads = self.cmp.as_ref().map_or(0, |c| c.live_threads()) as u32;
         self.telemetry.record_sample(IntervalSample {
@@ -286,7 +283,7 @@ impl Machine {
     /// cycle only repeated stalls (reject/stall counters move, nothing
     /// else). See DESIGN.md, "Idle-cycle fast-forward".
     fn progress_token(&self) -> u64 {
-        use hidisc_ooo::queues::token_mix as mix;
+        use hidisc_isa::wire::token_mix as mix;
         let mut h = 0u64;
         for c in &self.cores {
             h = mix(h, c.progress_token());

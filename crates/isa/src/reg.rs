@@ -116,6 +116,12 @@ impl Queue {
     /// All queue kinds, for iteration in statistics code.
     pub const ALL: [Queue; 5] = [Queue::Ldq, Queue::Sdq, Queue::Cdq, Queue::Cq, Queue::Scq];
 
+    /// Position in [`Queue::ALL`], which indexes every per-queue array.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// True if speculative tail entries of this queue can be flushed on a
     /// run-ahead squash. The AP-produced queues (LDQ, CQ) buffer entries
     /// that only the CP consumes, so the producer can tag speculative
@@ -148,6 +154,13 @@ impl fmt::Display for Queue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn queue_index_is_its_position_in_all() {
+        for (i, q) in Queue::ALL.into_iter().enumerate() {
+            assert_eq!(q.index(), i, "{q}");
+        }
+    }
 
     #[test]
     fn zero_register_identity() {

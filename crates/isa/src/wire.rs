@@ -272,6 +272,13 @@ pub trait Counters: Copy {
     }
 }
 
+/// One step of the order-sensitive mixing hash used by the
+/// progress-token fingerprints (FxHash-style multiply/rotate).
+#[inline]
+pub fn token_mix(h: u64, v: u64) -> u64 {
+    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
 /// Most counters one [`Counters`] record may hold, array elements
 /// included: the derived methods stage a record's values on the stack
 /// (they run on every fast-forward jump).

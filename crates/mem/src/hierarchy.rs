@@ -15,8 +15,9 @@
 use crate::cache::Cache;
 use crate::config::MemConfig;
 use crate::stats::MemStats;
-use hidisc_isa::wire::{Dec, Enc, WireResult};
+use hidisc_isa::wire::{token_mix as mix, Counters, Dec, Enc, WireResult};
 use hidisc_telemetry::{Category, EventData, MissKind, Telemetry};
+use std::slice::from_mut as one;
 
 /// The kind of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +74,35 @@ struct Mshr {
     was_prefetch: bool,
 }
 
+/// The system-level counters outside the two caches, in wire order.
+/// [`MemSystem::stats`] folds the late prefetch hits into the L1 record,
+/// and `late_merge_misses` into its demand misses.
+#[derive(Debug, Clone, Copy, Default)]
+struct SysCounters {
+    mem_accesses: u64,
+    mshr_rejects: u64,
+    mshr_merges: u64,
+    late_prefetch_hits: u64,
+    late_merge_misses: u64,
+}
+
+impl Counters for SysCounters {
+    fn fields(&mut self, mut f: impl FnMut(&'static str, bool, &mut [u64])) {
+        let SysCounters {
+            mem_accesses,
+            mshr_rejects,
+            mshr_merges,
+            late_prefetch_hits,
+            late_merge_misses,
+        } = self;
+        f("memAccesses", false, one(mem_accesses));
+        f("mshrRejects", true, one(mshr_rejects));
+        f("mshrMerges", false, one(mshr_merges));
+        f("latePrefetchHits", false, one(late_prefetch_hits));
+        f("lateMergeMisses", false, one(late_merge_misses));
+    }
+}
+
 /// The memory system: L1 data cache + unified L2 + DRAM latency + MSHRs.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
@@ -80,11 +110,7 @@ pub struct MemSystem {
     l1: Cache,
     l2: Cache,
     mshrs: Vec<Mshr>,
-    mem_accesses: u64,
-    mshr_rejects: u64,
-    mshr_merges: u64,
-    late_prefetch_hits: u64,
-    late_merge_misses: u64,
+    counters: SysCounters,
 }
 
 impl MemSystem {
@@ -95,11 +121,7 @@ impl MemSystem {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             mshrs: Vec::with_capacity(cfg.mshrs as usize),
-            mem_accesses: 0,
-            mshr_rejects: 0,
-            mshr_merges: 0,
-            late_prefetch_hits: 0,
-            late_merge_misses: 0,
+            counters: SysCounters::default(),
         }
     }
 
@@ -173,7 +195,7 @@ impl MemSystem {
             && self.inflight(block).is_none()
             && self.mshrs.len() >= self.cfg.mshrs as usize
         {
-            self.mshr_rejects += 1;
+            self.counters.mshr_rejects += 1;
             return None;
         }
 
@@ -184,7 +206,7 @@ impl MemSystem {
             if let Some(m) = self.inflight(block) {
                 let ready = m.ready_at;
                 let was_prefetch = m.was_prefetch;
-                self.mshr_merges += 1;
+                self.counters.mshr_merges += 1;
                 if was_prefetch
                     && !kind.is_prefetch()
                     && ready > now + l1_lat
@@ -198,8 +220,8 @@ impl MemSystem {
                     // perfect cache. Later touches of the same in-flight
                     // block merge without extra miss accounting, exactly
                     // as they would behind an ordinary demand miss.
-                    self.late_prefetch_hits += 1;
-                    self.late_merge_misses += 1;
+                    self.counters.late_prefetch_hits += 1;
+                    self.counters.late_merge_misses += 1;
                 }
                 return Some((
                     AccessResult {
@@ -227,7 +249,7 @@ impl MemSystem {
         let mut lat = l1_lat + self.cfg.l2.latency as u64;
         if !probe2.hit {
             lat += self.cfg.mem_latency as u64;
-            self.mem_accesses += 1;
+            self.counters.mem_accesses += 1;
         }
         let ready_at = now + lat;
         self.mshrs.push(Mshr {
@@ -261,7 +283,7 @@ impl MemSystem {
         if !probe.hit {
             let probe2 = self.l2.access(addr, false, kind.is_prefetch());
             if !probe2.hit {
-                self.mem_accesses += 1;
+                self.counters.mem_accesses += 1;
             }
         }
         probe.hit
@@ -290,18 +312,15 @@ impl MemSystem {
     /// — the one counter a rejected access bumps — is excluded, because
     /// rejected retries are precisely what idle cycles repeat.
     pub fn progress_token(&self) -> u64 {
-        fn mix(h: u64, v: u64) -> u64 {
-            (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
-        }
         let cache = |mut h: u64, s: &crate::stats::CacheStats| {
             h = mix(h, s.demand_accesses);
             h = mix(h, s.prefetch_accesses);
             h = mix(h, s.writebacks);
             h
         };
-        let mut h = mix(0, self.mem_accesses);
-        h = mix(h, self.mshr_merges);
-        h = mix(h, self.late_prefetch_hits);
+        let mut h = mix(0, self.counters.mem_accesses);
+        h = mix(h, self.counters.mshr_merges);
+        h = mix(h, self.counters.late_prefetch_hits);
         h = cache(h, self.l1.stats());
         h = cache(h, self.l2.stats());
         h
@@ -311,20 +330,25 @@ impl MemSystem {
     /// (`rejects_per_cycle` rejected retries happened on the measured idle
     /// cycle and would repeat every skipped cycle).
     pub fn add_idle_rejects(&mut self, rejects_per_cycle: u64, k: u64) {
-        self.mshr_rejects += rejects_per_cycle * k;
+        let per_cycle = SysCounters {
+            mshr_rejects: rejects_per_cycle,
+            ..SysCounters::default()
+        };
+        self.counters.add_idle_scaled(&per_cycle, k);
     }
 
     /// Snapshot of the accumulated statistics.
     pub fn stats(&self) -> MemStats {
+        let c = &self.counters;
         let mut l1 = *self.l1.stats();
-        l1.late_prefetch_hits = self.late_prefetch_hits;
-        l1.demand_misses += self.late_merge_misses;
+        l1.late_prefetch_hits = c.late_prefetch_hits;
+        l1.demand_misses += c.late_merge_misses;
         MemStats {
             l1,
             l2: *self.l2.stats(),
-            mem_accesses: self.mem_accesses,
-            mshr_rejects: self.mshr_rejects,
-            mshr_merges: self.mshr_merges,
+            mem_accesses: c.mem_accesses,
+            mshr_rejects: c.mshr_rejects,
+            mshr_merges: c.mshr_merges,
         }
     }
 
@@ -339,11 +363,7 @@ impl MemSystem {
             e.u64(m.ready_at);
             e.bool(m.was_prefetch);
         }
-        e.u64(self.mem_accesses);
-        e.u64(self.mshr_rejects);
-        e.u64(self.mshr_merges);
-        e.u64(self.late_prefetch_hits);
-        e.u64(self.late_merge_misses);
+        self.counters.save_state(e);
     }
 
     /// Restores the state saved by [`MemSystem::save_state`]; the receiver
@@ -363,12 +383,7 @@ impl MemSystem {
                 was_prefetch,
             });
         }
-        self.mem_accesses = d.u64()?;
-        self.mshr_rejects = d.u64()?;
-        self.mshr_merges = d.u64()?;
-        self.late_prefetch_hits = d.u64()?;
-        self.late_merge_misses = d.u64()?;
-        Ok(())
+        self.counters.load_state(d)
     }
 
     /// Clears cache contents and statistics.
@@ -376,11 +391,7 @@ impl MemSystem {
         self.l1.reset();
         self.l2.reset();
         self.mshrs.clear();
-        self.mem_accesses = 0;
-        self.mshr_rejects = 0;
-        self.mshr_merges = 0;
-        self.late_prefetch_hits = 0;
-        self.late_merge_misses = 0;
+        self.counters = SysCounters::default();
     }
 }
 

@@ -302,7 +302,7 @@ impl OooCore {
     /// `hidisc::Machine`). Counters that move on no-progress cycles
     /// (`cycles`, stall/retry counters) are deliberately excluded.
     pub fn progress_token(&self) -> u64 {
-        use crate::queues::token_mix as mix;
+        use hidisc_isa::wire::token_mix as mix;
         let mut h = mix(0, self.stats.committed);
         h = mix(h, self.stats.dispatched);
         h = mix(h, self.finished as u64);

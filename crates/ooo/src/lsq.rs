@@ -41,7 +41,7 @@ fn width_from(code: u8) -> WireResult<Width> {
 pub(crate) fn queue_opt_code(q: Option<Queue>) -> u8 {
     match q {
         None => 0,
-        Some(q) => Queue::ALL.iter().position(|&x| x == q).unwrap() as u8 + 1,
+        Some(q) => q.index() as u8 + 1,
     }
 }
 

@@ -10,7 +10,7 @@
 //! queue, which plays exactly the SAQ role (address buffered, store
 //! performs when the SDQ provides data).
 
-use hidisc_isa::wire::{Counters, Dec, Enc, WireResult};
+use hidisc_isa::wire::{token_mix, Counters, Dec, Enc, WireResult};
 use hidisc_isa::Queue;
 use std::collections::VecDeque;
 use std::slice::from_mut as one;
@@ -86,17 +86,6 @@ pub struct QueueFile {
     stats: [QueueStats; 5],
 }
 
-#[inline]
-fn qi(q: Queue) -> usize {
-    match q {
-        Queue::Ldq => 0,
-        Queue::Sdq => 1,
-        Queue::Cdq => 2,
-        Queue::Cq => 3,
-        Queue::Scq => 4,
-    }
-}
-
 impl QueueFile {
     /// Creates empty queues with the given capacities.
     pub fn new(cfg: QueueConfig) -> QueueFile {
@@ -109,7 +98,7 @@ impl QueueFile {
 
     /// Attempts to push; returns false (and counts a reject) when full.
     pub fn try_push(&mut self, q: Queue, v: u64) -> bool {
-        let i = qi(q);
+        let i = q.index();
         if self.queues[i].len() >= self.cfg.cap(q) {
             self.stats[i].full_rejects += 1;
             return false;
@@ -125,7 +114,7 @@ impl QueueFile {
 
     /// Attempts to pop; returns `None` (and counts a reject) when empty.
     pub fn try_pop(&mut self, q: Queue) -> Option<u64> {
-        let i = qi(q);
+        let i = q.index();
         match self.queues[i].pop_front() {
             Some(v) => {
                 self.stats[i].pops += 1;
@@ -140,22 +129,22 @@ impl QueueFile {
 
     /// Current occupancy of `q`.
     pub fn len(&self, q: Queue) -> usize {
-        self.queues[qi(q)].len()
+        self.queues[q.index()].len()
     }
 
     /// True when `q` is empty.
     pub fn is_empty(&self, q: Queue) -> bool {
-        self.queues[qi(q)].is_empty()
+        self.queues[q.index()].is_empty()
     }
 
     /// True when `q` is full.
     pub fn is_full(&self, q: Queue) -> bool {
-        self.queues[qi(q)].len() >= self.cfg.cap(q)
+        self.queues[q.index()].len() >= self.cfg.cap(q)
     }
 
     /// Statistics for `q`.
     pub fn stats(&self, q: Queue) -> &QueueStats {
-        &self.stats[qi(q)]
+        &self.stats[q.index()]
     }
 
     /// The configuration.
@@ -250,12 +239,6 @@ impl Counters for QueueStats {
         f("emptyRejects", true, one(empty_rejects));
         f("maxOccupancy", false, one(max_occupancy));
     }
-}
-
-/// One step of the order-sensitive mixing hash used by the
-/// progress-token fingerprints (FxHash-style multiply/rotate).
-pub fn token_mix(h: u64, v: u64) -> u64 {
-    (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 #[cfg(test)]

@@ -4,17 +4,6 @@ use hidisc_isa::wire::Counters;
 use hidisc_isa::Queue;
 use std::slice::from_mut as one;
 
-#[inline]
-fn qslot(q: Queue) -> usize {
-    match q {
-        Queue::Ldq => 0,
-        Queue::Sdq => 1,
-        Queue::Cdq => 2,
-        Queue::Cq => 3,
-        Queue::Scq => 4,
-    }
-}
-
 /// Counters accumulated by one [`crate::core::OooCore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -60,12 +49,12 @@ pub struct CoreStats {
 impl CoreStats {
     /// Adds a dispatch-stall cycle on `q`.
     pub fn stall_dispatch(&mut self, q: Queue) {
-        self.dispatch_stall_q[qslot(q)] += 1;
+        self.dispatch_stall_q[q.index()] += 1;
     }
 
     /// Adds a commit-stall cycle on `q`.
     pub fn stall_commit(&mut self, q: Queue) {
-        self.commit_stall_q[qslot(q)] += 1;
+        self.commit_stall_q[q.index()] += 1;
     }
 }
 

@@ -556,17 +556,6 @@ pub struct Telemetry {
     metrics: Option<Box<IntervalMetrics>>,
 }
 
-#[inline]
-fn qslot(q: Queue) -> usize {
-    match q {
-        Queue::Ldq => 0,
-        Queue::Sdq => 1,
-        Queue::Cdq => 2,
-        Queue::Cq => 3,
-        Queue::Scq => 4,
-    }
-}
-
 impl Telemetry {
     /// A recorder for `cfg`; allocates nothing when everything is off.
     pub fn new(cfg: TraceConfig) -> Telemetry {
@@ -623,7 +612,7 @@ impl Telemetry {
     pub fn emit(&mut self, data: EventData) {
         match data {
             EventData::QueuePush { q, depth } | EventData::QueuePop { q, depth } => {
-                let p = &mut self.queue_peak[qslot(q)];
+                let p = &mut self.queue_peak[q.index()];
                 if depth > *p {
                     *p = depth;
                 }

@@ -27,7 +27,7 @@
 //! can never exceed them, and `bench::prepare` debug-asserts exactly that.
 
 use crate::skeleton::{seg_of, QOp, Segment};
-use crate::{queue_index, Code, DepthConfig, Diagnostic, Loc, QueueBound, VerifyReport, UNBOUNDED};
+use crate::{Code, DepthConfig, Diagnostic, Loc, QueueBound, VerifyReport, UNBOUNDED};
 use hidisc_isa::{Instr, Program, Queue};
 use hidisc_slicer::CmasThread;
 
@@ -271,7 +271,7 @@ fn bounds(
                 for (node, state) in states {
                     let (pushes, _) =
                         pair_traffic(&seg_cs[node.k], &seg_as[node.k], node.ce, node.ae, q);
-                    let entry = state[queue_index(q)];
+                    let entry = state[q.index()];
                     let during = entry.hi.saturating_add(pushes.len());
                     if during > bound {
                         bound = during;
@@ -401,7 +401,7 @@ fn simulate_pair(
         let mut progressed = false;
         while *i < ops.len() {
             let (_, op) = ops[*i];
-            let qi = queue_index(op.queue());
+            let qi = op.queue().index();
             match op {
                 QOp::Push(q) => {
                     if occ[qi] >= depths.cap(q) {
@@ -609,11 +609,11 @@ mod tests {
             "ld.q LDQ, 0(r2)\nrecv r3, SDQ\nrecv r3, SDQ\nhalt",
             DepthConfig::paper(),
         );
-        assert_eq!(r.greedy_peaks[queue_index(Queue::Ldq)], 1);
-        assert_eq!(r.greedy_peaks[queue_index(Queue::Sdq)], 2);
+        assert_eq!(r.greedy_peaks[Queue::Ldq.index()], 1);
+        assert_eq!(r.greedy_peaks[Queue::Sdq.index()], 2);
         for b in &r.bounds {
             assert!(
-                b.bound >= r.greedy_peaks[queue_index(b.queue)],
+                b.bound >= r.greedy_peaks[b.queue.index()],
                 "symbolic {} bound {} below greedy peak",
                 b.queue.name(),
                 b.bound,

@@ -430,7 +430,7 @@ pub struct VerifyReport {
     /// order (always computed; surfaced by `repro check`).
     pub loads: Vec<LoadClass>,
     /// Peak per-queue occupancy observed by the greedy two-thread oracle
-    /// (indexed like [`Queue::ALL`]). The symbolic [`Self::bounds`] must
+    /// (indexed by [`Queue::index`]). The symbolic [`Self::bounds`] must
     /// dominate these — `bench::prepare` debug-asserts it and the
     /// differential tests prove it across every workload.
     pub greedy_peaks: [usize; 5],
@@ -534,13 +534,13 @@ pub fn verify(input: &VerifyInput) -> VerifyReport {
     let mut used = [false; Queue::ALL.len()];
     for seg in seg_cs.iter().chain(seg_as.iter()) {
         for &(_, op) in &seg.ops {
-            used[queue_index(op.queue())] = true;
+            used[op.queue().index()] = true;
         }
     }
     for t in input.cmas {
         for seg in skeleton::segments(&t.prog) {
             for &(_, op) in &seg.ops {
-                used[queue_index(op.queue())] = true;
+                used[op.queue().index()] = true;
             }
         }
     }
@@ -566,18 +566,6 @@ pub fn speculation(input: &VerifyInput) -> SpeculationReport {
         }
     }
     report
-}
-
-/// Index of `q` in [`Queue::ALL`] order — how
-/// [`VerifyReport::greedy_peaks`] is indexed.
-pub fn queue_index(q: Queue) -> usize {
-    match q {
-        Queue::Ldq => 0,
-        Queue::Sdq => 1,
-        Queue::Cdq => 2,
-        Queue::Cq => 3,
-        Queue::Scq => 4,
-    }
 }
 
 /// Why [`compile_verified`] failed.

@@ -376,13 +376,12 @@ fn parse_args() -> Args {
 }
 
 /// Every subcommand, in help order.
-const COMMANDS: [&str; 21] = [
+const COMMANDS: [&str; 20] = [
     "params",
     "fig8",
     "table2",
     "fig9",
     "fig10",
-    "csv",
     "trace",
     "report",
     "diag",
@@ -711,10 +710,7 @@ fn main() {
         return;
     }
 
-    let need_suite = matches!(
-        args.cmd.as_str(),
-        "fig8" | "table2" | "fig9" | "all" | "csv"
-    );
+    let need_suite = matches!(args.cmd.as_str(), "fig8" | "table2" | "fig9" | "all");
     let results = if need_suite {
         if let Some((detail, skip)) = args.sample {
             eprintln!(
@@ -765,17 +761,6 @@ fn main() {
                 "{}",
                 bench::Fig9Report(bench::fig9(results.as_ref().unwrap())).render(csv)
             )
-        }
-        "csv" => {
-            // Historical shortcut: the three figures as CSV in one stream
-            // (equivalent to `--format csv` on each).
-            let results = results.as_ref().unwrap();
-            print!("{}", bench::Fig8Report(bench::fig8(results)).render_csv());
-            println!();
-            print!("{}", bench::Fig9Report(bench::fig9(results)).render_csv());
-            println!();
-            let series = bench::fig10(&["pointer", "neighborhood"], args.scale, args.seed);
-            print!("{}", bench::Fig10Report(series).render_csv());
         }
         "fig10" => {
             eprintln!("running the Figure-10 latency sweep (pointer, neighborhood)...");

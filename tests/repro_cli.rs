@@ -4,7 +4,7 @@ use std::process::Command;
 
 #[test]
 fn latencies_past_u32_exit_2_instead_of_wrapping() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["params", "--l2-lat", "4294967300"], "out of range"),
         (&["params", "--mem-lat", "4294967296"], "out of range"),
         (
@@ -40,6 +40,8 @@ fn latencies_past_u32_exit_2_instead_of_wrapping() {
             &["bisect", "pointer", "--a", "4:40", "--b", "25000:25000"],
             "CFG003",
         ),
+        // No `csv` command: `all --format csv` prints those figures.
+        (&["csv"], "unknown command `csv`"),
     ];
     for (args, expected) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
