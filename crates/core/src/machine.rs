@@ -69,12 +69,17 @@ pub struct Machine {
     telemetry: Telemetry,
 }
 
+/// Most cores a machine model has (CP + AP).
+const MAX_CORES: usize = 2;
+
 /// Statistics snapshot used by fast-forward both to measure what one idle
 /// cycle adds and (under `ff_check`) to compare a jumped machine against a
-/// cycle-stepped shadow.
-#[derive(Debug, Clone, PartialEq)]
+/// cycle-stepped shadow. Held by value — a fixed array of per-core slots,
+/// the unused one left at zero — because detection takes one on every
+/// hashed idle cycle and the cycle loop makes no heap allocations.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FfSnapshot {
-    cores: Vec<CoreStats>,
+    cores: [CoreStats; MAX_CORES],
     queues: [QueueStats; 5],
     mem: MemStats,
     cmp: Option<CmpStats>,
@@ -148,6 +153,7 @@ impl Machine {
                 cores.push(OooCore::new("AP", cfg.ap, w.access.clone()));
             }
         }
+        debug_assert!(cores.len() <= MAX_CORES, "FfSnapshot has no slot");
         for core in &mut cores {
             for &(r, v) in &env.regs {
                 core.set_reg(r, v);
@@ -333,8 +339,12 @@ impl Machine {
     }
 
     fn ff_snapshot(&self) -> FfSnapshot {
+        let mut cores = [CoreStats::default(); MAX_CORES];
+        for (slot, c) in cores.iter_mut().zip(&self.cores) {
+            *slot = *c.stats();
+        }
         FfSnapshot {
-            cores: self.cores.iter().map(|c| *c.stats()).collect(),
+            cores,
             queues: self.queues.all_stats(),
             mem: self.mem_sys.stats(),
             cmp: self.cmp.as_ref().map(|c| c.stats()),
@@ -379,7 +389,7 @@ impl Machine {
         // mean none of the intervening cycles changed anything).
         ff.miss_streak = 0;
         let snap = self.ff_snapshot();
-        let Some((armed_at, prev)) = ff.armed.replace((self.now, snap.clone())) else {
+        let Some((armed_at, prev)) = ff.armed.replace((self.now, snap)) else {
             return Ok(());
         };
         // A delta is a true *per-cycle* delta only if the armed snapshot is

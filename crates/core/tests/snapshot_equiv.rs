@@ -189,6 +189,120 @@ fn corrupt_memory_page_count_is_an_error() {
     }
 }
 
+/// Byte offset of the superscalar core's ready list in checkpoint
+/// `bytes`, located from what the pipeline snapshot shows of the list's
+/// neighbours: the list (a count, then that many strictly ascending
+/// sequence numbers — at least two here) is followed by the completion
+/// heap (a count, then one `(complete_at, seq)` pair per issued entry in
+/// ascending order) and the core's warm-phase fields, all zero in a
+/// detailed run. `None` unless exactly one offset fits.
+fn ready_list_at(m: &Machine, bytes: &[u8]) -> Option<usize> {
+    let window = &m.snapshots()[0].window;
+    let waiting = window.iter().filter(|s| s.state == 'W').count() as u64;
+    let mut issued: Vec<u64> = window
+        .iter()
+        .filter(|s| s.state == 'I')
+        .map(|s| s.complete_at)
+        .collect();
+    issued.sort_unstable();
+    let word = |at: usize| {
+        let b = bytes.get(at..at + 8)?;
+        Some(u64::from_le_bytes(b.try_into().unwrap()))
+    };
+    let fits = |p: usize| {
+        let Some(k) = word(p).filter(|k| (2..=waiting).contains(k)) else {
+            return false;
+        };
+        let k = k as usize;
+        let seqs: Option<Vec<u64>> = (0..k).map(|i| word(p + 8 + 8 * i)).collect();
+        let heap = p + 8 + 8 * k;
+        let tail = heap + 8 + 16 * issued.len();
+        seqs.is_some_and(|s| s.windows(2).all(|w| w[0] < w[1]))
+            && word(heap) == Some(issued.len() as u64)
+            && issued
+                .iter()
+                .enumerate()
+                .all(|(i, &t)| word(heap + 8 + 16 * i) == Some(t))
+            && bytes.get(tail..tail + 6) == Some(&[0u8; 6][..])
+    };
+    let mut hits = (0..bytes.len()).filter(|&p| fits(p));
+    let at = hits.next()?;
+    hits.next().is_none().then_some(at)
+}
+
+/// The ready list is restored as written, so a list that `save_state`
+/// could not have produced — longer than the window, out of order, or
+/// naming an entry that is not waiting — is a typed error for both the
+/// exact and the warm loader, never re-sorted or trusted.
+#[test]
+fn corrupt_ready_list_is_an_error() {
+    let w = &suite(Scale::Test, 42)[6]; // tc
+    let env = env_of(w);
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let cfg = MachineConfig::paper();
+    let ruu_size = cfg.superscalar.ruu_size as u64;
+    let mut m = Machine::new(Model::Superscalar, &compiled, &env, cfg);
+    // Step to the first cycle with at least two ready entries.
+    let (at, k) = loop {
+        assert!(m.now() < 2000, "no cycle with two ready entries");
+        m.run_to_cycle(m.now() + 1).unwrap();
+        let bytes = m.save_checkpoint(WORKLOAD_ID);
+        if let Some(at) = ready_list_at(&m, &bytes) {
+            let k = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            break (at, k);
+        }
+    };
+    let seqs = at + 8..at + 8 + 8 * k;
+
+    for (bytes, warm) in [
+        (m.save_checkpoint(WORKLOAD_ID), false),
+        (m.save_warm_checkpoint(WORKLOAD_ID), true),
+    ] {
+        let load = |patched: &[u8]| {
+            let mut fresh = Machine::new(Model::Superscalar, &compiled, &env, cfg);
+            if warm {
+                fresh.load_warm_checkpoint(patched, WORKLOAD_ID)
+            } else {
+                fresh.load_checkpoint(patched, WORKLOAD_ID)
+            }
+        };
+        assert!(load(&bytes).is_ok(), "pristine bytes (warm: {warm})");
+
+        let mut descending = bytes.clone();
+        let reversed: Vec<u8> = bytes[seqs.clone()]
+            .chunks(8)
+            .rev()
+            .flatten()
+            .copied()
+            .collect();
+        descending[seqs.clone()].copy_from_slice(&reversed);
+        let err = load(&descending).expect_err("descending list loaded");
+        assert_eq!(
+            err.what, "ready list not strictly ascending",
+            "warm: {warm}"
+        );
+
+        for count in [ruu_size + 1, 1 << 60] {
+            let mut oversize = bytes.clone();
+            oversize[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let err = load(&oversize).expect_err("oversize list loaded");
+            assert_eq!(
+                err.what, "ready list longer than the window",
+                "warm: {warm}"
+            );
+        }
+
+        let mut stranger = bytes.clone();
+        let last = seqs.end - 8;
+        stranger[last..seqs.end].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = load(&stranger).expect_err("list naming a non-waiting entry loaded");
+        assert_eq!(
+            err.what, "ready list names an entry that is not waiting",
+            "warm: {warm}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

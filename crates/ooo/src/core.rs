@@ -25,7 +25,7 @@ use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Rename-table slots: one per architectural register, integer file first.
 const RENAME_SLOTS: usize = NUM_INT_REGS + NUM_FP_REGS;
@@ -160,9 +160,11 @@ pub struct OooCore {
     /// (O(1) rename lookup; the scan scheduler derives this from the RUU).
     rename: [Option<u64>; RENAME_SLOTS],
     /// Ready-list scheduling: `Waiting` entries whose operands are all
-    /// available, in age order (`BTreeSet` iterates ascending = oldest
-    /// first, matching the scan scheduler's issue order).
-    ready: BTreeSet<u64>,
+    /// available, strictly ascending by sequence number (oldest first,
+    /// matching the scan scheduler's issue order). It never holds more
+    /// than `ruu_size` entries and is created with room for that many, so
+    /// inserts and removals do not allocate.
+    ready: Vec<u64>,
     /// Ready-list scheduling: issued entries keyed by completion time —
     /// `(complete_at, seq)` min-heap. Harvest pops while the top is due;
     /// `next_event` reads the top instead of re-walking the RUU.
@@ -198,7 +200,7 @@ impl OooCore {
             stalled_on: None,
             rpt: cfg.hw_prefetcher.map(StridePrefetcher::new),
             rename: [None; RENAME_SLOTS],
-            ready: BTreeSet::new(),
+            ready: Vec::with_capacity(cfg.ruu_size as usize),
             completions: BinaryHeap::new(),
             fetch_paused: false,
             warm: false,
@@ -426,13 +428,15 @@ impl OooCore {
                     // `pending_deps` to zero and the consumer becomes
                     // ready. A consumer is younger than its producer and
                     // commit is in-order, so it is still in the window.
-                    for c in self.ruu.mark_done(seq) {
+                    let consumers = self.ruu.mark_done(seq);
+                    for &c in &consumers {
                         let e = self.ruu.get_mut(c).expect("consumer in window");
                         e.pending_deps -= 1;
                         if e.pending_deps == 0 {
-                            self.ready.insert(c);
+                            self.make_ready(c);
                         }
                     }
+                    self.ruu.recycle(consumers);
                 }
             }
         }
@@ -699,7 +703,8 @@ impl OooCore {
                 pending += 1;
             }
             if pending == 0 {
-                self.ready.insert(seq);
+                // The youngest entry: `make_ready` appends.
+                self.make_ready(seq);
             } else {
                 self.ruu.get_mut(seq).unwrap().pending_deps = pending;
             }
@@ -775,33 +780,47 @@ impl OooCore {
         }
     }
 
-    /// Ready-list issue: walk the ready set in age order (the same order
+    /// Adds a `Waiting` entry whose operands just became available to the
+    /// ready list, keeping it in age order. Wakeups mostly come from the
+    /// young end of the window, so the search is short.
+    fn make_ready(&mut self, seq: u64) {
+        let at = self.ready.partition_point(|&s| s < seq);
+        debug_assert!(self.ready.get(at) != Some(&seq), "entry readied twice");
+        self.ready.insert(at, seq);
+    }
+
+    /// Ready-list issue: walk the ready list in age order (the same order
     /// the scan visits issuable entries). Entries that fail a structural
-    /// check (functional unit, MSHR, blocking store) stay in the set and
-    /// retry; issued entries move to the completion heap.
+    /// check (functional unit, MSHR, blocking store) stay in the list and
+    /// retry; issued entries move to the completion heap. `try_issue`
+    /// never readies an entry, so the list only shrinks during the walk:
+    /// entries kept are compacted to the front in place, and the walked
+    /// stretch left over is closed up at the end.
     fn issue_ready(&mut self, ctx: &mut CoreCtx<'_>) {
         let mut budget = self.cfg.issue_width;
-        let mut cursor = 0u64;
-        while budget > 0 {
-            let Some(&seq) = self.ready.range(cursor..).next() else {
-                break;
+        let mut walked = 0;
+        let mut kept = 0;
+        while budget > 0 && walked < self.ready.len() {
+            let seq = self.ready[walked];
+            walked += 1;
+            let Some(complete_at) = self.try_issue(seq, ctx) else {
+                self.ready[kept] = seq;
+                kept += 1;
+                continue;
             };
-            cursor = seq + 1;
-            if let Some(complete_at) = self.try_issue(seq, ctx) {
-                self.ready.remove(&seq);
-                self.ruu.mark_issued(seq, complete_at);
-                self.completions.push(Reverse((complete_at, seq)));
-                if ctx.trace.on(Category::Pipeline) {
-                    let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
-                    ctx.trace.emit(EventData::Issue {
-                        seq,
-                        pc,
-                        complete_at,
-                    });
-                }
-                budget -= 1;
+            self.ruu.mark_issued(seq, complete_at);
+            self.completions.push(Reverse((complete_at, seq)));
+            if ctx.trace.on(Category::Pipeline) {
+                let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
+                ctx.trace.emit(EventData::Issue {
+                    seq,
+                    pc,
+                    complete_at,
+                });
             }
+            budget -= 1;
         }
+        self.ready.drain(kept..walked);
     }
 
     /// Scan issue (the seed implementation): walk the whole window for
@@ -1340,10 +1359,34 @@ impl OooCore {
         for slot in self.rename.iter_mut() {
             *slot = if d.bool()? { Some(d.u64()?) } else { None };
         }
+        // The ready list is taken as written, so it must already be what
+        // `save_state` writes: at most one window of `Waiting` entries in
+        // strictly ascending order. Anything else is an error, not
+        // something to repair (re-sorting an untrusted count would also be
+        // quadratic).
         let n = d.usize()?;
+        if n > self.cfg.ruu_size as usize {
+            return Err(WireError {
+                pos: 0,
+                what: "ready list longer than the window",
+            });
+        }
         self.ready.clear();
         for _ in 0..n {
-            self.ready.insert(d.u64()?);
+            let seq = d.u64()?;
+            if self.ready.last().is_some_and(|&prev| prev >= seq) {
+                return Err(WireError {
+                    pos: 0,
+                    what: "ready list not strictly ascending",
+                });
+            }
+            if self.ruu.get(seq).map(|e| e.state) != Some(EntryState::Waiting) {
+                return Err(WireError {
+                    pos: 0,
+                    what: "ready list names an entry that is not waiting",
+                });
+            }
+            self.ready.push(seq);
         }
         let n = d.usize()?;
         self.completions.clear();

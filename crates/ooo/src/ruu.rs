@@ -50,7 +50,8 @@ pub struct RuuEntry {
     /// Index is a memory instruction with a matching LSQ entry.
     pub is_mem: bool,
     /// Ready-list scheduling: younger entries waiting on this entry's
-    /// result (sequence numbers registered at their dispatch).
+    /// result (sequence numbers registered at their dispatch). The buffer
+    /// is recycled through the [`Ruu`], not freed, once its consumers wake.
     pub consumers: Vec<u64>,
     /// Ready-list scheduling: source operands whose producer has not yet
     /// completed. The entry enters the ready queue when this reaches 0.
@@ -90,6 +91,11 @@ pub struct Ruu {
     n_waiting: usize,
     /// Entries in the `Done` state (maintained, not scanned).
     n_done: usize,
+    /// Cleared consumer buffers handed back by [`Ruu::recycle`], reused
+    /// by [`Ruu::push`] so wakeup links cost no allocation in steady
+    /// state. Each push takes one and each entry gives back at most one,
+    /// so the list never holds more than `capacity` buffers.
+    spare: Vec<Vec<u64>>,
 }
 
 impl Ruu {
@@ -101,6 +107,7 @@ impl Ruu {
             next_seq: 0,
             n_waiting: 0,
             n_done: 0,
+            spare: Vec::with_capacity(capacity),
         }
     }
 
@@ -125,7 +132,11 @@ impl Ruu {
         assert!(!self.is_full(), "RUU overflow");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.push_back(RuuEntry::new(seq, pc, instr));
+        let mut e = RuuEntry::new(seq, pc, instr);
+        if let Some(buf) = self.spare.pop() {
+            e.consumers = buf;
+        }
+        self.entries.push_back(e);
         self.n_waiting += 1;
         seq
     }
@@ -195,13 +206,22 @@ impl Ruu {
 
     /// Marks `seq` as done (result available). The only legal transition
     /// out of `Issued`; keeps the state counts exact. Returns the consumer
-    /// list registered on the entry (emptied), for wakeup.
+    /// list registered on the entry (the entry's own is left empty), for
+    /// wakeup; hand it back with [`recycle`](Self::recycle) afterwards.
     pub fn mark_done(&mut self, seq: u64) -> Vec<u64> {
         self.n_done += 1;
         let e = self.get_mut(seq).expect("mark_done: seq not in window");
         debug_assert_eq!(e.state, EntryState::Issued);
         e.state = EntryState::Done;
         std::mem::take(&mut e.consumers)
+    }
+
+    /// Takes back a consumer buffer returned by
+    /// [`mark_done`](Self::mark_done); the next [`push`](Self::push)
+    /// reuses its allocation.
+    pub fn recycle(&mut self, mut consumers: Vec<u64>) {
+        consumers.clear();
+        self.spare.push(consumers);
     }
 
     /// `(waiting, done)` counts, maintained across state transitions —
@@ -270,6 +290,7 @@ impl Ruu {
         self.next_seq = d.u64()?;
         let n = d.usize()?;
         self.entries.clear();
+        self.spare.clear();
         self.n_waiting = 0;
         self.n_done = 0;
         for _ in 0..n {
@@ -382,6 +403,22 @@ mod tests {
         r.mark_issued(a, 2);
         assert_eq!(r.mark_done(a), vec![b]);
         assert!(r.get(a).unwrap().consumers.is_empty());
+    }
+
+    #[test]
+    fn recycled_consumer_buffers_are_reused_empty() {
+        let mut r = Ruu::new(4);
+        let a = r.push(0, Instr::Nop);
+        let b = r.push(1, Instr::Nop);
+        r.get_mut(a).unwrap().consumers.push(b);
+        r.mark_issued(a, 2);
+        let woken = r.mark_done(a);
+        let ptr = woken.as_ptr();
+        r.recycle(woken);
+        let c = r.push(2, Instr::Nop);
+        let e = r.get(c).unwrap();
+        assert!(e.consumers.is_empty());
+        assert_eq!(e.consumers.as_ptr(), ptr, "buffer was reallocated");
     }
 
     #[test]

@@ -334,6 +334,18 @@ fn parse_args() -> Args {
         eprintln!("--a/--b only apply to the bisect command");
         std::process::exit(2);
     }
+    // The ablation and related-work studies vary the machine themselves,
+    // each from the Table-1 configuration; a latency or SCQ override would
+    // be silently ignored, so it is refused instead.
+    if (l2_lat.is_some() || mem_lat.is_some() || scq_depth.is_some())
+        && matches!(cmd.as_str(), "ablate" | "related")
+    {
+        eprintln!(
+            "--l2-lat/--mem-lat/--scq-depth do not apply to the {cmd} command \
+             (it runs its own configurations from Table 1)"
+        );
+        std::process::exit(2);
+    }
     if (shard_of.is_some() || !peers.is_empty()) && cmd != "serve" {
         eprintln!("--shard-of/--peers only apply to the serve command");
         std::process::exit(2);

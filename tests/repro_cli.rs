@@ -54,3 +54,34 @@ fn latencies_past_u32_exit_2_instead_of_wrapping() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn study_commands_refuse_machine_overrides() {
+    let cases: [&[&str]; 4] = [
+        &[
+            "ablate",
+            "--scale",
+            "test",
+            "--l2-lat",
+            "16",
+            "--mem-lat",
+            "160",
+        ],
+        &["ablate", "--scq-depth", "4"],
+        &["related", "--scale", "test", "--scq-depth", "4"],
+        &["related", "--mem-lat", "160"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("run repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("--l2-lat/--mem-lat/--scq-depth do not apply"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+    }
+}
