@@ -334,105 +334,47 @@ impl CmpEngine {
                         th.regs.set_i(dst, imm);
                         th.pc += 1;
                     }
-                    Instr::Load {
-                        dst,
-                        base,
-                        off,
-                        width,
-                        signed,
-                    } => {
+                    Instr::Load { base, off, .. } | Instr::Prefetch { base, off } => {
                         if mem_issued >= mem_cap {
                             break;
                         }
                         let addr = (th.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                        if warm {
-                            let l1_hit = ctx.mem_sys.warm_access(addr, AccessKind::Prefetch);
-                            mem_issued += 1;
-                            self.stats.prefetches += 1;
-                            self.filter.record(th.prog, !l1_hit);
-                            self.slip.on_prefetch(&ctx.mem_sys.stats());
-                            let v = ctx.data.load(addr, width, signed)?;
-                            th.regs.set_i(dst, v);
-                            th.pc += 1;
-                            if self.cfg.next_line_assist && !l1_hit {
-                                let blk = ctx.mem_sys.config().l1.block_bytes as u64;
-                                ctx.mem_sys.warm_access(addr + blk, AccessKind::Prefetch);
-                                self.stats.prefetches += 1;
-                            }
-                            self.stats.instrs += 1;
-                            issued += 1;
-                            continue;
-                        }
-                        match ctx
-                            .mem_sys
-                            .access_traced(addr, AccessKind::Prefetch, now, ctx.trace)
-                        {
-                            Some(r) => {
+                        match prefetch_access(ctx, addr, now, warm) {
+                            // MSHRs full: a load retries next cycle, a
+                            // prefetch is dropped (fire and forget).
+                            None if instr.is_load() => break,
+                            None => self.stats.dropped_prefetches += 1,
+                            Some((l1_hit, fill)) => {
                                 mem_issued += 1;
                                 self.stats.prefetches += 1;
-                                self.filter.record(th.prog, !r.l1_hit);
+                                self.filter.record(th.prog, !l1_hit);
                                 self.slip.on_prefetch(&ctx.mem_sys.stats());
-                                // The value is needed (pointer chase): the
-                                // thread waits for the fill.
-                                let v = ctx.data.load(addr, width, signed)?;
-                                th.regs.set_i(dst, v);
-                                th.pc += 1;
-                                th.busy_until = r.complete_at;
-                                if self.cfg.next_line_assist && !r.l1_hit {
-                                    // Port-free tag-side hint, bounded only
-                                    // by MSHR availability: sequential
-                                    // slice inputs (index streams) would
-                                    // otherwise serialise the engine on
-                                    // their own cold misses.
-                                    let blk = ctx.mem_sys.config().l1.block_bytes as u64;
-                                    if ctx
-                                        .mem_sys
-                                        .access_traced(
-                                            addr + blk,
-                                            AccessKind::Prefetch,
-                                            now,
-                                            ctx.trace,
-                                        )
-                                        .is_some()
-                                    {
-                                        self.stats.prefetches += 1;
+                                if let Instr::Load {
+                                    dst, width, signed, ..
+                                } = instr
+                                {
+                                    // The value is needed (pointer chase):
+                                    // the thread waits for the fill.
+                                    let v = ctx.data.load(addr, width, signed)?;
+                                    th.regs.set_i(dst, v);
+                                    if let Some(t) = fill {
+                                        th.busy_until = t;
+                                    }
+                                    if self.cfg.next_line_assist && !l1_hit {
+                                        // Port-free tag-side hint, bounded
+                                        // only by MSHR availability:
+                                        // sequential slice inputs (index
+                                        // streams) would otherwise
+                                        // serialise the engine on their own
+                                        // cold misses.
+                                        let blk = ctx.mem_sys.config().l1.block_bytes as u64;
+                                        if prefetch_access(ctx, addr + blk, now, warm).is_some() {
+                                            self.stats.prefetches += 1;
+                                        }
                                     }
                                 }
                             }
-                            None => break, // MSHRs full: retry next cycle
                         }
-                    }
-                    Instr::Prefetch { base, off } => {
-                        if mem_issued >= mem_cap {
-                            break;
-                        }
-                        let addr = (th.regs.get_i(base) as u64).wrapping_add_signed(off as i64);
-                        if warm {
-                            let l1_hit = ctx.mem_sys.warm_access(addr, AccessKind::Prefetch);
-                            mem_issued += 1;
-                            self.stats.prefetches += 1;
-                            self.filter.record(th.prog, !l1_hit);
-                            self.slip.on_prefetch(&ctx.mem_sys.stats());
-                            th.pc += 1;
-                            self.stats.instrs += 1;
-                            issued += 1;
-                            continue;
-                        }
-                        match ctx
-                            .mem_sys
-                            .access_traced(addr, AccessKind::Prefetch, now, ctx.trace)
-                        {
-                            Some(r) => {
-                                mem_issued += 1;
-                                self.stats.prefetches += 1;
-                                self.filter.record(th.prog, !r.l1_hit);
-                                self.slip.on_prefetch(&ctx.mem_sys.stats());
-                            }
-                            None => {
-                                self.stats.dropped_prefetches += 1;
-                            }
-                        }
-                        // Fire and forget either way.
                         th.pc += 1;
                     }
                     Instr::PutScq => {
@@ -540,6 +482,24 @@ impl CmpEngine {
         self.filter.load_state(d)?;
         Ok(())
     }
+}
+
+/// One CMP prefetch access to `addr`: whether it hit in L1 and, in a
+/// detailed cycle, when its fill completes. `None` when no MSHR is free.
+/// A warm access is latency-free and never rejected.
+fn prefetch_access(
+    ctx: &mut CoreCtx<'_>,
+    addr: u64,
+    now: u64,
+    warm: bool,
+) -> Option<(bool, Option<u64>)> {
+    if warm {
+        return Some((ctx.mem_sys.warm_access(addr, AccessKind::Prefetch), None));
+    }
+    let r = ctx
+        .mem_sys
+        .access_traced(addr, AccessKind::Prefetch, now, ctx.trace)?;
+    Some((r.l1_hit, Some(r.complete_at)))
 }
 
 #[cfg(test)]

@@ -6,6 +6,10 @@
 //! built and dropped per instruction — costs simulation speed long before
 //! it shows in any statistic.
 //!
+//! The same holds for the functional warm phases of sampled runs, where
+//! an instruction costs far less host time and a per-instruction
+//! allocation would dominate.
+//!
 //! A counting global allocator tallies the allocations of the test's own
 //! thread, so tests running alongside do not disturb the count.
 
@@ -57,7 +61,9 @@ fn allocs() -> u64 {
 /// Allocations per committed instruction allowed in steady state. With a
 /// `BTreeSet` ready set, a fresh consumer vector per producer and
 /// heap-held fast-forward snapshots, whole Paper-scale runs made 0.5–1.3;
-/// these windows now make at most 0.0023.
+/// these windows now make at most 0.0023. Sampled runs made 0.96 while
+/// the warm phase built an error string and an event buffer per
+/// instruction; they now make at most 0.0015.
 const BUDGET: f64 = 0.01;
 
 /// Cycles simulated before counting (caches, queues, buffers warm up).
@@ -87,22 +93,58 @@ fn allocs_per_instr(compiled: &CompiledWorkload, env: &ExecEnv, model: Model) ->
     n as f64 / instrs as f64
 }
 
+/// The workload compiled at `scale`, with its execution environment.
+fn compiled(workload: &str, scale: Scale) -> (CompiledWorkload, ExecEnv) {
+    let w = by_name(workload, scale, 42).expect("known workload");
+    let env = ExecEnv {
+        regs: w.regs.clone(),
+        mem: w.mem.clone(),
+        max_steps: w.max_steps,
+    };
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    (compiled, env)
+}
+
 #[test]
 fn steady_state_simulation_stays_within_the_allocation_budget() {
     for workload in ["tc", "pointer", "field"] {
-        let w = by_name(workload, Scale::Paper, 42).expect("known workload");
-        let env = ExecEnv {
-            regs: w.regs.clone(),
-            mem: w.mem.clone(),
-            max_steps: w.max_steps,
-        };
-        let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+        let (compiled, env) = compiled(workload, Scale::Paper);
         for model in Model::ALL {
             let rate = allocs_per_instr(&compiled, &env, model);
             assert!(
                 rate < BUDGET,
                 "{workload}/{model}: {rate:.4} allocations per committed instruction \
                  (budget {BUDGET})"
+            );
+        }
+    }
+}
+
+/// Sampled runs alternate detailed windows of `DETAIL` pacing-core
+/// instructions with functional warm phases of `SKIP`, so most
+/// instructions retire in warm cycles.
+const DETAIL: u64 = 2_000;
+const SKIP: u64 = 20_000;
+
+#[test]
+fn sampled_runs_stay_within_the_allocation_budget() {
+    for workload in ["tc", "field"] {
+        let (compiled, env) = compiled(workload, Scale::Paper);
+        // Between them these two models warm every core configuration
+        // (superscalar, CP, AP) and the CMP.
+        for model in [Model::CpCmp, Model::HiDisc] {
+            let mut m = Machine::new(model, &compiled, &env, MachineConfig::paper());
+            let start = allocs();
+            let s = m
+                .run_sampled(compiled.profile.dyn_instrs, DETAIL, SKIP)
+                .unwrap();
+            let n = allocs() - start;
+            let instrs: u64 = s.stats.cores.iter().map(|(_, c)| c.committed).sum();
+            let rate = n as f64 / instrs as f64;
+            assert!(
+                rate < BUDGET,
+                "{workload}/{model}: {rate:.4} allocations per committed instruction \
+                 over a sampled run (budget {BUDGET})"
             );
         }
     }

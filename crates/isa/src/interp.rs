@@ -183,6 +183,33 @@ pub fn f64_to_i64(v: f64) -> i64 {
     }
 }
 
+/// Executes a register-only instruction (`IntOp`, `Li` and the fp
+/// arithmetic, compare and convert forms) against `regs`. Returns false,
+/// changing nothing, for any other instruction. The one copy of these
+/// semantics: [`step_at`] and the out-of-order core's dispatch both call it.
+#[inline]
+pub fn exec_reg_op(instr: Instr, regs: &mut RegFile) -> bool {
+    match instr {
+        Instr::IntOp { op, dst, a, b } => {
+            let bv = match b {
+                Src::Reg(r) => regs.get_i(r),
+                Src::Imm(v) => v,
+            };
+            regs.set_i(dst, op.eval(regs.get_i(a), bv));
+        }
+        Instr::Li { dst, imm } => regs.set_i(dst, imm),
+        Instr::FpBin { op, dst, a, b } => regs.set_f(dst, op.eval(regs.get_f(a), regs.get_f(b))),
+        Instr::FpUn { op, dst, a } => regs.set_f(dst, op.eval(regs.get_f(a))),
+        Instr::FpCmp { op, dst, a, b } => {
+            regs.set_i(dst, op.eval(regs.get_f(a), regs.get_f(b)) as i64)
+        }
+        Instr::CvtIf { dst, src } => regs.set_f(dst, regs.get_i(src) as f64),
+        Instr::CvtFi { dst, src } => regs.set_i(dst, f64_to_i64(regs.get_f(src))),
+        _ => return false,
+    }
+    true
+}
+
 /// Executes the instruction at `pc` of `prog` against the given register
 /// file, memory and queue environment, reporting memory accesses to `hook`.
 ///
@@ -197,7 +224,7 @@ pub fn step_at(
     env: &mut impl QueueEnv,
     hook: &mut impl FnMut(MemEvent),
 ) -> Result<Step> {
-    let i = *prog.get(pc).ok_or(IsaError::Exec {
+    let i = *prog.get(pc).ok_or_else(|| IsaError::Exec {
         pc,
         msg: "pc out of range".into(),
     })?;
@@ -206,42 +233,7 @@ pub fn step_at(
     let next = Step::Next(pc + 1);
 
     match i {
-        Instr::IntOp { op, dst, a, b } => {
-            let bv = match b {
-                Src::Reg(r) => regs.get_i(r),
-                Src::Imm(v) => v,
-            };
-            let v = op.eval(regs.get_i(a), bv);
-            regs.set_i(dst, v);
-            Ok(next)
-        }
-        Instr::Li { dst, imm } => {
-            regs.set_i(dst, imm);
-            Ok(next)
-        }
-        Instr::FpBin { op, dst, a, b } => {
-            let v = op.eval(regs.get_f(a), regs.get_f(b));
-            regs.set_f(dst, v);
-            Ok(next)
-        }
-        Instr::FpUn { op, dst, a } => {
-            let v = op.eval(regs.get_f(a));
-            regs.set_f(dst, v);
-            Ok(next)
-        }
-        Instr::FpCmp { op, dst, a, b } => {
-            let v = op.eval(regs.get_f(a), regs.get_f(b)) as i64;
-            regs.set_i(dst, v);
-            Ok(next)
-        }
-        Instr::CvtIf { dst, src } => {
-            regs.set_f(dst, regs.get_i(src) as f64);
-            Ok(next)
-        }
-        Instr::CvtFi { dst, src } => {
-            regs.set_i(dst, f64_to_i64(regs.get_f(src)));
-            Ok(next)
-        }
+        _ if exec_reg_op(i, regs) => Ok(next),
         Instr::Load {
             dst,
             base,

@@ -4,8 +4,9 @@
 //! harvest → mispredict resolution → commit → store-data pump → issue →
 //! dispatch → fetch, so an instruction needs at least one cycle per stage
 //! and results become visible to dependents the cycle after they complete.
-//! Commit and dispatch report why they stopped as values; `record_stalls`
-//! turns those into the stall counters at the end of the cycle.
+//! Commit, issue and dispatch each return a small record of what they did
+//! and why they stopped; `account` turns a cycle's records into the
+//! statistics, for detailed and warm cycles alike.
 
 use crate::config::{CoreConfig, Scheduler};
 use crate::fu::{latency_of, FuPool};
@@ -14,9 +15,9 @@ use crate::predictor::Bimodal;
 use crate::queues::QueueFile;
 use crate::ruu::{EntryState, Ruu};
 use crate::stats::CoreStats;
-use hidisc_isa::instr::{FuClass, RegRef, Src, Width};
+use hidisc_isa::instr::{FuClass, RegRef, Width};
 use hidisc_isa::interp::{
-    f64_to_i64, step_at, MemEvent, MemKind, PopResult, PushResult, QueueEnv, RegFile, Step,
+    exec_reg_op, step_at, MemKind, PopResult, PushResult, QueueEnv, RegFile, Step,
 };
 use hidisc_isa::mem::Memory;
 use hidisc_isa::reg::{NUM_FP_REGS, NUM_INT_REGS};
@@ -126,6 +127,40 @@ enum Outcome {
     QueueEmpty(Queue),
     /// A load blocked on an older store with unavailable data.
     MemDep,
+}
+
+/// What commit did in one cycle: instructions retired, the memory
+/// operations among them, CMAS trigger forks fired, and the queue commit
+/// stalled on (full, or still owing `s.q` store data).
+#[derive(Debug, Clone, Copy, Default)]
+struct CommitRecord {
+    retired: u64,
+    mem: u64,
+    triggers: u64,
+    stalled_on: Option<Queue>,
+}
+
+/// What issue did in one cycle: load issues a full MSHR file rejected
+/// (they retry) and prefetches dropped for want of an MSHR.
+#[derive(Debug, Clone, Copy, Default)]
+struct IssueRecord {
+    mshr_retries: u64,
+    dropped_prefetches: u64,
+}
+
+/// What dispatch did in one cycle: instructions dispatched, loads whose
+/// value came from the store queue, conditional branches that redirect at
+/// resolution, consume branches whose CQ token redirected fetch at once,
+/// and why dispatch stopped.
+#[derive(Debug, Clone, Copy, Default)]
+struct DispatchRecord {
+    dispatched: u64,
+    forwarded_loads: u64,
+    mispredicts: u64,
+    cq_redirects: u64,
+    /// `None` in a warm cycle, which has no dispatch stage: the
+    /// loss-of-decoupling episode carries over untouched.
+    stop: Option<Outcome>,
 }
 
 /// One out-of-order processor.
@@ -344,49 +379,54 @@ impl OooCore {
             return Ok(());
         }
         self.now = now;
-        self.stats.cycles += 1;
         self.fu.begin_cycle();
         self.harvest(now, ctx.trace);
         self.resolve_mispredict(now);
-        let commit_stall = self.commit(ctx)?;
+        let commit = self.commit(ctx)?;
         self.pump_store_data(ctx);
-        self.issue(ctx);
+        let issue = self.issue(ctx);
         let dispatch = self.dispatch(ctx)?;
         self.fetch(ctx.trace);
-        self.record_stalls(commit_stall, dispatch);
+        self.account(commit, issue, dispatch);
         Ok(())
     }
 
-    /// Turns the cycle's stage outcomes into the stall counters: the one
-    /// place a stop reason becomes a statistic. `commit_stall` is the
-    /// queue commit stalled on (full, or still owing `s.q` store data).
-    fn record_stalls(&mut self, commit_stall: Option<Queue>, dispatch: Outcome) {
+    /// Turns one cycle's stage records into [`CoreStats`]: the one place
+    /// a stage's work or stop reason becomes a statistic, for detailed and
+    /// warm cycles alike. Forced inline: with two callers it would
+    /// otherwise stay an out-of-line call per cycle, which cost ~3% of
+    /// simulation speed.
+    #[inline(always)]
+    fn account(&mut self, commit: CommitRecord, issue: IssueRecord, dispatch: DispatchRecord) {
         let s = &mut self.stats;
-        if let Some(q) = commit_stall {
+        s.cycles += 1;
+        s.committed += commit.retired;
+        s.committed_mem += commit.mem;
+        s.triggers_fired += commit.triggers;
+        if let Some(q) = commit.stalled_on {
             s.stall_commit(q);
         }
-        let blocking = match dispatch {
-            Outcome::Ok => None,
-            Outcome::RuuFull => {
-                s.ruu_full_cycles += 1;
-                None
-            }
-            Outcome::LsqFull => {
-                s.lsq_full_cycles += 1;
-                None
-            }
-            Outcome::QueueEmpty(q) => {
-                s.stall_dispatch(q);
-                Some(q)
-            }
-            // Cross-stream store data is an SDQ wait.
-            Outcome::MemDep => {
-                s.mem_dep_stalls += 1;
-                Some(Queue::Sdq)
-            }
+        s.mshr_retries += issue.mshr_retries;
+        s.dropped_prefetches += issue.dropped_prefetches;
+        s.dispatched += dispatch.dispatched;
+        s.forwarded_loads += dispatch.forwarded_loads;
+        s.mispredicts += dispatch.mispredicts;
+        s.cbranch_redirects += dispatch.cq_redirects;
+        let Some(stop) = dispatch.stop else { return };
+        match stop {
+            Outcome::Ok => {}
+            Outcome::RuuFull => s.ruu_full_cycles += 1,
+            Outcome::LsqFull => s.lsq_full_cycles += 1,
+            Outcome::QueueEmpty(q) => s.stall_dispatch(q),
+            Outcome::MemDep => s.mem_dep_stalls += 1,
+        }
+        // Loss of decoupling: blocking on a queue pop, or on cross-stream
+        // store data (an SDQ wait). An event is a fresh episode of it.
+        let blocking = match stop {
+            Outcome::QueueEmpty(q) => Some(q),
+            Outcome::MemDep => Some(Queue::Sdq),
+            _ => None,
         };
-        // Loss-of-decoupling event = a fresh episode of blocking on a queue
-        // pop (or on cross-stream store data).
         if blocking.is_some() && self.stalled_on.is_none() {
             s.lod_events += 1;
         }
@@ -492,26 +532,36 @@ impl OooCore {
 
     // ------------------------------------------------------------ dispatch
 
-    fn dispatch(&mut self, ctx: &mut CoreCtx<'_>) -> Result<Outcome> {
+    fn dispatch(&mut self, ctx: &mut CoreCtx<'_>) -> Result<DispatchRecord> {
+        let mut rec = DispatchRecord {
+            stop: Some(Outcome::Ok),
+            ..DispatchRecord::default()
+        };
         for _ in 0..self.cfg.dispatch_width {
             let Some(&f) = self.ifq.front() else { break };
-            let outcome = self.dispatch_one(f, ctx)?;
+            let outcome = self.dispatch_one(f, ctx, &mut rec)?;
             if outcome != Outcome::Ok {
-                return Ok(outcome);
+                rec.stop = Some(outcome);
+                break;
             }
             self.ifq.pop_front();
-            self.stats.dispatched += 1;
+            rec.dispatched += 1;
             if matches!(f.instr, Instr::Halt) {
                 break;
             }
         }
-        Ok(Outcome::Ok)
+        Ok(rec)
     }
 
     /// Dispatches one instruction: structural checks, functional
     /// execution, RUU/LSQ allocation, dependence capture, branch handling.
-    /// Anything but [`Outcome::Ok`] leaves the core unchanged.
-    fn dispatch_one(&mut self, f: Fetched, ctx: &mut CoreCtx<'_>) -> Result<Outcome> {
+    /// Anything but [`Outcome::Ok`] leaves the core and `rec` unchanged.
+    fn dispatch_one(
+        &mut self,
+        f: Fetched,
+        ctx: &mut CoreCtx<'_>,
+        rec: &mut DispatchRecord,
+    ) -> Result<Outcome> {
         let Fetched {
             pc,
             instr,
@@ -546,35 +596,7 @@ impl OooCore {
 
         // ---- functional execution (program order) ----
         match instr {
-            Instr::IntOp { op, dst, a, b } => {
-                let bv = match b {
-                    Src::Reg(r) => self.regs.get_i(r),
-                    Src::Imm(v) => v,
-                };
-                let v = op.eval(self.regs.get_i(a), bv);
-                self.regs.set_i(dst, v);
-            }
-            Instr::Li { dst, imm } => self.regs.set_i(dst, imm),
-            Instr::FpBin { op, dst, a, b } => {
-                let v = op.eval(self.regs.get_f(a), self.regs.get_f(b));
-                self.regs.set_f(dst, v);
-            }
-            Instr::FpUn { op, dst, a } => {
-                let v = op.eval(self.regs.get_f(a));
-                self.regs.set_f(dst, v);
-            }
-            Instr::FpCmp { op, dst, a, b } => {
-                let v = op.eval(self.regs.get_f(a), self.regs.get_f(b)) as i64;
-                self.regs.set_i(dst, v);
-            }
-            Instr::CvtIf { dst, src } => {
-                let v = self.regs.get_i(src) as f64;
-                self.regs.set_f(dst, v);
-            }
-            Instr::CvtFi { dst, src } => {
-                let v = f64_to_i64(self.regs.get_f(src));
-                self.regs.set_i(dst, v);
-            }
+            _ if exec_reg_op(instr, &mut self.regs) => {}
             Instr::SendI { q: _, src } => payload = self.regs.get_i(src) as u64,
             Instr::SendF { q: _, src } => payload = self.regs.get_f(src).to_bits(),
             Instr::RecvI { q, dst } => match ctx.pop_queue(q) {
@@ -628,7 +650,7 @@ impl OooCore {
                     let v = match self.lsq.check_load(u64::MAX, addr, width) {
                         LoadCheck::Clear => ctx.data.load(addr, width, signed)?,
                         LoadCheck::Forward(raw) => {
-                            self.stats.forwarded_loads += 1;
+                            rec.forwarded_loads += 1;
                             extend(raw, width, signed)
                         }
                         LoadCheck::Blocked(_) => {
@@ -721,12 +743,12 @@ impl OooCore {
                 if matches!(instr, Instr::CBranch { .. }) {
                     // The pop *is* the resolution: redirect immediately,
                     // paying only the front-end refill penalty.
-                    self.stats.cbranch_redirects += 1;
+                    rec.cq_redirects += 1;
                     self.fetch_pc = correct_next;
                     self.fetch_halted = false;
                     self.frontend_ready_at = self.now + self.cfg.frontend_penalty as u64;
                 } else {
-                    self.stats.mispredicts += 1;
+                    rec.mispredicts += 1;
                     self.ruu.get_mut(seq).unwrap().mispredicted = true;
                     self.mispredict_pending = Some((seq, correct_next));
                 }
@@ -773,11 +795,13 @@ impl OooCore {
 
     // --------------------------------------------------------------- issue
 
-    fn issue(&mut self, ctx: &mut CoreCtx<'_>) {
+    fn issue(&mut self, ctx: &mut CoreCtx<'_>) -> IssueRecord {
+        let mut rec = IssueRecord::default();
         match self.cfg.scheduler {
-            Scheduler::ReadyList => self.issue_ready(ctx),
-            Scheduler::Scan => self.issue_scan(ctx),
+            Scheduler::ReadyList => self.issue_ready(ctx, &mut rec),
+            Scheduler::Scan => self.issue_scan(ctx, &mut rec),
         }
+        rec
     }
 
     /// Adds a `Waiting` entry whose operands just became available to the
@@ -796,14 +820,14 @@ impl OooCore {
     /// never readies an entry, so the list only shrinks during the walk:
     /// entries kept are compacted to the front in place, and the walked
     /// stretch left over is closed up at the end.
-    fn issue_ready(&mut self, ctx: &mut CoreCtx<'_>) {
+    fn issue_ready(&mut self, ctx: &mut CoreCtx<'_>, rec: &mut IssueRecord) {
         let mut budget = self.cfg.issue_width;
         let mut walked = 0;
         let mut kept = 0;
         while budget > 0 && walked < self.ready.len() {
             let seq = self.ready[walked];
             walked += 1;
-            let Some(complete_at) = self.try_issue(seq, ctx) else {
+            let Some(complete_at) = self.try_issue(seq, ctx, rec) else {
                 self.ready[kept] = seq;
                 kept += 1;
                 continue;
@@ -825,7 +849,7 @@ impl OooCore {
 
     /// Scan issue (the seed implementation): walk the whole window for
     /// `Waiting` entries and check operand availability per candidate.
-    fn issue_scan(&mut self, ctx: &mut CoreCtx<'_>) {
+    fn issue_scan(&mut self, ctx: &mut CoreCtx<'_>, rec: &mut IssueRecord) {
         let now = self.now;
         let mut budget = self.cfg.issue_width;
         let candidates: Vec<u64> = self
@@ -846,7 +870,7 @@ impl OooCore {
             {
                 continue;
             }
-            if let Some(complete_at) = self.try_issue(seq, ctx) {
+            if let Some(complete_at) = self.try_issue(seq, ctx, rec) {
                 self.ruu.mark_issued(seq, complete_at);
                 if ctx.trace.on(Category::Pipeline) {
                     let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
@@ -863,101 +887,66 @@ impl OooCore {
 
     /// Attempts to issue one operand-ready instruction: acquires a
     /// functional unit and computes the completion time, with all the
-    /// memory-system side effects of the attempt (MSHR allocation, retry
-    /// and drop counters). Returns `None` — leaving the entry `Waiting` —
-    /// when a structural hazard blocks it this cycle. Shared by both
+    /// memory-system side effects of the attempt (MSHR allocation; retries
+    /// and drops go to `rec`). Returns `None` — leaving the entry `Waiting`
+    /// — when a structural hazard blocks it this cycle. Shared by both
     /// schedulers so their issue decisions are identical by construction.
-    fn try_issue(&mut self, seq: u64, ctx: &mut CoreCtx<'_>) -> Option<u64> {
+    fn try_issue(&mut self, seq: u64, ctx: &mut CoreCtx<'_>, rec: &mut IssueRecord) -> Option<u64> {
         let now = self.now;
-        let (instr, _pc) = {
-            let e = self.ruu.get(seq).unwrap();
-            (e.instr, e.pc)
-        };
-
-        let complete_at = if instr.is_load() || matches!(instr, Instr::Prefetch { .. }) {
-            let (addr, width) = {
-                let le = self.lsq.get(seq).expect("load has LSQ entry");
-                (le.addr, le.width)
-            };
-            let agen = self.cfg.lat.agen as u64;
-            if matches!(instr, Instr::Prefetch { .. }) {
-                if !self.fu.try_acquire(FuClass::Mem) {
-                    return None;
-                }
-                match ctx
-                    .mem_sys
-                    .access_traced(addr, AccessKind::Prefetch, now + agen, ctx.trace)
-                {
-                    Some(r) => {
-                        // The prefetch instruction itself retires
-                        // quickly; the fill continues in the MSHR.
-                        let _ = r;
-                        now + agen + 1
-                    }
-                    None => {
-                        // Droppable: no MSHR, give up on this prefetch.
-                        self.stats.dropped_prefetches += 1;
-                        now + agen
-                    }
-                }
-            } else {
-                match self.lsq.check_load(seq, addr, width) {
-                    LoadCheck::Blocked(_) => return None,
-                    LoadCheck::Forward(_) => {
-                        if !self.fu.try_acquire(FuClass::Mem) {
-                            return None;
-                        }
-                        now + agen + 1
-                    }
-                    LoadCheck::Clear => {
-                        if !self.fu.try_acquire(FuClass::Mem) {
-                            return None;
-                        }
-                        match ctx.mem_sys.access_traced(
-                            addr,
-                            AccessKind::Load,
-                            now + agen,
-                            ctx.trace,
-                        ) {
-                            Some(r) => {
-                                // Related-work comparator: a hardware
-                                // stride prefetcher observing demand
-                                // loads (droppable fills).
-                                if let Some(rpt) = self.rpt.as_mut() {
-                                    if let Some(pf) = rpt.observe(_pc, addr) {
-                                        let _ = ctx.mem_sys.access(
-                                            pf,
-                                            AccessKind::Prefetch,
-                                            now + agen,
-                                        );
-                                    }
-                                }
-                                r.complete_at
-                            }
-                            None => {
-                                self.stats.mshr_retries += 1;
-                                return None;
-                            }
-                        }
-                    }
-                }
-            }
-        } else if instr.is_store() {
-            // Address generation only; the cache access happens at
-            // commit through the write buffer.
-            if !self.fu.try_acquire(FuClass::IntAlu) {
-                return None;
-            }
-            now + self.cfg.lat.agen as u64
+        let agen = self.cfg.lat.agen as u64;
+        let e = self.ruu.get(seq).unwrap();
+        let (instr, pc) = (e.instr, e.pc);
+        if instr.is_store() {
+            // Address generation only; the cache access happens at commit
+            // through the write buffer.
+            return self.fu.try_acquire(FuClass::IntAlu).then_some(now + agen);
+        }
+        let prefetch = matches!(instr, Instr::Prefetch { .. });
+        if !instr.is_load() && !prefetch {
+            let done = now + latency_of(&instr, &self.cfg.lat) as u64;
+            return self.fu.try_acquire(instr.fu_class()).then_some(done);
+        }
+        let le = self.lsq.get(seq).expect("load has LSQ entry");
+        let (addr, width) = (le.addr, le.width);
+        // A prefetch reads no data, so no older store can block it.
+        let check = if prefetch {
+            LoadCheck::Clear
         } else {
-            let class = instr.fu_class();
-            if !self.fu.try_acquire(class) {
-                return None;
-            }
-            now + latency_of(&instr, &self.cfg.lat) as u64
+            self.lsq.check_load(seq, addr, width)
         };
-
-        Some(complete_at)
+        if matches!(check, LoadCheck::Blocked(_)) || !self.fu.try_acquire(FuClass::Mem) {
+            return None;
+        }
+        if prefetch {
+            // The prefetch instruction itself retires quickly while the
+            // fill continues in the MSHR; with no MSHR free it is dropped.
+            let kind = AccessKind::Prefetch;
+            if ctx
+                .mem_sys
+                .access_traced(addr, kind, now + agen, ctx.trace)
+                .is_some()
+            {
+                return Some(now + agen + 1);
+            }
+            rec.dropped_prefetches += 1;
+            return Some(now + agen);
+        }
+        if let LoadCheck::Forward(_) = check {
+            return Some(now + agen + 1);
+        }
+        let Some(r) = ctx
+            .mem_sys
+            .access_traced(addr, AccessKind::Load, now + agen, ctx.trace)
+        else {
+            rec.mshr_retries += 1;
+            return None;
+        };
+        // Related-work comparator: a hardware stride prefetcher observing
+        // demand loads (droppable fills).
+        if let Some(pf) = self.rpt.as_mut().and_then(|rpt| rpt.observe(pc, addr)) {
+            let _ = ctx.mem_sys.access(pf, AccessKind::Prefetch, now + agen);
+        }
+        Some(r.complete_at)
     }
 
     // ----------------------------------------------------------- mispredict
@@ -982,8 +971,10 @@ impl OooCore {
 
     // -------------------------------------------------------------- commit
 
-    /// Commits in order; returns the queue commit stalled on, if any.
-    fn commit(&mut self, ctx: &mut CoreCtx<'_>) -> Result<Option<Queue>> {
+    /// Commits in order; reports what retired and the queue commit
+    /// stalled on, if any.
+    fn commit(&mut self, ctx: &mut CoreCtx<'_>) -> Result<CommitRecord> {
+        let mut rec = CommitRecord::default();
         for _ in 0..self.cfg.commit_width {
             let Some(front) = self.ruu.front() else { break };
             if front.state != EntryState::Done || front.complete_at > self.now {
@@ -994,7 +985,6 @@ impl OooCore {
             let instr = front.instr;
             let payload = front.payload;
             let actual_taken = front.actual_taken;
-            let annot = *self.prog.annot(pc);
 
             // Stores: need data, then drain through the write buffer.
             if instr.is_store() {
@@ -1003,7 +993,8 @@ impl OooCore {
                     (le.addr, le.width, le.value, le.data_known, le.data_queue)
                 };
                 if !data_known {
-                    return Ok(Some(data_queue.unwrap_or(Queue::Sdq)));
+                    rec.stalled_on = Some(data_queue.unwrap_or(Queue::Sdq));
+                    break;
                 }
                 match ctx
                     .mem_sys
@@ -1022,38 +1013,22 @@ impl OooCore {
             // Queue pushes (all-or-nothing per entry).
             if let Some(q) = instr.queue_push() {
                 if !ctx.push_queue(q, payload) {
-                    return Ok(Some(q));
+                    rec.stalled_on = Some(q);
+                    break;
                 }
             }
-            if annot.push_cq
+            if self.prog.annot(pc).push_cq
                 && instr.is_control()
                 && !ctx.push_queue(Queue::Cq, actual_taken as u64)
             {
-                return Ok(Some(Queue::Cq));
+                rec.stalled_on = Some(Queue::Cq);
+                break;
             }
 
-            // Slip control: the compiler's GET_SCQ (never blocks).
-            if annot.scq_get {
-                let _ = ctx.pop_queue(Queue::Scq);
-            }
-
-            // CMAS trigger fork.
-            if let Some(cmas) = annot.trigger {
-                ctx.triggers.push(TriggerFork {
-                    cmas,
-                    regs: self.regs.clone(),
-                });
-                self.stats.triggers_fired += 1;
-            }
-
+            self.retire(pc, instr, ctx, &mut rec);
             if instr.is_mem() {
-                self.stats.committed_mem += 1;
                 self.lsq.remove(seq);
             }
-            if matches!(instr, Instr::Halt) {
-                self.finished = true;
-            }
-            self.stats.committed += 1;
             if ctx.trace.on(Category::Pipeline) {
                 ctx.trace.emit(EventData::Commit { seq, pc });
             }
@@ -1062,7 +1037,30 @@ impl OooCore {
                 break;
             }
         }
-        Ok(None)
+        Ok(rec)
+    }
+
+    /// The retire effects an instruction has beyond its own execution —
+    /// the compiler's slip-control GET_SCQ (never blocks), a CMAS trigger
+    /// fork and `halt` — counted into `rec`. Detailed commit and the warm
+    /// phase both retire through here (forced inline for the same reason
+    /// as `account`).
+    #[inline(always)]
+    fn retire(&mut self, pc: u32, instr: Instr, ctx: &mut CoreCtx<'_>, rec: &mut CommitRecord) {
+        let annot = *self.prog.annot(pc);
+        if annot.scq_get {
+            let _ = ctx.pop_queue(Queue::Scq);
+        }
+        if let Some(cmas) = annot.trigger {
+            ctx.triggers.push(TriggerFork {
+                cmas,
+                regs: self.regs.clone(),
+            });
+            rec.triggers += 1;
+        }
+        rec.retired += 1;
+        rec.mem += instr.is_mem() as u64;
+        self.finished |= matches!(instr, Instr::Halt);
     }
 }
 
@@ -1152,16 +1150,16 @@ impl OooCore {
     /// bounded queues (a block ends the cycle's burst), loads and stores
     /// update both the architectural memory and the cache/MSHR timing
     /// model, the branch predictor trains, the stride prefetcher observes,
-    /// and trigger annotations fork CMP threads — so a detailed window
-    /// resumed after the warm phase sees warmed microarchitectural state.
+    /// and each instruction retires through commit's `retire` —
+    /// so a detailed window resumed after the warm phase sees warmed
+    /// microarchitectural state.
     pub fn warm_step(&mut self, now: u64, ctx: &mut CoreCtx<'_>) -> Result<()> {
         debug_assert!(self.warm, "warm_step on a core not in warm mode");
         if self.finished {
             return Ok(());
         }
         self.now = now;
-        self.stats.cycles += 1;
-        let mut events: Vec<MemEvent> = Vec::new();
+        let mut rec = CommitRecord::default();
         // Commit several dispatch-widths of work per iteration: warm-phase
         // cycles carry no timing meaning, so a wider burst only amortises
         // the per-iteration machine overhead (queue scans, CMP dispatch,
@@ -1175,68 +1173,55 @@ impl OooCore {
             }
             let pc = self.warm_pc;
             let mut env = WarmQueues { queues: ctx.queues };
+            // Each access goes into the cache model functionally
+            // (latency-free, no MSHR occupancy) so tags, LRU and the
+            // prefetcher stay warm. The timed path would reject most of
+            // this traffic — warm mode commits many instructions per
+            // cycle, so the MSHR file fills instantly and the caches would
+            // silently stop warming, biasing the detailed windows that
+            // follow.
             let step = step_at(
                 &self.prog,
                 pc,
                 &mut self.regs,
                 ctx.data,
                 &mut env,
-                &mut |e| events.push(e),
+                &mut |ev| {
+                    let kind = match ev.kind {
+                        MemKind::Load => AccessKind::Load,
+                        MemKind::Store => AccessKind::Store,
+                        MemKind::Prefetch => AccessKind::Prefetch,
+                    };
+                    ctx.mem_sys.warm_access(ev.addr, kind);
+                    if let (MemKind::Load, Some(rpt)) = (ev.kind, self.rpt.as_mut()) {
+                        if let Some(pf) = rpt.observe(ev.pc, ev.addr) {
+                            ctx.mem_sys.warm_access(pf, AccessKind::Prefetch);
+                        }
+                    }
+                },
             )?;
             let next = match step {
                 Step::Blocked => break,
                 Step::Next(n) => Some(n),
                 Step::Halt => None,
             };
-            // Post-step bookkeeping mirroring detailed dispatch/commit.
             let instr = *self.prog.get(pc).expect("step_at validated pc");
-            let annot = *self.prog.annot(pc);
             if let (Some(n), Instr::Branch { .. } | Instr::CBranch { .. }) = (next, instr) {
                 let taken = n != pc + 1;
                 let predicted = self.predictor.predict(pc);
                 self.predictor.update(pc, taken, predicted);
             }
-            if annot.scq_get {
-                let _ = ctx.queues.try_pop(Queue::Scq);
-            }
-            if let Some(cmas) = annot.trigger {
-                ctx.triggers.push(TriggerFork {
-                    cmas,
-                    regs: self.regs.clone(),
-                });
-                self.stats.triggers_fired += 1;
-            }
-            self.stats.committed += 1;
-            self.stats.dispatched += 1;
-            if instr.is_mem() {
-                self.stats.committed_mem += 1;
-            }
-            match next {
-                Some(n) => self.warm_pc = n,
-                None => self.finished = true,
+            self.retire(pc, instr, ctx, &mut rec);
+            if let Some(n) = next {
+                self.warm_pc = n;
             }
         }
-        // Replay the burst's memory traffic into the cache model
-        // functionally (latency-free, no MSHR occupancy) so tags, LRU and
-        // the prefetcher stay warm. The timed path would reject most of
-        // this traffic — warm mode commits many instructions per cycle, so
-        // the MSHR file fills instantly and the caches would silently stop
-        // warming, biasing the detailed windows that follow.
-        for ev in events {
-            let kind = match ev.kind {
-                MemKind::Load => AccessKind::Load,
-                MemKind::Store => AccessKind::Store,
-                MemKind::Prefetch => AccessKind::Prefetch,
-            };
-            ctx.mem_sys.warm_access(ev.addr, kind);
-            if ev.kind == MemKind::Load {
-                if let Some(rpt) = self.rpt.as_mut() {
-                    if let Some(pf) = rpt.observe(ev.pc, ev.addr) {
-                        ctx.mem_sys.warm_access(pf, AccessKind::Prefetch);
-                    }
-                }
-            }
-        }
+        // The idealised pipeline dispatches exactly what it retires.
+        let dispatch = DispatchRecord {
+            dispatched: rec.retired,
+            ..DispatchRecord::default()
+        };
+        self.account(rec, IssueRecord::default(), dispatch);
         Ok(())
     }
 }

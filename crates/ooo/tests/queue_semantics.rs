@@ -1,7 +1,8 @@
 //! Direct tests of the decoupled-queue semantics in the out-of-order
 //! core: blocking pops at dispatch, pushes at commit with backpressure,
 //! store-data pairing through the LSQ, CQ tokens and trigger forks —
-//! and which stall counter each stop reason moves.
+//! which stall counter each stop reason moves, and that warm cycles count
+//! a retired instruction the way detailed cycles do.
 
 use hidisc_isa::asm::assemble;
 use hidisc_isa::mem::Memory;
@@ -31,15 +32,23 @@ impl Rig {
         }
     }
 
-    fn step(&mut self, core: &mut OooCore) {
-        let mut ctx = CoreCtx {
+    fn ctx(&mut self) -> CoreCtx<'_> {
+        CoreCtx {
             mem_sys: &mut self.mem_sys,
             queues: &mut self.queues,
             data: &mut self.data,
             triggers: &mut self.triggers,
             trace: &mut self.trace,
-        };
-        core.step(self.now, &mut ctx).unwrap();
+        }
+    }
+
+    fn step(&mut self, core: &mut OooCore) {
+        core.step(self.now, &mut self.ctx()).unwrap();
+        self.now += 1;
+    }
+
+    fn warm_step(&mut self, core: &mut OooCore) {
+        core.warm_step(self.now, &mut self.ctx()).unwrap();
         self.now += 1;
     }
 
@@ -313,4 +322,64 @@ fn cdq_recv_blocks_the_access_stream() {
     rig.queues.try_push(Queue::Cdq, 0x9000);
     rig.run_until_done(&mut core, 500);
     assert_eq!(core.regs.get_i(IntReg::new(5)), 123);
+}
+
+#[test]
+fn warm_and_detailed_cycles_count_a_retired_instruction_the_same_way() {
+    // Memory ops in a loop whose branch carries the slip-control GET_SCQ,
+    // then a trigger on the last instruction before `halt`: nothing
+    // younger changes a register, so both runs fork the same context.
+    let src = r"
+        li r1, 0x5000
+        li r2, 3
+    loop:
+        sd r2, 0(r1)
+        ld r3, 0(r1)
+        add r1, r1, 8
+        sub r2, r2, 1
+        bne r2, r0, loop
+        li r4, 9
+        halt
+    ";
+    let run = |warm: bool| {
+        let mut prog = assemble("t", src).unwrap();
+        prog.annot_mut(6).scq_get = true;
+        prog.annot_mut(7).trigger = Some(3);
+        let mut core = OooCore::new("t", CoreConfig::paper_superscalar(), prog);
+        let mut rig = Rig::new(QueueConfig::paper());
+        for _ in 0..5 {
+            rig.queues.try_push(Queue::Scq, 1);
+        }
+        if warm {
+            core.set_fetch_paused(true);
+            assert!(core.try_enter_warm());
+            while !core.is_done() {
+                rig.warm_step(&mut core);
+                assert!(rig.now < 100, "warm run did not finish");
+            }
+        } else {
+            rig.run_until_done(&mut core, 1_000);
+        }
+        (core, rig)
+    };
+    let (detailed, d_rig) = run(false);
+    let (warm, w_rig) = run(true);
+    let (d, w) = (detailed.stats(), warm.stats());
+    assert_eq!(d.committed, 19);
+    assert_eq!(d.committed_mem, 6);
+    assert_eq!(d.triggers_fired, 1);
+    assert_eq!(
+        (d.committed, d.committed_mem, d.dispatched, d.triggers_fired),
+        (w.committed, w.committed_mem, w.dispatched, w.triggers_fired)
+    );
+    let forks = |rig: &Rig| -> Vec<_> {
+        rig.triggers
+            .iter()
+            .map(|t| (t.cmas, t.regs.clone()))
+            .collect()
+    };
+    assert_eq!(forks(&d_rig), forks(&w_rig));
+    assert_eq!(d_rig.queues.len(Queue::Scq), 2);
+    assert_eq!(w_rig.queues.len(Queue::Scq), 2);
+    assert_eq!(detailed.regs, warm.regs);
 }
