@@ -574,20 +574,6 @@ impl MachineConfig {
         fnv1a(FNV_OFFSET, &self.canonical_bytes())
     }
 
-    /// [`MachineConfig::canonical_hash`] with the run *budgets*
-    /// (`max_cycles`, `deadlock_cycles`) normalised out. Two
-    /// configurations with the same warm hash evolve identically cycle
-    /// for cycle — the budgets only decide when a run is cut off — so
-    /// warm-start checkpoints ([`crate::Machine::save_warm_checkpoint`])
-    /// are keyed by this hash and shared across jobs that differ only in
-    /// how long they are allowed to run.
-    pub fn warm_hash(&self) -> u64 {
-        let mut c = *self;
-        c.deadlock_cycles = 0;
-        c.max_cycles = 0;
-        fnv1a(FNV_OFFSET, &c.canonical_bytes())
-    }
-
     /// The raw Table-1 literal the builder starts from.
     fn paper_unchecked() -> MachineConfig {
         MachineConfig {

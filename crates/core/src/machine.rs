@@ -708,20 +708,7 @@ impl Machine {
     }
 }
 
-// ------------------------------------------------- snapshots & checkpoints
-
-/// A point-in-time capture of a whole [`Machine`]: cores (RUU, LSQ, fetch
-/// queue, rename state, predictor), queues, memory system (caches, MSHRs),
-/// CMP threads, architectural memory and statistics.
-///
-/// Taking one is cheap: the architectural memory is copy-on-write (pages
-/// are shared until written), so [`Machine::snapshot`] costs O(dirty
-/// pages) pointer copies plus the microarchitectural structures, not a
-/// full memory image.
-#[derive(Debug, Clone)]
-pub struct MachineSnapshot {
-    state: Machine,
-}
+// ----------------------------------------------------------- checkpoints
 
 /// Magic bytes opening the on-disk checkpoint format.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"HDCK";
@@ -729,21 +716,6 @@ pub const CHECKPOINT_MAGIC: &[u8; 4] = b"HDCK";
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 impl Machine {
-    /// Captures the complete machine state. Restoring it with
-    /// [`Machine::restore`] and continuing is bit-identical to never having
-    /// stopped.
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot {
-            state: self.clone(),
-        }
-    }
-
-    /// Rewinds this machine to a snapshot taken from it (or from an
-    /// identically built machine).
-    pub fn restore(&mut self, snap: &MachineSnapshot) {
-        *self = snap.state.clone();
-    }
-
     /// Serialises the machine's dynamic state (everything a cycle can
     /// change). Static state — programs, configuration, telemetry settings
     /// — is not stored: [`Machine::load_state`] rebuilds those through the
@@ -808,22 +780,10 @@ impl Machine {
     /// (`workload_id`, caller-chosen — e.g. a hash of the workload name,
     /// scale and seed), followed by [`Machine::save_state`].
     pub fn save_checkpoint(&self, workload_id: u64) -> Vec<u8> {
-        self.checkpoint_bound_to(self.cfg.canonical_hash(), workload_id)
-    }
-
-    /// Warm-start variant of [`Machine::save_checkpoint`]: the header
-    /// binds to [`MachineConfig::warm_hash`] instead of the full canonical
-    /// hash, so machines that differ only in their run budgets
-    /// (`max_cycles`, `deadlock_cycles`) can restore it.
-    pub fn save_warm_checkpoint(&self, workload_id: u64) -> Vec<u8> {
-        self.checkpoint_bound_to(self.cfg.warm_hash(), workload_id)
-    }
-
-    fn checkpoint_bound_to(&self, cfg_hash: u64, workload_id: u64) -> Vec<u8> {
         let mut e = Enc::new();
         e.bytes(CHECKPOINT_MAGIC);
         e.u32(CHECKPOINT_VERSION);
-        e.u64(cfg_hash);
+        e.u64(self.cfg.canonical_hash());
         e.u8(Model::ALL
             .iter()
             .position(|&m| m == self.model)
@@ -838,22 +798,6 @@ impl Machine {
     /// header mismatch (magic, version, config, model, workload) and every
     /// truncated or corrupted payload is a typed error, never a panic.
     pub fn load_checkpoint(&mut self, bytes: &[u8], workload_id: u64) -> WireResult<()> {
-        self.load_checkpoint_bound_to(bytes, self.cfg.canonical_hash(), workload_id)
-    }
-
-    /// Restores a warm-start checkpoint ([`Machine::save_warm_checkpoint`]):
-    /// validation compares [`MachineConfig::warm_hash`], accepting donors
-    /// that differ from this machine only in their run budgets.
-    pub fn load_warm_checkpoint(&mut self, bytes: &[u8], workload_id: u64) -> WireResult<()> {
-        self.load_checkpoint_bound_to(bytes, self.cfg.warm_hash(), workload_id)
-    }
-
-    fn load_checkpoint_bound_to(
-        &mut self,
-        bytes: &[u8],
-        cfg_hash: u64,
-        workload_id: u64,
-    ) -> WireResult<()> {
         let mut d = Dec::new(bytes);
         d.tag(CHECKPOINT_MAGIC, "checkpoint magic mismatch")?;
         if d.u32()? != CHECKPOINT_VERSION {
@@ -862,7 +806,7 @@ impl Machine {
                 what: "checkpoint version mismatch",
             });
         }
-        if d.u64()? != cfg_hash {
+        if d.u64()? != self.cfg.canonical_hash() {
             return Err(WireError {
                 pos: 8,
                 what: "checkpoint config mismatch",

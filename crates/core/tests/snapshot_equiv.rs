@@ -1,11 +1,11 @@
 //! Differential proof that snapshot/restore is invisible: for every
 //! benchmark of the suite and every machine model, a run interrupted at
 //! mid-flight — whether resumed in place, restored from an in-memory
-//! [`hidisc::MachineSnapshot`], or rebuilt from the on-disk checkpoint
-//! byte format — must produce exactly the statistics, cycle count and
+//! clone of the machine, or rebuilt from the on-disk checkpoint byte
+//! format — must produce exactly the statistics, cycle count and
 //! final memory of the uninterrupted run.
 //!
-//! See DESIGN.md, "State snapshots & sampled simulation", for the
+//! See DESIGN.md §16, "State snapshots and sampled simulation", for the
 //! invariant this test pins down.
 
 use hidisc::{Machine, MachineConfig, Model};
@@ -41,14 +41,14 @@ fn check_point(
         .unwrap_or_else(|e| panic!("{name}/{model}: baseline run failed: {e}"));
     let stop_at = baseline.cycles / 2;
 
-    // Split run: stop at the midpoint, snapshot, keep going in place.
+    // Split run: stop at the midpoint, clone, keep going in place.
     let mut split = Machine::new(model, compiled, env, cfg);
     let finished = split
         .run_to_cycle(stop_at)
         .unwrap_or_else(|e| panic!("{name}/{model}: run_to_cycle failed: {e}"));
     assert!(!finished, "{name}/{model}: finished before the midpoint");
     assert_eq!(split.now(), stop_at, "{name}/{model}: stop overshot");
-    let snap = split.snapshot();
+    let mut restored = split.clone();
     let bytes = split.save_checkpoint(WORKLOAD_ID);
     let split_stats = split
         .run(work)
@@ -58,17 +58,14 @@ fn check_point(
         "{name}/{model}: split run diverged:\nbase: {baseline:#?}\nsplit: {split_stats:#?}"
     );
 
-    // Restore the in-memory snapshot into the (now finished) machine and
-    // run to the end again.
-    let mut restored = Machine::new(model, compiled, env, cfg);
-    restored.restore(&snap);
+    // Resume the clone taken at the midpoint and run to the end again.
     assert_eq!(restored.now(), stop_at);
     let restored_stats = restored
         .run(work)
         .unwrap_or_else(|e| panic!("{name}/{model}: restored run failed: {e}"));
     assert!(
         baseline.sim_eq(&restored_stats),
-        "{name}/{model}: snapshot/restore diverged"
+        "{name}/{model}: restored clone diverged"
     );
 
     // Rebuild a fresh machine from the serialized checkpoint bytes.
@@ -156,8 +153,7 @@ fn checkpoint_header_is_validated() {
 
 /// A corrupt page count in the memory section — the last section before
 /// the trailing `now`, `ff_jumps` and `ff_skipped` u64s — is a typed
-/// error for both the exact and the warm loader, never an allocation of
-/// that many pages.
+/// error, never an allocation of that many pages.
 #[test]
 fn corrupt_memory_page_count_is_an_error() {
     let w = &suite(Scale::Test, 42)[0];
@@ -169,23 +165,15 @@ fn corrupt_memory_page_count_is_an_error() {
     m.data.save_state(&mut section);
     let section = section.finish();
 
-    for (bytes, warm) in [
-        (m.save_checkpoint(WORKLOAD_ID), false),
-        (m.save_warm_checkpoint(WORKLOAD_ID), true),
-    ] {
-        let at = bytes.len() - 24 - section.len();
-        assert_eq!(&bytes[at..at + 8], &section[..8], "page count offset");
-        for count in [1u64 << 36, 1 << 60] {
-            let mut patched = bytes.clone();
-            patched[at..at + 8].copy_from_slice(&count.to_le_bytes());
-            let mut fresh = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
-            let loaded = if warm {
-                fresh.load_warm_checkpoint(&patched, WORKLOAD_ID)
-            } else {
-                fresh.load_checkpoint(&patched, WORKLOAD_ID)
-            };
-            assert!(loaded.is_err(), "count {count:#x} (warm: {warm}) loaded");
-        }
+    let bytes = m.save_checkpoint(WORKLOAD_ID);
+    let at = bytes.len() - 24 - section.len();
+    assert_eq!(&bytes[at..at + 8], &section[..8], "page count offset");
+    for count in [1u64 << 36, 1 << 60] {
+        let mut patched = bytes.clone();
+        patched[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        let mut fresh = Machine::new(Model::HiDisc, &compiled, &env, MachineConfig::paper());
+        let loaded = fresh.load_checkpoint(&patched, WORKLOAD_ID);
+        assert!(loaded.is_err(), "count {count:#x} loaded");
     }
 }
 
@@ -232,8 +220,8 @@ fn ready_list_at(m: &Machine, bytes: &[u8]) -> Option<usize> {
 
 /// The ready list is restored as written, so a list that `save_state`
 /// could not have produced — longer than the window, out of order, or
-/// naming an entry that is not waiting — is a typed error for both the
-/// exact and the warm loader, never re-sorted or trusted.
+/// naming an entry that is not waiting — is a typed error, never
+/// re-sorted or trusted.
 #[test]
 fn corrupt_ready_list_is_an_error() {
     let w = &suite(Scale::Test, 42)[6]; // tc
@@ -254,53 +242,36 @@ fn corrupt_ready_list_is_an_error() {
     };
     let seqs = at + 8..at + 8 + 8 * k;
 
-    for (bytes, warm) in [
-        (m.save_checkpoint(WORKLOAD_ID), false),
-        (m.save_warm_checkpoint(WORKLOAD_ID), true),
-    ] {
-        let load = |patched: &[u8]| {
-            let mut fresh = Machine::new(Model::Superscalar, &compiled, &env, cfg);
-            if warm {
-                fresh.load_warm_checkpoint(patched, WORKLOAD_ID)
-            } else {
-                fresh.load_checkpoint(patched, WORKLOAD_ID)
-            }
-        };
-        assert!(load(&bytes).is_ok(), "pristine bytes (warm: {warm})");
+    let bytes = m.save_checkpoint(WORKLOAD_ID);
+    let load = |patched: &[u8]| {
+        let mut fresh = Machine::new(Model::Superscalar, &compiled, &env, cfg);
+        fresh.load_checkpoint(patched, WORKLOAD_ID)
+    };
+    assert!(load(&bytes).is_ok(), "pristine bytes");
 
-        let mut descending = bytes.clone();
-        let reversed: Vec<u8> = bytes[seqs.clone()]
-            .chunks(8)
-            .rev()
-            .flatten()
-            .copied()
-            .collect();
-        descending[seqs.clone()].copy_from_slice(&reversed);
-        let err = load(&descending).expect_err("descending list loaded");
-        assert_eq!(
-            err.what, "ready list not strictly ascending",
-            "warm: {warm}"
-        );
+    let mut descending = bytes.clone();
+    let reversed: Vec<u8> = bytes[seqs.clone()]
+        .chunks(8)
+        .rev()
+        .flatten()
+        .copied()
+        .collect();
+    descending[seqs.clone()].copy_from_slice(&reversed);
+    let err = load(&descending).expect_err("descending list loaded");
+    assert_eq!(err.what, "ready list not strictly ascending");
 
-        for count in [ruu_size + 1, 1 << 60] {
-            let mut oversize = bytes.clone();
-            oversize[at..at + 8].copy_from_slice(&count.to_le_bytes());
-            let err = load(&oversize).expect_err("oversize list loaded");
-            assert_eq!(
-                err.what, "ready list longer than the window",
-                "warm: {warm}"
-            );
-        }
-
-        let mut stranger = bytes.clone();
-        let last = seqs.end - 8;
-        stranger[last..seqs.end].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = load(&stranger).expect_err("list naming a non-waiting entry loaded");
-        assert_eq!(
-            err.what, "ready list names an entry that is not waiting",
-            "warm: {warm}"
-        );
+    for count in [ruu_size + 1, 1 << 60] {
+        let mut oversize = bytes.clone();
+        oversize[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        let err = load(&oversize).expect_err("oversize list loaded");
+        assert_eq!(err.what, "ready list longer than the window");
     }
+
+    let mut stranger = bytes.clone();
+    let last = seqs.end - 8;
+    stranger[last..seqs.end].copy_from_slice(&u64::MAX.to_le_bytes());
+    let err = load(&stranger).expect_err("list naming a non-waiting entry loaded");
+    assert_eq!(err.what, "ready list names an entry that is not waiting");
 }
 
 proptest! {

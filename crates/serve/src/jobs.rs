@@ -13,12 +13,11 @@
 //!
 //! Callers keep their own counters and replies. Lock order: the caller
 //! of [`admit`] holds the registry, which takes the workers lock inside
-//! it (sweeps → registry → workers); the warm checkpoint store is locked
-//! only by the simulation, never under the registry.
+//! it (sweeps → registry → workers).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hidisc::telemetry::log::Level;
@@ -78,11 +77,11 @@ pub(crate) struct Registry {
     terminal: VecDeque<String>,
     max_terminal: usize,
     /// Completed results by content address: the LRU + disk [`Store`].
-    pub(crate) results: Store<String>,
+    pub(crate) results: Store,
 }
 
 impl Registry {
-    pub(crate) fn new(max_terminal: usize, results: Store<String>) -> Registry {
+    pub(crate) fn new(max_terminal: usize, results: Store) -> Registry {
         Registry {
             jobs: HashMap::new(),
             terminal: VecDeque::new(),
@@ -481,18 +480,13 @@ pub(crate) fn execute_job(state: Arc<State>, job: Job) {
         ],
     );
     let started = Instant::now();
-    let warm =
-        (state.warm_checkpoint_cycle > 0).then_some((&state.warm, state.warm_checkpoint_cycle));
-    let outcome = run_simulation(&spec, cfg, warm);
+    let outcome = run_simulation(&spec, cfg);
     let sim = started.elapsed();
     state.http.record_phase(JobPhase::SimRun, sim);
     let wall_ms = sim.as_millis() as u64;
 
     match outcome {
         Ok(run) => {
-            if run.warm_restored {
-                state.counters.warm_restores.fetch_add(1, Ordering::Relaxed);
-            }
             state
                 .counters
                 .dropped_events
@@ -516,7 +510,6 @@ pub(crate) fn execute_job(state: Arc<State>, job: Job) {
                     ("queue_wait_ms", (queue_wait.as_millis() as u64).into()),
                     ("sim_ms", wall_ms.into()),
                     ("serialize_ms", (serialize.as_millis() as u64).into()),
-                    ("warm_restored", run.warm_restored.into()),
                     ("slow", slow.into()),
                 ],
             );
@@ -541,16 +534,9 @@ struct RunOutcome {
     stats_json: String,
     metrics: Option<IntervalMetrics>,
     dropped_events: u64,
-    /// True when the run skipped its shared prefix by restoring a warm
-    /// checkpoint instead of re-simulating it.
-    warm_restored: bool,
 }
 
-fn run_simulation(
-    spec: &JobSpec,
-    cfg: MachineConfig,
-    warm: Option<(&Mutex<Store<Vec<u8>>>, u64)>,
-) -> Result<RunOutcome, String> {
+fn run_simulation(spec: &JobSpec, cfg: MachineConfig) -> Result<RunOutcome, String> {
     let (compiled, env) = match &spec.program {
         Some(src) => {
             let prog = hidisc_isa::asm::assemble(&spec.workload, src)
@@ -570,36 +556,6 @@ fn run_simulation(
         }
     };
     let mut m = Machine::new(spec.model, &compiled, &env, cfg);
-    let mut warm_restored = false;
-    if let Some((store, warm_at)) = warm {
-        let wkey = spec.warm_key(&cfg);
-        if let Some(bytes) = store.lock().expect("warm store lock").get(wkey) {
-            if m.load_warm_checkpoint(&bytes, wkey).is_ok() {
-                warm_restored = true;
-            } else {
-                // Stale or truncated checkpoint (e.g. a wire-format
-                // bump): a failed load may leave partial state, so
-                // rebuild the machine and run cold. The prefix run below
-                // overwrites the bad entry.
-                m = Machine::new(spec.model, &compiled, &env, cfg);
-            }
-        }
-        // Jobs whose cycle budget ends inside the prefix run cold — their
-        // entire run is shorter than the shared portion.
-        if !warm_restored && cfg.max_cycles > warm_at {
-            match m.run_to_cycle(warm_at) {
-                // Stopped at the boundary mid-run: this prefix is common
-                // to every budget variant of the experiment — save it.
-                Ok(false) => {
-                    let bytes = Arc::new(m.save_warm_checkpoint(wkey));
-                    store.lock().expect("warm store lock").insert(wkey, bytes);
-                }
-                // Finished inside the prefix: nothing left to share.
-                Ok(true) => {}
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-    }
     let result = match spec.timeout_ms {
         Some(ms) => m.run_deadline(
             compiled.profile.dyn_instrs,
@@ -615,7 +571,6 @@ fn run_simulation(
             stats_json: stats.to_json(),
             metrics,
             dropped_events,
-            warm_restored,
         }),
         Err(e) => {
             let msg = match &e {

@@ -43,9 +43,8 @@
 //! job registry and the one path every job takes, whichever route
 //! created it — one result lookup, one admission (lookup → coalesce →
 //! bounded submit), one Running → Done/Failed completion; `sweeps`
-//! drives grid points through that path; [`cache::Store`] is the one
-//! LRU + disk store behind both the result cache and the warm-start
-//! checkpoints.
+//! drives grid points through that path; [`cache::Store`] is the
+//! result cache, an LRU in front of an optional disk tier.
 //!
 //! Backpressure: the job queue is bounded; a full queue answers `429`
 //! with a `Retry-After` hint instead of buffering without bound, and
@@ -107,16 +106,13 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 /// checkout), baked in by `build.rs`.
 pub const GIT_SHA: &str = env!("HIDISC_GIT_SHA");
 
-/// Default [`ServeConfig::warm_checkpoint_cycle`].
-pub const WARM_CHECKPOINT_CYCLE: u64 = 20_000;
-
 // ---------------------------------------------------------------------
 // Job specification
 // ---------------------------------------------------------------------
 
 /// One simulation point: a validated `POST /v1/run` body, and what the
-/// sweep planner expands a grid into. Its config, job key and warm key
-/// are assembled here and nowhere else, so a sweep point, an equivalent
+/// sweep planner expands a grid into. Its config and job key are
+/// assembled here and nowhere else, so a sweep point, an equivalent
 /// `/v1/run` request and the `repro` CLI build and hash identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -288,22 +284,7 @@ impl JobSpec {
     /// excluded — they do not change simulated results (the cycle
     /// budget, part of the config, is included).
     pub fn key(&self, cfg: &MachineConfig) -> u64 {
-        self.extend_key(cfg.canonical_hash())
-    }
-
-    /// The warm-start address: like [`JobSpec::key`] but seeded from
-    /// [`MachineConfig::warm_hash`], which normalises the cycle and
-    /// deadlock budgets away. Budgets only decide where a run *stops*,
-    /// not how state *evolves*, so two jobs differing only in budgets
-    /// share the same simulated prefix — and the same checkpoint.
-    pub fn warm_key(&self, cfg: &MachineConfig) -> u64 {
-        self.extend_key(cfg.warm_hash())
-    }
-
-    /// Extends a config hash with the workload identity, the model and —
-    /// domain-separated — the custom program, if any.
-    fn extend_key(&self, mut h: u64) -> u64 {
-        h = fnv1a(h, self.workload.as_bytes());
+        let mut h = fnv1a(cfg.canonical_hash(), self.workload.as_bytes());
         h = fnv1a(h, &[0, self.scale as u8]);
         h = fnv1a(h, &self.seed.to_le_bytes());
         h = fnv1a(h, &[self.model as u8]);
@@ -410,7 +391,6 @@ pub struct ServeConfig {
     cache_dir: Option<PathBuf>,
     max_connections: usize,
     idle_timeout_ms: u64,
-    warm_checkpoint_cycle: u64,
     log_level: Option<Level>,
     log_format: LogFormat,
     log_file: Option<PathBuf>,
@@ -453,7 +433,6 @@ impl ServeConfig {
             cache_dir: None,
             max_connections: 10_240,
             idle_timeout_ms: 10_000,
-            warm_checkpoint_cycle: WARM_CHECKPOINT_CYCLE,
             log_level: None,
             log_format: LogFormat::Text,
             log_file: None,
@@ -504,12 +483,6 @@ impl ServeConfig {
     /// before the reactor closes it.
     pub fn idle_timeout(&self) -> Duration {
         Duration::from_millis(self.idle_timeout_ms)
-    }
-
-    /// Cycle at which a job's machine state is checkpointed for warm
-    /// starts (see [`JobSpec::warm_key`]); `0` disables warm starts.
-    pub fn warm_checkpoint_cycle(&self) -> u64 {
-        self.warm_checkpoint_cycle
     }
 
     /// Minimum structured-log level; `None` disables logging entirely.
@@ -628,7 +601,6 @@ pub struct ServeConfigBuilder {
     cache_dir: Option<PathBuf>,
     max_connections: usize,
     idle_timeout_ms: u64,
-    warm_checkpoint_cycle: u64,
     log_level: Option<Level>,
     log_format: LogFormat,
     log_file: Option<PathBuf>,
@@ -685,12 +657,6 @@ impl ServeConfigBuilder {
     /// 10..=600 000).
     pub fn idle_timeout_ms(mut self, ms: u64) -> Self {
         self.idle_timeout_ms = ms;
-        self
-    }
-
-    /// Warm-start checkpoint cycle (0 disables warm starts).
-    pub fn warm_checkpoint_cycle(mut self, cycle: u64) -> Self {
-        self.warm_checkpoint_cycle = cycle;
         self
     }
 
@@ -816,7 +782,6 @@ impl ServeConfigBuilder {
             cache_dir: self.cache_dir,
             max_connections: self.max_connections,
             idle_timeout_ms: self.idle_timeout_ms,
-            warm_checkpoint_cycle: self.warm_checkpoint_cycle,
             log_level: self.log_level,
             log_format: self.log_format,
             log_file: self.log_file,
@@ -840,7 +805,6 @@ pub(crate) struct Counters {
     pub(crate) conn_rejected: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
     dropped_events: AtomicU64,
-    warm_restores: AtomicU64,
     /// Reactor `epoll_wait` returns (readiness batches handled).
     pub(crate) reactor_wakeups: AtomicU64,
     /// Reads/writes/accepts that hit `EAGAIN` and parked the fd.
@@ -861,11 +825,6 @@ pub(crate) struct Counters {
 
 pub(crate) struct State {
     registry: Mutex<Registry>,
-    /// Warm-start checkpoints, keyed by [`JobSpec::warm_key`]. Separate
-    /// from the registry mutex: checkpoint save/restore happens inside
-    /// `run_simulation`, which must not hold the registry lock.
-    warm: Mutex<Store<Vec<u8>>>,
-    warm_checkpoint_cycle: u64,
     workers: Mutex<Option<Workers>>,
     pub(crate) counters: Counters,
     metrics: Mutex<Option<IntervalMetrics>>,
@@ -913,15 +872,8 @@ impl Service {
         let state = Arc::new(State {
             registry: Mutex::new(Registry::new(
                 cfg.max_jobs(),
-                Store::new(cfg.cache_bytes(), cfg.cache_dir.clone(), String::len),
+                Store::new(cfg.cache_bytes(), cfg.cache_dir.clone()),
             )),
-            // Checkpoints weigh 1 each: at most 64 stay in memory.
-            warm: Mutex::new(Store::new(
-                64,
-                cfg.cache_dir.as_ref().map(|d| d.join("warm")),
-                |_| 1,
-            )),
-            warm_checkpoint_cycle: cfg.warm_checkpoint_cycle,
             workers: Mutex::new(Some(Workers::new(cfg.workers(), cfg.queue_depth()))),
             counters: Counters::default(),
             metrics: Mutex::new(None),
@@ -1151,7 +1103,7 @@ pub(crate) fn route(req: &http::Request, rid: &str, state: &Arc<State>) -> Reply
 fn render_metrics(state: &Arc<State>) -> String {
     let c = &state.counters;
     let mut s = String::new();
-    let counters: [(&str, &str, u64); 16] = [
+    let counters: [(&str, &str, u64); 15] = [
         (
             "hidisc_serve_requests_total",
             "HTTP requests routed.",
@@ -1206,11 +1158,6 @@ fn render_metrics(state: &Arc<State>) -> String {
             "hidisc_serve_bad_requests_total",
             "Requests rejected as malformed (parse or validation).",
             c.bad_requests.load(Ordering::Relaxed),
-        ),
-        (
-            "hidisc_serve_warm_restores_total",
-            "Runs that restored a warm-start checkpoint.",
-            c.warm_restores.load(Ordering::Relaxed),
         ),
         (
             "hidisc_serve_reactor_wakeups_total",

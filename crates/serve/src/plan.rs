@@ -12,8 +12,7 @@
 //!
 //! * **Shared content addressing.** A grid point *is* a [`JobSpec`], so
 //!   it builds its config and key through the same methods as a
-//!   `/v1/run` request and shares its cache entries (and warm-start
-//!   checkpoints).
+//!   `/v1/run` request and shares its cache entries.
 //! * **Order-independent identity.** [`sweep_id`] hashes the *sorted*
 //!   deduplicated key set, so the same grid written with axes in a
 //!   different order names the same sweep and coalesces server-side.
@@ -520,8 +519,7 @@ mod tests {
 
     #[test]
     fn job_key_matches_the_run_endpoint_contract() {
-        // Golden structure: changing any identity axis changes the key;
-        // the warm key differs only through the config hash family.
+        // Golden structure: changing any identity axis changes the key.
         let dm = JobSpec {
             workload: "dm".into(),
             ..JobSpec::default()
@@ -539,7 +537,6 @@ mod tests {
         assert_ne!(base, key(|s| s.model = Model::CpAp));
         assert_ne!(base, key(|s| s.program = Some("nop".into())));
         assert_eq!(base, key(|_| {}));
-        assert_ne!(dm.warm_key(&cfg), base);
     }
 
     #[test]

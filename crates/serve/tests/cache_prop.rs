@@ -69,7 +69,7 @@ proptest! {
     ) {
         // Memory-only cache: no disk tier, so a `get` miss stays a miss
         // and membership is exactly the memory tier's.
-        let mut cache = Store::new(budget, None, String::len);
+        let mut cache = Store::new(budget, None);
         let mut oracle = Oracle { budget, order: Vec::new(), size: HashMap::new() };
 
         for op in &ops {

@@ -1,28 +1,28 @@
 //! Pins the content addresses the service hands out. Job keys name the
-//! disk-cache files and route sweep points to shards (`key % N`), warm
-//! keys name the checkpoints, and sweep ids coalesce equivalent grids,
-//! so none of them may drift across a refactor. Shard forwarding sends a
-//! point to its owner as `JobSpec::to_json` and the owner re-parses it
-//! with `JobSpec::from_json`; the round trip must keep both keys.
+//! disk-cache files and route sweep points to shards (`key % N`), and
+//! sweep ids coalesce equivalent grids, so neither may drift across a
+//! refactor. Shard forwarding sends a point to its owner as
+//! `JobSpec::to_json` and the owner re-parses it with
+//! `JobSpec::from_json`; the round trip must keep the key.
 
 use hidisc_bench::FIG10_LATENCIES;
 use hidisc_serve::plan::{plan, Grid};
 use hidisc_serve::JobSpec;
 use hidisc_workloads::Scale;
 
-/// `(key, warm key)` of a spec, through its own config.
-fn keys(spec: &JobSpec) -> (u64, u64) {
+/// The job key of a spec, through its own config.
+fn key(spec: &JobSpec) -> u64 {
     let cfg = spec.config().expect("valid config");
-    (spec.key(&cfg), spec.warm_key(&cfg))
+    spec.key(&cfg)
 }
 
-fn keys_of(body: &str) -> (u64, u64) {
-    keys(&JobSpec::from_json(body.as_bytes()).expect("body parses"))
+fn key_of(body: &str) -> u64 {
+    key(&JobSpec::from_json(body.as_bytes()).expect("body parses"))
 }
 
 fn assert_round_trips(spec: &JobSpec) {
     let back = JobSpec::from_json(spec.to_json().as_bytes()).expect("to_json re-parses");
-    assert_eq!(keys(&back), keys(spec), "{}", spec.to_json());
+    assert_eq!(key(&back), key(spec), "{}", spec.to_json());
 }
 
 fn fig8_grid() -> Grid {
@@ -55,25 +55,16 @@ fn fig10_grid() -> Grid {
 }
 
 #[test]
-fn job_and_warm_keys_are_pinned() {
-    for (body, key, warm) in [
-        (
-            r#"{"workload":"dm"}"#,
-            0xa680221a8c22fc36,
-            0x94b03aa9c3497289,
-        ),
+fn job_keys_are_pinned() {
+    for (body, pinned) in [
+        (r#"{"workload":"dm"}"#, 0xa680221a8c22fc36),
         (
             r#"{"workload":"pointer","scale":"paper","seed":7,"model":"cp+cmp","l2_lat":8,"mem_lat":80,"scq_depth":4,"max_cycles":1000000}"#,
             0xb760dfa881135912,
-            0x6d54f506904d2368,
         ),
-        (
-            r#"{"program":"li r1, 1\nhalt\n"}"#,
-            0x5d05dc24854edb5b,
-            0x6173464722867dea,
-        ),
+        (r#"{"program":"li r1, 1\nhalt\n"}"#, 0x5d05dc24854edb5b),
     ] {
-        assert_eq!(keys_of(body), (key, warm), "{body}");
+        assert_eq!(key_of(body), pinned, "{body}");
     }
 }
 
@@ -91,7 +82,7 @@ fn sweep_ids_are_pinned() {
 fn specs_round_trip_through_their_json_body() {
     for grid in [fig8_grid(), fig10_grid()] {
         for p in plan(&grid).expect("grid plans").points {
-            assert_eq!(keys(&p.spec).0, p.key, "{}", p.spec.to_json());
+            assert_eq!(key(&p.spec), p.key, "{}", p.spec.to_json());
             assert_round_trips(&p.spec);
         }
     }

@@ -3,7 +3,7 @@
 //! byte-identical to a direct `Machine::run`), bounded-queue
 //! backpressure (429 + Retry-After), wall-clock timeout mapping,
 //! typed 400s for bad requests, and disk-cache persistence across a
-//! service restart.
+//! service restart (a torn cache file is simulated again).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -173,11 +173,14 @@ fn concurrent_duplicates_run_once_and_match_a_direct_run() {
 #[test]
 fn full_queue_answers_429_and_deadlines_map_to_timeouts() {
     // One worker, queue depth one: the first (long) job occupies the
-    // worker, the second fills the queue, the third must bounce.
+    // worker, the second fills the queue, the third must bounce. The
+    // occupant must outlast its deadline on any host: tc@large on HiDISC
+    // simulates for 9.8 s in a release build on a 2-vCPU x86-64 host,
+    // 24x the 400 ms budget (dm@large took 1.2 s there, too close).
     let svc = start(1, 1, None);
     let addr = svc.addr();
 
-    let long = r#"{"workload":"dm","scale":"large","seed":1,"timeout_ms":400}"#;
+    let long = r#"{"workload":"tc","scale":"large","seed":1,"timeout_ms":400}"#;
     let r1 = request(addr, "POST", "/v1/run", long);
     assert_eq!(r1.status, 202, "{}", r1.body);
     let id1 = json_str(&r1.body, "job").unwrap();
@@ -403,54 +406,34 @@ fn disk_cache_survives_a_service_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A second job that differs from the first only in its cycle budget
-/// shares the simulated prefix: the service restores the warm checkpoint
-/// instead of re-simulating from cycle zero, and still produces
-/// byte-identical simulated results.
+/// A torn disk-cache file is a miss, not a result: a fresh instance
+/// simulates the job again, answers the same stats and rewrites the file.
 #[test]
-fn warm_start_restores_shared_prefix_for_budget_variants() {
-    let dir = std::env::temp_dir().join(format!("hidisc-serve-warm-{}", std::process::id()));
+fn torn_disk_cache_file_is_simulated_again() {
+    let dir = std::env::temp_dir().join(format!("hidisc-serve-torn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let svc = Service::start(
-        ServeConfig::builder()
-            .workers(1)
-            .cache_dir(dir.clone())
-            .warm_checkpoint_cycle(2_000)
-            .build()
-            .expect("valid serve config"),
-    )
-    .expect("service start");
-    let addr = svc.addr();
+    let body = r#"{"workload":"dm","scale":"test","seed":9}"#;
 
-    // dm/test runs ~20k cycles: both budgets are ample, so both jobs
-    // complete identically — but the budget is part of the job key, so
-    // the second submission is neither a coalesce nor a result-cache hit.
-    let a = r#"{"workload":"dm","scale":"test","seed":7,"model":"hidisc","max_cycles":500000}"#;
-    let b = r#"{"workload":"dm","scale":"test","seed":7,"model":"hidisc","max_cycles":600000}"#;
-
-    let r = request(addr, "POST", "/v1/run", a);
+    let svc = start(1, 4, Some(dir.clone()));
+    let r = request(svc.addr(), "POST", "/v1/run", body);
     assert_eq!(r.status, 202, "{}", r.body);
-    let id_a = json_str(&r.body, "job").unwrap();
-    let done_a = poll_job(addr, &id_a);
-    assert_eq!(json_str(&done_a.body, "status").as_deref(), Some("done"));
-    // The first run was cold: it simulated (and checkpointed) the prefix.
-    assert_eq!(metric(addr, "hidisc_serve_warm_restores_total"), 0);
-
-    let r = request(addr, "POST", "/v1/run", b);
-    assert_eq!(r.status, 202, "{}", r.body);
-    let id_b = json_str(&r.body, "job").unwrap();
-    assert_ne!(id_a, id_b, "budget variants must be distinct jobs");
-    let done_b = poll_job(addr, &id_b);
-    assert_eq!(json_str(&done_b.body, "status").as_deref(), Some("done"));
-
-    // The second run simulated, but started from the restored checkpoint
-    // — with simulated results identical to a cold direct run.
-    assert_eq!(metric(addr, "hidisc_serve_sim_runs_total"), 2);
-    assert_eq!(metric(addr, "hidisc_serve_warm_restores_total"), 1);
-    assert_eq!(stats_of(&done_a.body), stats_of(&done_b.body));
-    assert_eq!(stats_of(&done_b.body), direct_stats(b));
-
+    let id = json_str(&r.body, "job").unwrap();
+    let first_stats = stats_of(&poll_job(svc.addr(), &id).body).to_string();
     svc.shutdown();
+
+    let file = dir.join(format!("{id}.json"));
+    let good = std::fs::read(&file).expect("result file written");
+    std::fs::write(&file, &good[..good.len() / 2]).unwrap();
+
+    let svc = start(1, 4, Some(dir.clone()));
+    let addr = svc.addr();
+    let r = request(addr, "POST", "/v1/run", body);
+    assert_eq!(r.status, 202, "torn file answered as a hit: {}", r.body);
+    assert_eq!(stats_of(&poll_job(addr, &id).body), first_stats);
+    assert_eq!(metric(addr, "hidisc_serve_sim_runs_total"), 1);
+    svc.shutdown();
+    assert_eq!(std::fs::read(&file).unwrap(), good, "file not rewritten");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -16,7 +16,7 @@
 //!    helpers.
 //! 3. **Sinks** — recorded events drain into any [`TraceSink`]:
 //!    [`StreamingSink`] writes catapult/Perfetto `trace.json` to any
-//!    [`std::io::Write`], [`MemorySink`] is a bounded buffer for tests.
+//!    [`std::io::Write`].
 //!
 //! The hot loop only appends `Copy` structs to a `Vec` (bounded by the
 //! configured event cap); all formatting happens outside it, when the
@@ -1103,52 +1103,15 @@ pub fn metrics_prometheus(m: &IntervalMetrics) -> String {
     s
 }
 
-// ---------------------------------------------------------------------
-// In-memory sink
-// ---------------------------------------------------------------------
-
-/// A bounded in-memory sink for tests: keeps the first `cap` events and
-/// counts the rest as dropped.
-pub struct MemorySink {
-    cap: usize,
-    events: Vec<TraceEvent>,
-    dropped: u64,
-}
-
-impl MemorySink {
-    /// A sink retaining at most `cap` events.
-    pub fn new(cap: usize) -> MemorySink {
-        MemorySink {
-            cap,
-            events: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events past the cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn event(&mut self, e: &TraceEvent) {
-        if self.events.len() >= self.cap {
-            self.dropped += 1;
-        } else {
-            self.events.push(*e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceSink for Vec<TraceEvent> {
+        fn event(&mut self, e: &TraceEvent) {
+            self.push(*e);
+        }
+    }
 
     #[test]
     fn category_bits_are_distinct() {
@@ -1289,19 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sink_is_bounded() {
-        let mut t = Telemetry::new(TraceConfig::ALL_EVENTS);
-        for i in 0..10 {
-            t.set_clock(i);
-            t.emit(EventData::Fetch { pc: i as u32 });
-        }
-        let mut sink = MemorySink::new(4);
-        t.drain_into(&mut sink);
-        assert_eq!(sink.events().len(), 4);
-        assert_eq!(sink.dropped(), 6);
-    }
-
-    #[test]
     fn chrome_sink_emits_wellformed_json_shell() {
         let mut t = Telemetry::new(TraceConfig::ALL_EVENTS.with_metrics_interval(10));
         t.set_clock(5);
@@ -1353,14 +1303,14 @@ mod tests {
         for i in 0..4 {
             t.emit(EventData::Fetch { pc: i });
         }
-        let mut sink = MemorySink::new(64);
+        let mut sink: Vec<TraceEvent> = Vec::new();
         assert_eq!(t.drain_into(&mut sink), 4);
         assert!(t.events().is_empty());
         for i in 4..6 {
             t.emit(EventData::Fetch { pc: i });
         }
         assert_eq!(t.drain_into(&mut sink), 2);
-        assert_eq!(sink.events().len(), 6);
+        assert_eq!(sink.len(), 6);
         assert_eq!(t.dropped(), 0);
     }
 
