@@ -3,7 +3,7 @@
 
 use crate::cmp::CmpConfig;
 use hidisc_mem::{CacheConfig, MemConfig};
-use hidisc_ooo::{CoreConfig, QueueConfig};
+use hidisc_ooo::{CoreConfig, QueueConfig, MAX_RUU_SIZE};
 use hidisc_telemetry::TraceConfig;
 
 /// One FNV-1a 64-bit step over `bytes`, continuing from `state` (seed
@@ -122,6 +122,14 @@ pub enum ConfigError {
         /// The watchdog threshold the latencies were checked against.
         deadlock_cycles: u64,
     },
+    /// An instruction window is larger than the issue stage's bit masks
+    /// hold ([`MAX_RUU_SIZE`] entries, one bit each in a `u64`).
+    WindowTooLarge {
+        /// Dotted path of the offending field, e.g. `"ap.ruu_size"`.
+        what: &'static str,
+        /// The rejected size.
+        size: u32,
+    },
 }
 
 impl ConfigError {
@@ -133,6 +141,7 @@ impl ConfigError {
             ConfigError::Zero { .. } => "CFG001",
             ConfigError::NotPowerOfTwo { .. } => "CFG002",
             ConfigError::LatencyPastWatchdog { .. } => "CFG003",
+            ConfigError::WindowTooLarge { .. } => "CFG004",
         }
     }
 }
@@ -158,6 +167,13 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "invalid machine config: l2 latency {l2} + memory latency {mem} is too long \
                      for deadlock_cycles {deadlock_cycles} (need 2*(l2 + mem) < deadlock_cycles)"
+                )
+            }
+            ConfigError::WindowTooLarge { what, size } => {
+                write!(
+                    f,
+                    "invalid machine config: {what} is {size}, more than the \
+                     {MAX_RUU_SIZE} entries the issue window holds"
                 )
             }
         }
@@ -278,6 +294,12 @@ impl MachineConfigBuilder {
             nonzero(c.issue_width as u64, widths[2])?;
             nonzero(c.commit_width as u64, widths[3])?;
             nonzero(c.ruu_size as u64, ruu)?;
+            if c.ruu_size > MAX_RUU_SIZE {
+                return Err(ConfigError::WindowTooLarge {
+                    what: ruu,
+                    size: c.ruu_size,
+                });
+            }
             pow2(c.predictor_entries as u64, pred)
         }
 
@@ -697,6 +719,24 @@ mod tests {
                 what: "cp.ruu_size"
             }
         );
+    }
+
+    #[test]
+    fn builder_rejects_windows_past_the_issue_masks() {
+        let mut ap = CoreConfig::paper_ap();
+        ap.ruu_size = MAX_RUU_SIZE;
+        assert!(MachineConfig::builder().ap(ap).build().is_ok());
+        ap.ruu_size = MAX_RUU_SIZE + 1;
+        let err = MachineConfig::builder().ap(ap).build().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::WindowTooLarge {
+                what: "ap.ruu_size",
+                size: 65
+            }
+        );
+        assert_eq!(err.code(), "CFG004");
+        assert!(err.to_string().contains("ap.ruu_size is 65"));
     }
 
     #[test]

@@ -218,35 +218,50 @@ fn ready_list_at(m: &Machine, bytes: &[u8]) -> Option<usize> {
     hits.next().is_none().then_some(at)
 }
 
-/// The ready list is restored as written, so a list that `save_state`
-/// could not have produced — longer than the window, out of order, or
-/// naming an entry that is not waiting — is a typed error, never
-/// re-sorted or trusted.
-#[test]
-fn corrupt_ready_list_is_an_error() {
+/// A tc checkpoint on the superscalar at the first cycle with at least
+/// two ready entries and at least `issued` issued ones: the configuration,
+/// the checkpoint bytes and the ready list's offset and length in them.
+fn tc_checkpoint(issued: usize) -> (MachineConfig, Vec<u8>, usize, usize) {
     let w = &suite(Scale::Test, 42)[6]; // tc
     let env = env_of(w);
     let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
     let cfg = MachineConfig::paper();
-    let ruu_size = cfg.superscalar.ruu_size as u64;
     let mut m = Machine::new(Model::Superscalar, &compiled, &env, cfg);
-    // Step to the first cycle with at least two ready entries.
-    let (at, k) = loop {
+    loop {
         assert!(m.now() < 2000, "no cycle with two ready entries");
         m.run_to_cycle(m.now() + 1).unwrap();
+        let in_flight = m.snapshots()[0]
+            .window
+            .iter()
+            .filter(|s| s.state == 'I')
+            .count();
         let bytes = m.save_checkpoint(WORKLOAD_ID);
-        if let Some(at) = ready_list_at(&m, &bytes) {
+        if let Some(at) = ready_list_at(&m, &bytes).filter(|_| in_flight >= issued) {
             let k = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-            break (at, k);
+            return (cfg, bytes, at, k);
         }
-    };
-    let seqs = at + 8..at + 8 + 8 * k;
+    }
+}
 
-    let bytes = m.save_checkpoint(WORKLOAD_ID);
-    let load = |patched: &[u8]| {
-        let mut fresh = Machine::new(Model::Superscalar, &compiled, &env, cfg);
-        fresh.load_checkpoint(patched, WORKLOAD_ID)
-    };
+/// Loads `patched` into a fresh tc superscalar machine.
+fn load_tc(cfg: MachineConfig, patched: &[u8]) -> Result<(), hidisc_isa::wire::WireError> {
+    let w = &suite(Scale::Test, 42)[6];
+    let env = env_of(w);
+    let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
+    let mut fresh = Machine::new(Model::Superscalar, &compiled, &env, cfg);
+    fresh.load_checkpoint(patched, WORKLOAD_ID)
+}
+
+/// The ready list is derived state, so a list that `save_state` could
+/// not have produced — longer than the window, out of order, or naming
+/// an entry that is not waiting — is a typed error, never re-sorted or
+/// trusted.
+#[test]
+fn corrupt_ready_list_is_an_error() {
+    let (cfg, bytes, at, k) = tc_checkpoint(0);
+    let ruu_size = cfg.superscalar.ruu_size as u64;
+    let seqs = at + 8..at + 8 + 8 * k;
+    let load = |patched: &[u8]| load_tc(cfg, patched);
     assert!(load(&bytes).is_ok(), "pristine bytes");
 
     let mut descending = bytes.clone();
@@ -272,6 +287,30 @@ fn corrupt_ready_list_is_an_error() {
     stranger[last..seqs.end].copy_from_slice(&u64::MAX.to_le_bytes());
     let err = load(&stranger).expect_err("list naming a non-waiting entry loaded");
     assert_eq!(err.what, "ready list names an entry that is not waiting");
+}
+
+/// The completion list is derived state too: one naming a sequence number
+/// outside the window, or an entry that is not issued, is a typed error
+/// at load — not a panic at the first harvest.
+#[test]
+fn corrupt_completions_are_an_error() {
+    let (cfg, bytes, at, k) = tc_checkpoint(1);
+    // The completion list follows the ready list: a count, then
+    // `(complete_at, seq)` pairs; patch the first pair's seq.
+    let first_seq = at + 8 + 8 * k + 8 + 8;
+    let load = |patched: &[u8]| load_tc(cfg, patched);
+    assert!(load(&bytes).is_ok(), "pristine bytes");
+
+    let mut outside = bytes.clone();
+    outside[first_seq..first_seq + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let err = load(&outside).expect_err("completion outside the window loaded");
+    assert_eq!(err.what, "completion names a seq outside the window");
+
+    // The oldest ready entry is waiting, not issued.
+    let mut waiting = bytes.clone();
+    waiting[first_seq..first_seq + 8].copy_from_slice(&bytes[at + 8..at + 16]);
+    let err = load(&waiting).expect_err("completion naming a waiting entry loaded");
+    assert_eq!(err.what, "completion names an entry that is not issued");
 }
 
 proptest! {

@@ -37,6 +37,11 @@ impl Default for Latencies {
     }
 }
 
+/// The largest instruction window (`ruu_size`): the ready-list scheduler
+/// keeps one bit per window entry in a `u64`. Table 1's windows are 64
+/// (superscalar, AP) and 16 (CP).
+pub const MAX_RUU_SIZE: u32 = crate::ruu::SLOTS as u32;
+
 /// Instruction-scheduling strategy of the issue stage.
 ///
 /// Both produce bit-identical timing (`readylist_equiv.rs` proves it);
@@ -44,9 +49,9 @@ impl Default for Latencies {
 /// for debugging the wakeup bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Wakeup-driven ready list: consumer links registered at dispatch,
-    /// completions drained from a min-heap, issue picks from a sorted
-    /// ready set. O(ready + completions) per cycle.
+    /// Wakeup-driven ready list: per-slot bit masks of consumer links
+    /// registered at dispatch, completions drained from a timing wheel,
+    /// issue picks from a ready mask. O(ready + completions) per cycle.
     #[default]
     ReadyList,
     /// The seed implementation: walk the whole RUU every cycle for issue
@@ -156,6 +161,20 @@ impl CoreConfig {
         assert!(self.fetch_width > 0 && self.dispatch_width > 0);
         assert!(self.issue_width > 0 && self.commit_width > 0);
         assert!(self.ruu_size > 0, "RUU must be non-empty");
+        assert!(
+            self.ruu_size <= MAX_RUU_SIZE,
+            "CFG004: RUU of {} entries, more than the {MAX_RUU_SIZE} the issue window holds",
+            self.ruu_size
+        );
+        // The completion wheel schedules every result after the cycle it
+        // issues in.
+        let l = self.lat;
+        assert!(
+            [l.int_alu, l.int_mul, l.int_div, l.fp_alu, l.fp_mul, l.fp_div, l.branch, l.agen]
+                .iter()
+                .all(|&c| c > 0),
+            "every latency must be at least one cycle"
+        );
         assert!(self.predictor_entries.is_power_of_two());
     }
 }
@@ -196,5 +215,20 @@ mod tests {
         CoreConfig::paper_superscalar().validate();
         CoreConfig::paper_cp().validate();
         CoreConfig::paper_ap().validate();
+        CoreConfig {
+            ruu_size: MAX_RUU_SIZE,
+            ..CoreConfig::paper_cp()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "CFG004")]
+    fn windows_past_the_issue_masks_are_rejected() {
+        CoreConfig {
+            ruu_size: MAX_RUU_SIZE + 1,
+            ..CoreConfig::paper_superscalar()
+        }
+        .validate();
     }
 }

@@ -13,7 +13,7 @@ use crate::fu::{latency_of, FuPool};
 use crate::lsq::{queue_opt_code, queue_opt_from, LoadCheck, Lsq, LsqEntry};
 use crate::predictor::Bimodal;
 use crate::queues::QueueFile;
-use crate::ruu::{EntryState, Ruu};
+use crate::ruu::{slot_bit, EntryState, Ruu, Wakeup, SLOTS};
 use crate::stats::CoreStats;
 use hidisc_isa::instr::{FuClass, RegRef, Width};
 use hidisc_isa::interp::{
@@ -27,6 +27,127 @@ use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// Buckets of the completion wheel: a completion due fewer than this
+/// many cycles after the next harvest sits in a bucket, a later one in
+/// the wheel's overflow heap. Table 1 and Figure 10 put every latency
+/// under it (at most `agen + l1 + l2 + mem = 1 + 1 + 16 + 160`).
+const WHEEL: u64 = 256;
+
+/// Issued entries keyed by completion cycle, for the ready-list
+/// scheduler: a timing wheel of window-slot masks (bucket `t % 256` holds
+/// the entries due at `t`) covering `[base, base + 256)`, and a
+/// `(complete_at, seq)` min-heap for completions beyond that horizon.
+/// Every bucket entry is due before every overflow entry.
+#[derive(Debug, Clone)]
+struct Wheel {
+    buckets: [u64; WHEEL as usize],
+    /// Bit `b` is set exactly when `buckets[b]` is non-zero.
+    nonempty: [u64; (WHEEL / 64) as usize],
+    /// The first cycle the wheel covers: one after the last harvest.
+    base: u64,
+    overflow: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl Wheel {
+    /// An empty wheel whose first harvest is at cycle `base`.
+    fn new(base: u64) -> Wheel {
+        Wheel {
+            buckets: [0; WHEEL as usize],
+            nonempty: [0; (WHEEL / 64) as usize],
+            base,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
+    /// Schedules `seq` to complete at cycle `t`, which is at or after the
+    /// next harvest.
+    fn insert(&mut self, t: u64, seq: u64) {
+        debug_assert!(
+            t >= self.base,
+            "completion {t} before the wheel's base {}",
+            self.base
+        );
+        if t - self.base < WHEEL {
+            self.set(t, slot_bit(seq));
+        } else {
+            self.overflow.push(Reverse((t, seq)));
+        }
+    }
+
+    fn set(&mut self, t: u64, mask: u64) {
+        let b = (t % WHEEL) as usize;
+        self.buckets[b] |= mask;
+        self.nonempty[b / 64] |= 1 << (b % 64);
+    }
+
+    /// The earliest cycle in `[from, base + 256)` with a bucket entry.
+    fn first_from(&self, from: u64) -> Option<u64> {
+        let end = self.base + WHEEL;
+        let mut t = from;
+        // At most five words: the rest of the starting word, the other
+        // three, and the start of the first again.
+        while t < end {
+            let b = (t % WHEEL) as usize;
+            let word = self.nonempty[b / 64] >> (b % 64);
+            if word != 0 {
+                let hit = t + word.trailing_zeros() as u64;
+                return (hit < end).then_some(hit);
+            }
+            t += 64 - (b % 64) as u64;
+        }
+        None
+    }
+
+    /// Removes the earliest completions due at or before `now`: their
+    /// cycle and slot mask.
+    fn pop_due(&mut self, now: u64) -> Option<(u64, u64)> {
+        loop {
+            if let Some(t) = self.first_from(self.base) {
+                if t > now {
+                    return None;
+                }
+                let b = (t % WHEEL) as usize;
+                let mask = std::mem::take(&mut self.buckets[b]);
+                self.nonempty[b / 64] &= !(1 << (b % 64));
+                self.advance(t + 1);
+                return Some((t, mask));
+            }
+            // Only the overflow is left: move the wheel up to its head.
+            let &Reverse((t, _)) = self.overflow.peek()?;
+            if t > now {
+                return None;
+            }
+            self.advance(t);
+        }
+    }
+
+    /// Moves `base` up to `to` (no bucket entry is due before it) and
+    /// pulls the overflow completions now inside the horizon into
+    /// buckets.
+    fn advance(&mut self, to: u64) {
+        self.base = to;
+        while let Some(&Reverse((t, seq))) = self.overflow.peek() {
+            if t >= to + WHEEL {
+                break;
+            }
+            self.overflow.pop();
+            self.set(t, slot_bit(seq));
+        }
+    }
+
+    /// The earliest completion strictly after `now`. Exact for any `now`
+    /// before `base + 255`, which covers the machine's query right after
+    /// a core steps (`now = base - 1`).
+    fn next_after(&self, now: u64) -> Option<u64> {
+        self.first_from(self.base.max(now + 1)).or_else(|| {
+            self.overflow
+                .peek()
+                .map(|&Reverse((t, _))| t)
+                .filter(|&t| t > now)
+        })
+    }
+}
 
 /// Rename-table slots: one per architectural register, integer file first.
 const RENAME_SLOTS: usize = NUM_INT_REGS + NUM_FP_REGS;
@@ -194,16 +315,12 @@ pub struct OooCore {
     /// Ready-list scheduling: last in-flight producer of each register
     /// (O(1) rename lookup; the scan scheduler derives this from the RUU).
     rename: [Option<u64>; RENAME_SLOTS],
-    /// Ready-list scheduling: `Waiting` entries whose operands are all
-    /// available, strictly ascending by sequence number (oldest first,
-    /// matching the scan scheduler's issue order). It never holds more
-    /// than `ruu_size` entries and is created with room for that many, so
-    /// inserts and removals do not allocate.
-    ready: Vec<u64>,
-    /// Ready-list scheduling: issued entries keyed by completion time —
-    /// `(complete_at, seq)` min-heap. Harvest pops while the top is due;
-    /// `next_event` reads the top instead of re-walking the RUU.
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Ready-list scheduling: the ready set and wakeup links, one bit per
+    /// window slot.
+    wakeup: Wakeup,
+    /// Ready-list scheduling: issued entries by completion cycle. Harvest
+    /// drains the due buckets; `next_event` reads the earliest.
+    completions: Wheel,
     /// Sampled simulation: fetch is paused while the pipeline drains
     /// ahead of a warm phase.
     fetch_paused: bool,
@@ -235,8 +352,8 @@ impl OooCore {
             stalled_on: None,
             rpt: cfg.hw_prefetcher.map(StridePrefetcher::new),
             rename: [None; RENAME_SLOTS],
-            ready: Vec::with_capacity(cfg.ruu_size as usize),
-            completions: BinaryHeap::new(),
+            wakeup: Wakeup::default(),
+            completions: Wheel::new(0),
             fetch_paused: false,
             warm: false,
             warm_pc: 0,
@@ -296,19 +413,8 @@ impl OooCore {
         };
         match self.cfg.scheduler {
             Scheduler::ReadyList => {
-                // The heap top is the earliest completion. After a harvest
-                // at cycle `c` every heap entry has `complete_at > c`, so
-                // for the usual query (`now >= c`, the machine asking after
-                // stepping) the top alone decides; fall back to a full heap
-                // walk when the top is already due.
-                if let Some(&Reverse((t, _))) = self.completions.peek() {
-                    if t > now {
-                        consider(t);
-                    } else {
-                        for &Reverse((t, _)) in self.completions.iter() {
-                            consider(t);
-                        }
-                    }
+                if let Some(t) = self.completions.next_after(now) {
+                    consider(t);
                 }
             }
             Scheduler::Scan => {
@@ -454,30 +560,25 @@ impl OooCore {
                 self.ruu.harvest_completions(now)
             }
             Scheduler::ReadyList => {
-                while let Some(&Reverse((t, seq))) = self.completions.peek() {
-                    if t > now {
-                        break;
-                    }
-                    self.completions.pop();
-                    if trace.on(Category::Pipeline) {
-                        let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
-                        trace.emit(EventData::Complete { seq, pc });
-                    }
-                    // Consumers registered a link per unavailable operand
-                    // at dispatch; the last producer to complete tips
-                    // `pending_deps` to zero and the consumer becomes
-                    // ready. A consumer is younger than its producer and
-                    // commit is in-order, so it is still in the window.
-                    let consumers = self.ruu.mark_done(seq);
-                    for &c in &consumers {
-                        let e = self.ruu.get_mut(c).expect("consumer in window");
-                        e.pending_deps -= 1;
-                        if e.pending_deps == 0 {
-                            self.make_ready(c);
+                // Due cycles in order, and within one cycle oldest first —
+                // the `(complete_at, seq)` order of the scan's events. A
+                // consumer is younger than its producer and commit is
+                // in-order, so every consumer woken is still in the window.
+                while let Some((_, due)) = self.completions.pop_due(now) {
+                    let head = self.ruu.front().expect("issued entries are in flight").seq;
+                    let mut rest = due.rotate_right((head % SLOTS) as u32);
+                    while rest != 0 {
+                        let seq = head + rest.trailing_zeros() as u64;
+                        rest &= rest - 1;
+                        if trace.on(Category::Pipeline) {
+                            let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
+                            trace.emit(EventData::Complete { seq, pc });
                         }
+                        self.ruu.mark_done(seq);
+                        self.wakeup.complete(seq);
                     }
-                    self.ruu.recycle(consumers);
                 }
+                self.completions.advance(now + 1);
             }
         }
     }
@@ -710,26 +811,10 @@ impl OooCore {
             ctx.trace.emit(EventData::Dispatch { seq, pc });
         }
 
-        // Wakeup bookkeeping: one link per unavailable operand (a producer
-        // in `deps` is unavailable by construction of `last_producer`). A
-        // duplicated operand registers — and later decrements — twice,
-        // which balances.
+        // Wakeup bookkeeping: a producer in `deps` is unavailable by
+        // construction of `last_producer`.
         if self.cfg.scheduler == Scheduler::ReadyList {
-            let mut pending = 0u8;
-            for &d in deps.iter().flatten() {
-                self.ruu
-                    .get_mut(d)
-                    .expect("producer in window")
-                    .consumers
-                    .push(seq);
-                pending += 1;
-            }
-            if pending == 0 {
-                // The youngest entry: `make_ready` appends.
-                self.make_ready(seq);
-            } else {
-                self.ruu.get_mut(seq).unwrap().pending_deps = pending;
-            }
+            self.wakeup.link(seq, deps.into_iter().flatten());
         }
 
         // ---- branch outcome handling ----
@@ -804,36 +889,29 @@ impl OooCore {
         rec
     }
 
-    /// Adds a `Waiting` entry whose operands just became available to the
-    /// ready list, keeping it in age order. Wakeups mostly come from the
-    /// young end of the window, so the search is short.
-    fn make_ready(&mut self, seq: u64) {
-        let at = self.ready.partition_point(|&s| s < seq);
-        debug_assert!(self.ready.get(at) != Some(&seq), "entry readied twice");
-        self.ready.insert(at, seq);
-    }
-
-    /// Ready-list issue: walk the ready list in age order (the same order
-    /// the scan visits issuable entries). Entries that fail a structural
-    /// check (functional unit, MSHR, blocking store) stay in the list and
-    /// retry; issued entries move to the completion heap. `try_issue`
-    /// never readies an entry, so the list only shrinks during the walk:
-    /// entries kept are compacted to the front in place, and the walked
-    /// stretch left over is closed up at the end.
+    /// Ready-list issue: walk the ready set in age order (the same order
+    /// the scan visits issuable entries) — rotated so the window's head
+    /// slot is bit 0, lowest bit first. Entries that fail a structural
+    /// check (functional unit, MSHR, blocking store) stay ready and retry;
+    /// issued entries move to the completion wheel. `try_issue` never
+    /// readies an entry, so the snapshot taken before the walk is the set
+    /// the walk sees.
     fn issue_ready(&mut self, ctx: &mut CoreCtx<'_>, rec: &mut IssueRecord) {
+        if self.wakeup.ready == 0 {
+            return;
+        }
+        let head = self.ruu.front().expect("ready entries are in flight").seq;
+        let mut rest = self.wakeup.ready.rotate_right((head % SLOTS) as u32);
         let mut budget = self.cfg.issue_width;
-        let mut walked = 0;
-        let mut kept = 0;
-        while budget > 0 && walked < self.ready.len() {
-            let seq = self.ready[walked];
-            walked += 1;
+        while budget > 0 && rest != 0 {
+            let seq = head + rest.trailing_zeros() as u64;
+            rest &= rest - 1;
             let Some(complete_at) = self.try_issue(seq, ctx, rec) else {
-                self.ready[kept] = seq;
-                kept += 1;
                 continue;
             };
+            self.wakeup.ready &= !slot_bit(seq);
             self.ruu.mark_issued(seq, complete_at);
-            self.completions.push(Reverse((complete_at, seq)));
+            self.completions.insert(complete_at, seq);
             if ctx.trace.on(Category::Pipeline) {
                 let pc = self.ruu.get(seq).map_or(0, |e| e.pc);
                 ctx.trace.emit(EventData::Issue {
@@ -844,7 +922,6 @@ impl OooCore {
             }
             budget -= 1;
         }
-        self.ready.drain(kept..walked);
     }
 
     /// Scan issue (the seed implementation): walk the whole window for
@@ -1238,7 +1315,8 @@ impl OooCore {
     pub fn save_state(&self, e: &mut Enc) {
         self.regs.save_state(e);
         self.predictor.save_state(e);
-        self.ruu.save_state(e);
+        let linked = self.cfg.scheduler == Scheduler::ReadyList;
+        self.ruu.save_state(e, linked);
         self.lsq.save_state(e);
         e.usize(self.ifq.len());
         for f in &self.ifq {
@@ -1276,14 +1354,14 @@ impl OooCore {
                 }
             }
         }
-        e.usize(self.ready.len());
-        for &seq in &self.ready {
+        // The ready list and the completions, derived from the window as
+        // the scheduler state is (see `load_state`).
+        let ready = self.derived_ready_list();
+        e.usize(ready.len());
+        for seq in ready {
             e.u64(seq);
         }
-        // The completion heap serialises as a sorted vector so the bytes
-        // are deterministic regardless of heap layout.
-        let mut comps: Vec<(u64, u64)> = self.completions.iter().map(|&Reverse(p)| p).collect();
-        comps.sort_unstable();
+        let comps = self.derived_completions();
         e.usize(comps.len());
         for (t, seq) in comps {
             e.u64(t);
@@ -1294,14 +1372,47 @@ impl OooCore {
         e.u32(self.warm_pc);
     }
 
+    /// Ready-list scheduling: the `Waiting` entries with no unfinished
+    /// producer, oldest first — the ready set as the checkpoint stores it.
+    fn derived_ready_list(&self) -> Vec<u64> {
+        if self.cfg.scheduler != Scheduler::ReadyList {
+            return Vec::new();
+        }
+        self.ruu
+            .iter()
+            .filter(|e| {
+                e.state == EntryState::Waiting && self.ruu.unfinished_deps(e).next().is_none()
+            })
+            .map(|e| e.seq)
+            .collect()
+    }
+
+    /// Ready-list scheduling: the issued entries as `(complete_at, seq)`,
+    /// ascending — the completions as the checkpoint stores them.
+    fn derived_completions(&self) -> Vec<(u64, u64)> {
+        if self.cfg.scheduler != Scheduler::ReadyList {
+            return Vec::new();
+        }
+        let mut comps: Vec<(u64, u64)> = self
+            .ruu
+            .iter()
+            .filter(|e| e.state == EntryState::Issued)
+            .map(|e| (e.complete_at, e.seq))
+            .collect();
+        comps.sort_unstable();
+        comps
+    }
+
     /// Restores the dynamic state written by
     /// [`save_state`](Self::save_state) into an identically configured
     /// core.
     pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
+        let bad = |what| WireError { pos: 0, what };
         self.regs.load_state(d)?;
         self.predictor.load_state(d)?;
         let prog = &self.prog;
-        self.ruu.load_state(d, |pc| prog.get(pc).copied())?;
+        let linked = self.cfg.scheduler == Scheduler::ReadyList;
+        self.ruu.load_state(d, |pc| prog.get(pc).copied(), linked)?;
         self.lsq.load_state(d)?;
         let n = d.usize()?;
         self.ifq.clear();
@@ -1344,45 +1455,75 @@ impl OooCore {
         for slot in self.rename.iter_mut() {
             *slot = if d.bool()? { Some(d.u64()?) } else { None };
         }
-        // The ready list is taken as written, so it must already be what
-        // `save_state` writes: at most one window of `Waiting` entries in
-        // strictly ascending order. Anything else is an error, not
-        // something to repair (re-sorting an untrusted count would also be
-        // quadratic).
+        // The scheduler state is derived from the window, so the stored
+        // ready list and completions must be exactly what `save_state`
+        // derives: anything else is an error, not something to repair.
         let n = d.usize()?;
         if n > self.cfg.ruu_size as usize {
-            return Err(WireError {
-                pos: 0,
-                what: "ready list longer than the window",
-            });
+            return Err(bad("ready list longer than the window"));
         }
-        self.ready.clear();
+        let mut ready = Vec::with_capacity(n);
         for _ in 0..n {
             let seq = d.u64()?;
-            if self.ready.last().is_some_and(|&prev| prev >= seq) {
-                return Err(WireError {
-                    pos: 0,
-                    what: "ready list not strictly ascending",
-                });
+            if ready.last().is_some_and(|&prev| prev >= seq) {
+                return Err(bad("ready list not strictly ascending"));
             }
             if self.ruu.get(seq).map(|e| e.state) != Some(EntryState::Waiting) {
-                return Err(WireError {
-                    pos: 0,
-                    what: "ready list names an entry that is not waiting",
-                });
+                return Err(bad("ready list names an entry that is not waiting"));
             }
-            self.ready.push(seq);
+            ready.push(seq);
+        }
+        if ready != self.derived_ready_list() {
+            return Err(bad("ready list disagrees with the window"));
         }
         let n = d.usize()?;
-        self.completions.clear();
+        if n > self.cfg.ruu_size as usize {
+            return Err(bad("completion list longer than the window"));
+        }
+        let mut comps = Vec::with_capacity(n);
         for _ in 0..n {
             let t = d.u64()?;
             let seq = d.u64()?;
-            self.completions.push(Reverse((t, seq)));
+            match self.ruu.get(seq) {
+                None => return Err(bad("completion names a seq outside the window")),
+                Some(e) if e.state != EntryState::Issued => {
+                    return Err(bad("completion names an entry that is not issued"))
+                }
+                Some(_) => comps.push((t, seq)),
+            }
         }
+        if comps != self.derived_completions() {
+            return Err(bad("completion list disagrees with the window"));
+        }
+        self.rebuild_scheduler()?;
         self.fetch_paused = d.bool()?;
         self.warm = d.bool()?;
         self.warm_pc = d.u32()?;
+        Ok(())
+    }
+
+    /// Rebuilds the ready-list masks and the completion wheel from the
+    /// window of a just-loaded core. The last harvest was at `now`, so
+    /// every issued entry must be due after it.
+    fn rebuild_scheduler(&mut self) -> WireResult<()> {
+        self.wakeup = Wakeup::default();
+        self.completions = Wheel::new(self.now + 1);
+        if self.cfg.scheduler != Scheduler::ReadyList {
+            return Ok(());
+        }
+        for e in self.ruu.iter() {
+            match e.state {
+                EntryState::Waiting => self.wakeup.link(e.seq, self.ruu.unfinished_deps(e)),
+                EntryState::Issued if e.complete_at <= self.now => {
+                    return Err(WireError {
+                        pos: 0,
+                        what: "issued entry due before the core's clock",
+                    })
+                }
+                EntryState::Issued => self.completions.insert(e.complete_at, e.seq),
+                EntryState::Done => {}
+            }
+        }
         Ok(())
     }
 }
@@ -1594,6 +1735,40 @@ mod tests {
             c_with + 60 < c_without,
             "prefetch should hide the miss: {c_with} vs {c_without}"
         );
+    }
+
+    #[test]
+    fn wheel_orders_completions_across_the_horizon_and_the_wrap() {
+        // Base 250: the horizon is [250, 506), so buckets wrap past 255
+        // (cycle 260 is bucket 4) and 506 is the first overflow cycle.
+        let mut w = Wheel::new(250);
+        for (t, seq) in [(506, 4), (260, 1), (1000, 6), (251, 3), (505, 2), (1000, 5)] {
+            w.insert(t, seq);
+        }
+        assert_eq!(
+            w.overflow.len(),
+            3,
+            "506 and both 1000s are past the horizon"
+        );
+        assert_eq!(w.next_after(249), Some(251));
+        assert_eq!(w.next_after(251), Some(260));
+        assert_eq!(w.pop_due(250), None);
+        assert_eq!(w.pop_due(255), Some((251, slot_bit(3))));
+        assert_eq!(w.overflow.len(), 2, "506 came inside the horizon");
+        assert_eq!(w.pop_due(255), None);
+        w.advance(256);
+        assert_eq!(w.next_after(255), Some(260));
+        // One harvest far past the horizon drains everything in order,
+        // pulling the overflow into buckets as the wheel turns.
+        assert_eq!(w.pop_due(2000), Some((260, slot_bit(1))));
+        assert_eq!(w.pop_due(2000), Some((505, slot_bit(2))));
+        assert_eq!(w.next_after(505), Some(506));
+        assert_eq!(w.pop_due(2000), Some((506, slot_bit(4))));
+        assert_eq!(w.next_after(506), Some(1000));
+        assert_eq!(w.pop_due(2000), Some((1000, slot_bit(5) | slot_bit(6))));
+        assert_eq!(w.pop_due(2000), None);
+        assert!(w.overflow.is_empty());
+        assert_eq!(w.next_after(1000), None);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod queues;
 pub mod ruu;
 pub mod stats;
 
-pub use config::{CoreConfig, Latencies, Scheduler};
+pub use config::{CoreConfig, Latencies, Scheduler, MAX_RUU_SIZE};
 pub use core::{CoreCtx, OooCore, TriggerFork};
 pub use predictor::Bimodal;
 pub use queues::{QueueConfig, QueueFile};

@@ -4,7 +4,7 @@
 //! Entries are kept in dispatch order; sequence numbers are contiguous, so
 //! an entry can be located by `seq - front_seq` in O(1).
 
-use hidisc_isa::instr::{FuClass, Instr};
+use hidisc_isa::instr::Instr;
 use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
 use std::collections::VecDeque;
 
@@ -28,8 +28,6 @@ pub struct RuuEntry {
     pub pc: u32,
     /// The instruction.
     pub instr: Instr,
-    /// Functional-unit class.
-    pub fu: FuClass,
     /// Timing state.
     pub state: EntryState,
     /// Cycle the result becomes available (valid once issued).
@@ -47,15 +45,6 @@ pub struct RuuEntry {
     pub correct_next: u32,
     /// This branch was mispredicted; fetch resumes when it completes.
     pub mispredicted: bool,
-    /// Index is a memory instruction with a matching LSQ entry.
-    pub is_mem: bool,
-    /// Ready-list scheduling: younger entries waiting on this entry's
-    /// result (sequence numbers registered at their dispatch). The buffer
-    /// is recycled through the [`Ruu`], not freed, once its consumers wake.
-    pub consumers: Vec<u64>,
-    /// Ready-list scheduling: source operands whose producer has not yet
-    /// completed. The entry enters the ready queue when this reaches 0.
-    pub pending_deps: u8,
 }
 
 impl RuuEntry {
@@ -65,7 +54,6 @@ impl RuuEntry {
             seq,
             pc,
             instr,
-            fu: instr.fu_class(),
             state: EntryState::Waiting,
             complete_at: 0,
             deps: [None; 3],
@@ -74,9 +62,6 @@ impl RuuEntry {
             actual_taken: false,
             correct_next: 0,
             mispredicted: false,
-            is_mem: instr.is_mem(),
-            consumers: Vec::new(),
-            pending_deps: 0,
         }
     }
 }
@@ -91,11 +76,6 @@ pub struct Ruu {
     n_waiting: usize,
     /// Entries in the `Done` state (maintained, not scanned).
     n_done: usize,
-    /// Cleared consumer buffers handed back by [`Ruu::recycle`], reused
-    /// by [`Ruu::push`] so wakeup links cost no allocation in steady
-    /// state. Each push takes one and each entry gives back at most one,
-    /// so the list never holds more than `capacity` buffers.
-    spare: Vec<Vec<u64>>,
 }
 
 impl Ruu {
@@ -107,7 +87,6 @@ impl Ruu {
             next_seq: 0,
             n_waiting: 0,
             n_done: 0,
-            spare: Vec::with_capacity(capacity),
         }
     }
 
@@ -132,11 +111,7 @@ impl Ruu {
         assert!(!self.is_full(), "RUU overflow");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut e = RuuEntry::new(seq, pc, instr);
-        if let Some(buf) = self.spare.pop() {
-            e.consumers = buf;
-        }
-        self.entries.push_back(e);
+        self.entries.push_back(RuuEntry::new(seq, pc, instr));
         self.n_waiting += 1;
         seq
     }
@@ -205,23 +180,51 @@ impl Ruu {
     }
 
     /// Marks `seq` as done (result available). The only legal transition
-    /// out of `Issued`; keeps the state counts exact. Returns the consumer
-    /// list registered on the entry (the entry's own is left empty), for
-    /// wakeup; hand it back with [`recycle`](Self::recycle) afterwards.
-    pub fn mark_done(&mut self, seq: u64) -> Vec<u64> {
+    /// out of `Issued`; keeps the state counts exact.
+    pub fn mark_done(&mut self, seq: u64) {
         self.n_done += 1;
         let e = self.get_mut(seq).expect("mark_done: seq not in window");
         debug_assert_eq!(e.state, EntryState::Issued);
         e.state = EntryState::Done;
-        std::mem::take(&mut e.consumers)
     }
 
-    /// Takes back a consumer buffer returned by
-    /// [`mark_done`](Self::mark_done); the next [`push`](Self::push)
-    /// reuses its allocation.
-    pub fn recycle(&mut self, mut consumers: Vec<u64>) {
-        consumers.clear();
-        self.spare.push(consumers);
+    /// Source operands of `e` whose producer has not completed: still in
+    /// the window and not `Done` (a producer that left the window
+    /// committed, so it is done).
+    pub(crate) fn unfinished_deps<'a>(&'a self, e: &'a RuuEntry) -> impl Iterator<Item = u64> + 'a {
+        e.deps
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&d| self.get(d).is_some_and(|p| p.state != EntryState::Done))
+    }
+
+    /// The ready-list links of the entry at position `i`, derived from
+    /// the window: its consumers — each younger entry once per source
+    /// operand naming it, oldest first, while it is not `Done` — and its
+    /// count of unfinished producers. These are exactly the links dispatch
+    /// registers and harvest consumes, so the checkpoint stores them
+    /// without the scheduler keeping them in this form; a core that keeps
+    /// no links (`linked == false`, the scan scheduler) stores none.
+    fn links(&self, i: usize, linked: bool) -> (impl Iterator<Item = u64> + Clone + '_, u8) {
+        let p = &self.entries[i];
+        let from = if linked && p.state != EntryState::Done {
+            i + 1
+        } else {
+            self.entries.len()
+        };
+        let consumers = self.entries.range(from..).flat_map(move |c| {
+            c.deps
+                .iter()
+                .filter(move |&&d| d == Some(p.seq))
+                .map(move |_| c.seq)
+        });
+        let pending = if linked {
+            self.unfinished_deps(p).count() as u8
+        } else {
+            0
+        };
+        (consumers, pending)
     }
 
     /// `(waiting, done)` counts, maintained across state transitions —
@@ -244,11 +247,13 @@ impl Ruu {
     /// Serialises the window. Instructions are *not* stored — only
     /// correct-path instructions dispatch (functional execution is
     /// in-order), so the loader re-derives them from the static program
-    /// by pc.
-    pub fn save_state(&self, e: &mut Enc) {
+    /// by pc. `linked` says whether the owning core schedules through
+    /// ready-list links; their consumer lists and pending counts are
+    /// written as derived from the entries, not stored anywhere.
+    pub fn save_state(&self, e: &mut Enc, linked: bool) {
         e.u64(self.next_seq);
         e.usize(self.entries.len());
-        for en in &self.entries {
+        for (i, en) in self.entries.iter().enumerate() {
             e.u64(en.seq);
             e.u32(en.pc);
             e.u8(match en.state {
@@ -271,30 +276,43 @@ impl Ruu {
             e.bool(en.actual_taken);
             e.u32(en.correct_next);
             e.bool(en.mispredicted);
-            e.usize(en.consumers.len());
-            for &c in &en.consumers {
+            let (consumers, pending) = self.links(i, linked);
+            e.usize(consumers.clone().count());
+            for c in consumers {
                 e.u64(c);
             }
-            e.u8(en.pending_deps);
+            e.u8(pending);
         }
     }
 
     /// Restores from a [`save_state`](Self::save_state) stream.
     /// `instr_at` resolves a pc to the static instruction (the owning
-    /// core's program); state counts are recomputed.
+    /// core's program); state counts are recomputed. A window that
+    /// `save_state` could not have written — more entries than the
+    /// capacity, sequence numbers that are not contiguous, an operand
+    /// naming a producer that is not older, or stored links that differ
+    /// from what the entries imply — is an error.
     pub fn load_state(
         &mut self,
         d: &mut Dec,
         mut instr_at: impl FnMut(u32) -> Option<Instr>,
+        linked: bool,
     ) -> WireResult<()> {
+        let bad = |what| WireError { pos: 0, what };
         self.next_seq = d.u64()?;
         let n = d.usize()?;
+        if n > self.capacity {
+            return Err(bad("ruu longer than the window"));
+        }
         self.entries.clear();
-        self.spare.clear();
         self.n_waiting = 0;
         self.n_done = 0;
-        for _ in 0..n {
+        let mut stored_links = Vec::with_capacity(n);
+        for i in 0..n {
             let seq = d.u64()?;
+            if seq.checked_add((n - i) as u64) != Some(self.next_seq) {
+                return Err(bad("ruu sequence numbers not contiguous"));
+            }
             let pc = d.u32()?;
             let instr = instr_at(pc).ok_or(WireError {
                 pos: 0,
@@ -315,6 +333,9 @@ impl Ruu {
             en.complete_at = d.u64()?;
             for dep in en.deps.iter_mut() {
                 *dep = if d.bool()? { Some(d.u64()?) } else { None };
+                if dep.is_some_and(|p| p >= seq) {
+                    return Err(bad("ruu operand names a producer that is not older"));
+                }
             }
             en.payload = d.u64()?;
             en.predicted_taken = d.bool()?;
@@ -322,8 +343,8 @@ impl Ruu {
             en.correct_next = d.u32()?;
             en.mispredicted = d.bool()?;
             let nc = d.usize()?;
-            en.consumers = (0..nc).map(|_| d.u64()).collect::<WireResult<_>>()?;
-            en.pending_deps = d.u8()?;
+            let consumers = (0..nc).map(|_| d.u64()).collect::<WireResult<Vec<_>>>()?;
+            stored_links.push((consumers, d.u8()?));
             match en.state {
                 EntryState::Waiting => self.n_waiting += 1,
                 EntryState::Done => self.n_done += 1,
@@ -331,7 +352,83 @@ impl Ruu {
             }
             self.entries.push_back(en);
         }
+        for (i, (consumers, pending)) in stored_links.into_iter().enumerate() {
+            let (want, want_pending) = self.links(i, linked);
+            if !want.eq(consumers) {
+                return Err(bad("ruu consumer links disagree with the window"));
+            }
+            if pending != want_pending {
+                return Err(bad("ruu pending count disagrees with the window"));
+            }
+        }
         Ok(())
+    }
+}
+
+/// Window slots: the ready-list scheduler keeps one bit per entry in a
+/// `u64`, at slot `seq % 64`. A window of at most this many entries spans
+/// fewer than 64 consecutive sequence numbers, so live slots are distinct.
+pub(crate) const SLOTS: u64 = 64;
+
+/// The mask bit of sequence number `seq`.
+pub(crate) fn slot_bit(seq: u64) -> u64 {
+    1 << (seq % SLOTS)
+}
+
+/// Ready-list wakeup state, bit-parallel over window slots: which
+/// `Waiting` entries have all their operands, and who waits on whom.
+#[derive(Debug, Clone)]
+pub(crate) struct Wakeup {
+    /// `Waiting` entries whose producers have all completed.
+    pub(crate) ready: u64,
+    /// Per slot: the consumer slots waiting on this entry's result.
+    dependents: [u64; SLOTS as usize],
+    /// Per slot: the producer slots this entry still waits on. The entry
+    /// joins `ready` when this reaches 0; a duplicated operand is one bit,
+    /// so it needs no count.
+    wait: [u64; SLOTS as usize],
+}
+
+impl Default for Wakeup {
+    fn default() -> Self {
+        Wakeup {
+            ready: 0,
+            dependents: [0; SLOTS as usize],
+            wait: [0; SLOTS as usize],
+        }
+    }
+}
+
+impl Wakeup {
+    /// Registers a dispatched (or reloaded) `Waiting` entry with its
+    /// unfinished producers; with none it is ready at once. The slot's
+    /// previous occupant committed, so its masks are already clear.
+    pub(crate) fn link(&mut self, seq: u64, producers: impl Iterator<Item = u64>) {
+        let bit = slot_bit(seq);
+        let mut wait = 0;
+        for p in producers {
+            self.dependents[(p % SLOTS) as usize] |= bit;
+            wait |= slot_bit(p);
+        }
+        self.wait[(seq % SLOTS) as usize] = wait;
+        if wait == 0 {
+            self.ready |= bit;
+        }
+    }
+
+    /// Wakes the consumers of `seq`, which just completed: each stops
+    /// waiting on it, and those left waiting on nothing become ready.
+    pub(crate) fn complete(&mut self, seq: u64) {
+        let bit = slot_bit(seq);
+        let mut woken = std::mem::take(&mut self.dependents[(seq % SLOTS) as usize]);
+        while woken != 0 {
+            let c = woken.trailing_zeros() as usize;
+            woken &= woken - 1;
+            self.wait[c] &= !bit;
+            if self.wait[c] == 0 {
+                self.ready |= 1 << c;
+            }
+        }
     }
 }
 
@@ -383,8 +480,7 @@ mod tests {
         assert_eq!(r.state_counts(), (2, 0));
         r.mark_issued(a, 3);
         assert_eq!(r.state_counts(), (1, 0));
-        let woken = r.mark_done(a);
-        assert!(woken.is_empty());
+        r.mark_done(a);
         assert_eq!(r.state_counts(), (1, 1));
         r.pop_front(); // pops a (Done)
         assert_eq!(r.state_counts(), (1, 0));
@@ -394,31 +490,31 @@ mod tests {
     }
 
     #[test]
-    fn mark_done_returns_registered_consumers() {
-        let mut r = Ruu::new(4);
-        let a = r.push(0, Instr::Nop);
-        let b = r.push(1, Instr::Nop);
-        r.get_mut(a).unwrap().consumers.push(b);
-        r.get_mut(b).unwrap().pending_deps = 1;
-        r.mark_issued(a, 2);
-        assert_eq!(r.mark_done(a), vec![b]);
-        assert!(r.get(a).unwrap().consumers.is_empty());
-    }
-
-    #[test]
-    fn recycled_consumer_buffers_are_reused_empty() {
-        let mut r = Ruu::new(4);
-        let a = r.push(0, Instr::Nop);
-        let b = r.push(1, Instr::Nop);
-        r.get_mut(a).unwrap().consumers.push(b);
-        r.mark_issued(a, 2);
-        let woken = r.mark_done(a);
-        let ptr = woken.as_ptr();
-        r.recycle(woken);
-        let c = r.push(2, Instr::Nop);
-        let e = r.get(c).unwrap();
-        assert!(e.consumers.is_empty());
-        assert_eq!(e.consumers.as_ptr(), ptr, "buffer was reallocated");
+    fn wakeup_masks_ready_consumers_across_the_ring_wrap() {
+        let mut w = Wakeup::default();
+        // Producers at seqs 62 and 63, consumers at 64 and 65 (slots 0 and
+        // 1, past the wrap): 64 reads 62 twice, 65 reads 62 and 63.
+        w.link(62, std::iter::empty());
+        w.link(63, std::iter::empty());
+        w.link(64, [62, 62].into_iter());
+        w.link(65, [62, 63].into_iter());
+        assert_eq!(w.ready, slot_bit(62) | slot_bit(63));
+        w.ready &= !(slot_bit(62) | slot_bit(63)); // both issue
+        w.complete(62);
+        // The duplicated operand is one wait bit: 64 is ready after one
+        // completion; 65 still waits on 63.
+        assert_eq!(w.ready, slot_bit(64));
+        w.complete(63);
+        assert_eq!(w.ready, slot_bit(64) | slot_bit(65));
+        // 126 reuses slot 62 (its occupant completed and committed) and
+        // waits on 65; it must not inherit 62's old consumers.
+        w.ready = 0;
+        w.link(126, [65].into_iter());
+        assert_eq!(w.ready, 0);
+        w.complete(126);
+        assert_eq!(w.ready, 0, "126 has no consumers");
+        w.complete(65);
+        assert_eq!(w.ready, slot_bit(126));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the whole RUU.
 //!
 //! See DESIGN.md, "Ready-list issue scheduling", for the invariants
-//! (wakeup completeness, oldest-first order, completion-heap/next_event
+//! (wakeup completeness, oldest-first order, completion-wheel/next_event
 //! agreement) this test pins down.
 
 use hidisc::{Machine, MachineConfig, Model};
@@ -97,26 +97,34 @@ fn compare_schedulers(fast_forward: bool) {
 
 /// The paper's high-latency point (Figure 10) keeps the window fuller for
 /// longer, exercising deep wakeup chains; equivalence must hold there too.
+/// A memory latency of 400 puts misses past the completion wheel's
+/// 256-cycle horizon, so the overflow path is compared against the scan as
+/// well — per cycle and under fast-forward with its shadow check.
 #[test]
 fn ready_list_is_stat_identical_at_high_latency() {
     let w = &suite(Scale::Test, 7)[2]; // pointer: serial chase, stall-heavy
     let env = env_of(w);
     let compiled = compile(&w.prog, &env, &CompilerConfig::default()).unwrap();
-    for model in Model::ALL {
-        let mut scan_cfg = MachineConfig::paper_with_latency(16, 160);
-        scan_cfg.superscalar.scheduler = Scheduler::Scan;
-        scan_cfg.cp.scheduler = Scheduler::Scan;
-        scan_cfg.ap.scheduler = Scheduler::Scan;
-        let ready_cfg = MachineConfig::paper_with_latency(16, 160);
-        let scan = Machine::new(model, &compiled, &env, scan_cfg)
-            .run(compiled.profile.dyn_instrs)
-            .unwrap();
-        let ready = Machine::new(model, &compiled, &env, ready_cfg)
-            .run(compiled.profile.dyn_instrs)
-            .unwrap();
-        assert!(
-            scan.sim_eq(&ready),
-            "pointer/{model} @ high latency: ready list diverged from scan"
-        );
+    for (l2, mem) in [(16, 160), (16, 400)] {
+        for fast_forward in [false, true] {
+            for model in Model::ALL {
+                let run = |scheduler| {
+                    let mut cfg = MachineConfig::paper_with_latency(l2, mem);
+                    cfg.superscalar.scheduler = scheduler;
+                    cfg.cp.scheduler = scheduler;
+                    cfg.ap.scheduler = scheduler;
+                    cfg.fast_forward = fast_forward;
+                    let m = Machine::new(model, &compiled, &env, cfg);
+                    let mut m = if fast_forward { m.with_ff_check() } else { m };
+                    m.run(compiled.profile.dyn_instrs).unwrap()
+                };
+                let (scan, ready) = (run(Scheduler::Scan), run(Scheduler::ReadyList));
+                assert!(
+                    scan.sim_eq(&ready),
+                    "pointer/{model} @ {l2}/{mem} (ff={fast_forward}): \
+                     ready list diverged from scan"
+                );
+            }
+        }
     }
 }
