@@ -9,7 +9,7 @@
 //! must be naturally aligned (as on MIPS/PISA); unaligned accesses return
 //! [`IsaError::Mem`].
 
-use crate::wire::{Dec, Enc, WireResult};
+use crate::wire::{Dec, Enc, WireError, WireResult};
 use crate::{IsaError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -225,14 +225,25 @@ impl Memory {
 
     /// Replaces the entire contents from a [`save_state`](Self::save_state)
     /// stream. A page count the stream cannot hold is a
-    /// [`WireError`](crate::wire::WireError), never an allocation of that
-    /// size.
+    /// [`WireError`], never an allocation of that
+    /// size; so is a page key `save_state` could not have written — one
+    /// that is not page-aligned, or not above the key before it (a
+    /// duplicate would silently replace the earlier page).
     pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
+        let bad = |what| WireError { pos: 0, what };
         let n = d.usize()?;
         // The count is untrusted: reserve no more pages than remain encoded.
         let mut pages = HashMap::with_capacity(n.min(d.remaining() / (8 + PAGE_SIZE as usize)));
+        let mut prev: Option<u64> = None;
         for _ in 0..n {
             let k = d.u64()?;
+            if k & PAGE_MASK != 0 {
+                return Err(bad("memory page key not page-aligned"));
+            }
+            if prev.is_some_and(|p| p >= k) {
+                return Err(bad("memory page keys not strictly ascending"));
+            }
+            prev = Some(k);
             let bytes = d.bytes(PAGE_SIZE as usize)?;
             let mut page = [0u8; PAGE_SIZE as usize];
             page.copy_from_slice(bytes);
@@ -369,6 +380,44 @@ mod tests {
                 "failed load left memory alone"
             );
         }
+    }
+
+    /// Encodes a page section with the given keys, page `i` filled with
+    /// byte `i + 1`.
+    fn pages_with_keys(keys: &[u64]) -> Vec<u8> {
+        let mut e = crate::wire::Enc::new();
+        e.usize(keys.len());
+        for (i, &k) in keys.iter().enumerate() {
+            e.u64(k);
+            e.bytes(&[i as u8 + 1; PAGE_SIZE as usize]);
+        }
+        e.finish()
+    }
+
+    #[test]
+    fn unaligned_page_key_is_an_error() {
+        let buf = pages_with_keys(&[0x1000, 0x2008]);
+        let mut b = Memory::new();
+        let err = b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap_err();
+        assert_eq!(err.what, "memory page key not page-aligned");
+        assert!(b.pages.is_empty(), "failed load left memory alone");
+    }
+
+    #[test]
+    fn duplicate_or_descending_page_keys_are_an_error() {
+        for keys in [[0x1000, 0x1000], [0x2000, 0x1000]] {
+            let buf = pages_with_keys(&keys);
+            let mut b = Memory::new();
+            let err = b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap_err();
+            assert_eq!(err.what, "memory page keys not strictly ascending");
+            assert!(b.pages.is_empty(), "failed load left memory alone");
+        }
+        // Ascending, aligned keys are what `save_state` writes.
+        let buf = pages_with_keys(&[0x1000, 0x2000]);
+        let mut b = Memory::new();
+        b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap();
+        assert_eq!(b.read_u8(0x1000), 1);
+        assert_eq!(b.read_u8(0x2fff), 2);
     }
 
     #[test]

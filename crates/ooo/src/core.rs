@@ -26,7 +26,7 @@ use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Buckets of the completion wheel: a completion due fewer than this
 /// many cycles after the next harvest sits in a bucket, a later one in
@@ -220,6 +220,73 @@ struct Fetched {
     predicted_taken: bool,
 }
 
+/// The instruction fetch queue: a fixed ring of fetched instructions,
+/// oldest first. Its storage is a power of two at least `ifq_size`, so
+/// position `i` sits at slot `(head + i) & mask`.
+#[derive(Debug, Clone)]
+struct Ifq {
+    slots: Box<[Fetched]>,
+    head: usize,
+    len: usize,
+    capacity: usize,
+}
+
+impl Ifq {
+    fn new(capacity: usize) -> Ifq {
+        let empty = Fetched {
+            pc: 0,
+            instr: Instr::Nop,
+            predicted_taken: false,
+        };
+        Ifq {
+            slots: vec![empty; capacity.next_power_of_two()].into_boxed_slice(),
+            head: 0,
+            len: 0,
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_full(&self) -> bool {
+        self.len >= self.capacity
+    }
+
+    fn at(&self, i: usize) -> usize {
+        (self.head + i) & (self.slots.len() - 1)
+    }
+
+    fn front(&self) -> Option<Fetched> {
+        (self.len > 0).then(|| self.slots[self.head])
+    }
+
+    /// Appends an instruction. Panics when full (caller checks
+    /// `is_full`): the ring would overwrite its oldest entry.
+    fn push_back(&mut self, f: Fetched) {
+        assert!(!self.is_full(), "IFQ overflow");
+        let i = self.at(self.len);
+        self.slots[i] = f;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) {
+        if self.len > 0 {
+            self.head = self.at(1);
+            self.len -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Fetched> {
+        (0..self.len).map(|i| &self.slots[self.at(i)])
+    }
+}
+
 /// Sign/zero-extends a raw stored value to the load's width.
 fn extend(v: i64, width: Width, signed: bool) -> i64 {
     match (width, signed) {
@@ -298,7 +365,7 @@ pub struct OooCore {
     fu: FuPool,
     ruu: Ruu,
     lsq: Lsq,
-    ifq: VecDeque<Fetched>,
+    ifq: Ifq,
     fetch_pc: u32,
     fetch_halted: bool,
     frontend_ready_at: u64,
@@ -341,7 +408,7 @@ impl OooCore {
             fu: FuPool::new(&cfg),
             ruu: Ruu::new(cfg.ruu_size as usize),
             lsq: Lsq::new(cfg.lsq_size.max(1) as usize),
-            ifq: VecDeque::with_capacity(cfg.ifq_size as usize),
+            ifq: Ifq::new(cfg.ifq_size as usize),
             fetch_pc: 0,
             fetch_halted: false,
             frontend_ready_at: 0,
@@ -593,7 +660,7 @@ impl OooCore {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.ifq.len() >= self.cfg.ifq_size as usize {
+            if self.ifq.is_full() {
                 break;
             }
             let Some(&instr) = self.prog.get(self.fetch_pc) else {
@@ -639,7 +706,7 @@ impl OooCore {
             ..DispatchRecord::default()
         };
         for _ in 0..self.cfg.dispatch_width {
-            let Some(&f) = self.ifq.front() else { break };
+            let Some(f) = self.ifq.front() else { break };
             let outcome = self.dispatch_one(f, ctx, &mut rec)?;
             if outcome != Outcome::Ok {
                 rec.stop = Some(outcome);
@@ -1319,7 +1386,7 @@ impl OooCore {
         self.ruu.save_state(e, linked);
         self.lsq.save_state(e);
         e.usize(self.ifq.len());
-        for f in &self.ifq {
+        for f in self.ifq.iter() {
             e.u32(f.pc);
             e.bool(f.predicted_taken);
         }
@@ -1413,8 +1480,11 @@ impl OooCore {
         let prog = &self.prog;
         let linked = self.cfg.scheduler == Scheduler::ReadyList;
         self.ruu.load_state(d, |pc| prog.get(pc).copied(), linked)?;
-        self.lsq.load_state(d)?;
+        self.lsq.load_state(d, &self.ruu)?;
         let n = d.usize()?;
+        if n > self.cfg.ifq_size as usize {
+            return Err(bad("ifq longer than its capacity"));
+        }
         self.ifq.clear();
         for _ in 0..n {
             let pc = d.u32()?;
@@ -1776,6 +1846,136 @@ mod tests {
         let (core, _, _) = run("halt", &[], &[]);
         assert!(core.is_done());
         assert_eq!(core.stats().committed, 1);
+    }
+
+    /// The LSQ and IFQ sections of a checkpoint must agree with the window
+    /// they are loaded against: an inconsistent one is a typed error at
+    /// load, not a panic at the first issue (`"load has LSQ entry"`).
+    #[test]
+    fn corrupt_lsq_or_ifq_is_an_error() {
+        let src = "li r1, 0x1000\nld r2, 0(r1)\nadd r3, r2, r2\nhalt";
+        let prog = assemble("t", src).unwrap();
+        let cfg = CoreConfig::paper_superscalar();
+        let mut core = OooCore::new("t", cfg, prog.clone());
+        let mut mem = Memory::new();
+        let mut mem_sys = MemSystem::new(MemConfig::paper());
+        let mut queues = QueueFile::new(QueueConfig::paper());
+        let mut triggers = Vec::new();
+        let mut tel = Telemetry::disabled();
+        let mut now = 0;
+        // Stop at the cycle the load dispatches: it waits in the window.
+        while core.lsq.is_empty() {
+            let mut ctx = CoreCtx {
+                mem_sys: &mut mem_sys,
+                queues: &mut queues,
+                data: &mut mem,
+                triggers: &mut triggers,
+                trace: &mut tel,
+            };
+            core.step(now, &mut ctx).unwrap();
+            now += 1;
+        }
+        let le = *core.lsq.iter().next().unwrap();
+        assert_eq!(core.ruu.get(le.seq).unwrap().state, EntryState::Waiting);
+        let other = core.ruu.iter().find(|e| !e.instr.is_mem()).unwrap().seq;
+
+        // The LSQ section sits after the registers, predictor and RUU.
+        let mut pre = Enc::new();
+        core.regs.save_state(&mut pre);
+        core.predictor.save_state(&mut pre);
+        core.ruu.save_state(&mut pre, true);
+        let at = pre.len();
+        let mut section = Enc::new();
+        core.lsq.save_state(&mut section);
+        let end = at + section.len();
+        let mut full = Enc::new();
+        core.save_state(&mut full);
+        let bytes = full.finish();
+        assert_eq!(bytes[at..end], section.finish()[..], "lsq section offset");
+        let with_lsq = |count: usize, entries: &[LsqEntry]| {
+            let mut e = Enc::new();
+            e.usize(count);
+            for en in entries {
+                en.save_state(&mut e);
+            }
+            [&bytes[..at], &e.finish()[..], &bytes[end..]].concat()
+        };
+        let load = |patched: &[u8]| {
+            let mut fresh = OooCore::new("t", cfg, prog.clone());
+            fresh.load_state(&mut Dec::new(patched)).map(|_| fresh)
+        };
+        assert!(load(&bytes).is_ok(), "pristine bytes");
+
+        let cases: [(usize, Vec<LsqEntry>, &str); 9] = [
+            (
+                0,
+                vec![],
+                "memory instruction in the window has no lsq entry",
+            ),
+            (
+                cfg.lsq_size as usize + 1,
+                vec![le],
+                "lsq longer than its capacity",
+            ),
+            (2, vec![le, le], "lsq sequence numbers not ascending"),
+            (
+                1,
+                vec![LsqEntry {
+                    seq: le.seq + 64,
+                    ..le
+                }],
+                "lsq entry outside the window",
+            ),
+            (
+                1,
+                vec![LsqEntry { seq: other, ..le }],
+                "lsq entry names a non-memory instruction",
+            ),
+            (
+                1,
+                vec![LsqEntry {
+                    is_store: true,
+                    ..le
+                }],
+                "lsq entry disagrees with its instruction",
+            ),
+            (
+                1,
+                vec![LsqEntry {
+                    width: Width::W,
+                    ..le
+                }],
+                "lsq entry disagrees with its instruction",
+            ),
+            (
+                1,
+                vec![LsqEntry {
+                    data_queue: Some(Queue::Sdq),
+                    ..le
+                }],
+                "lsq entry disagrees with its instruction",
+            ),
+            (
+                1,
+                vec![LsqEntry {
+                    data_known: false,
+                    ..le
+                }],
+                "lsq entry lacks data no queue supplies",
+            ),
+        ];
+        for (count, entries, what) in cases {
+            let err = load(&with_lsq(count, &entries)).expect_err(what);
+            assert_eq!(err.what, what);
+        }
+
+        // The IFQ count follows the LSQ section.
+        for count in [cfg.ifq_size as u64 + 1, 1 << 60] {
+            let mut patched = bytes.clone();
+            patched[end..end + 8].copy_from_slice(&count.to_le_bytes());
+            let err = load(&patched).expect_err("oversize ifq loaded");
+            assert_eq!(err.what, "ifq longer than its capacity");
+        }
     }
 }
 

@@ -6,11 +6,19 @@
 //! address while its data is popped from the Store Data Queue in FIFO
 //! order, letting the Access Processor run ahead of the Computation
 //! Processor's store data.
+//!
+//! Each entry lives at its RUU slot (`seq % 64`, see [`crate::ruu`]), and
+//! `u64` masks over those slots say which are occupied, which hold stores
+//! not yet performed, which hold `s.q` stores still waiting for data and
+//! which are performed. Rotated so the oldest entry's slot is bit 0, a
+//! mask lists its entries in age order: a store search or the data pump
+//! visits only the entries that can matter, and lookup and removal are
+//! O(1).
 
-use hidisc_isa::instr::Width;
+use crate::ruu::{slot, slot_bit, Ruu, SLOTS};
+use hidisc_isa::instr::{Instr, Width};
 use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
 use hidisc_isa::Queue;
-use std::collections::VecDeque;
 
 fn width_code(w: Width) -> u8 {
     match w {
@@ -58,7 +66,7 @@ pub(crate) fn queue_opt_from(code: u8) -> WireResult<Option<Queue>> {
 }
 
 /// One in-flight memory operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LsqEntry {
     /// Sequence number of the owning RUU entry.
     pub seq: u64,
@@ -98,6 +106,18 @@ impl LsqEntry {
     pub fn covers_exactly(&self, addr: u64, width: Width) -> bool {
         self.addr == addr && self.width == width
     }
+
+    /// Serialises one entry, as [`Lsq::save_state`] writes it.
+    pub(crate) fn save_state(&self, e: &mut Enc) {
+        e.u64(self.seq);
+        e.bool(self.is_store);
+        e.u64(self.addr);
+        e.u8(width_code(self.width));
+        e.i64(self.value);
+        e.bool(self.data_known);
+        e.u8(queue_opt_code(self.data_queue));
+        e.bool(self.performed);
+    }
 }
 
 /// What the LSQ says about a load's interaction with older stores.
@@ -116,91 +136,161 @@ pub enum LoadCheck {
 /// The load/store queue.
 #[derive(Debug, Clone)]
 pub struct Lsq {
-    entries: VecDeque<LsqEntry>,
+    /// Entry `seq` at slot `seq % SLOTS`; only occupied slots are read.
+    slots: [LsqEntry; SLOTS as usize],
     capacity: usize,
-    /// Entries with `data_known` set (maintained, not scanned).
-    n_data_known: usize,
-    /// Entries with `performed` set (maintained, not scanned).
-    n_performed: usize,
+    /// Sequence number of the oldest entry (meaningless when empty). All
+    /// entries are in one window, so they lie in `[head, head + 64)`.
+    head: u64,
+    /// Slots holding an entry.
+    occupied: u64,
+    /// Stores not yet performed: the entries a load can collide with.
+    pending_stores: u64,
+    /// Entries without their data: `s.q` stores waiting on their queue.
+    waiting: u64,
+    /// Entries with `performed` set.
+    performed: u64,
 }
 
 impl Lsq {
     /// Creates an empty LSQ.
     pub fn new(capacity: usize) -> Lsq {
+        let empty = LsqEntry {
+            seq: 0,
+            is_store: false,
+            addr: 0,
+            width: Width::B,
+            value: 0,
+            data_known: true,
+            data_queue: None,
+            performed: false,
+        };
         Lsq {
-            entries: VecDeque::with_capacity(capacity),
+            slots: [empty; SLOTS as usize],
             capacity,
-            n_data_known: 0,
-            n_performed: 0,
+            head: 0,
+            occupied: 0,
+            pending_stores: 0,
+            waiting: 0,
+            performed: 0,
         }
     }
 
     /// True when no memory instruction can dispatch.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.occupied.count_ones() as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.occupied == 0
     }
 
-    /// Appends an entry (program order). Panics when full (caller checks).
+    /// `mask` rotated so that bit `i` is the entry with sequence
+    /// `head + i`: its set bits in ascending order are oldest → youngest.
+    fn by_age(&self, mask: u64) -> u64 {
+        mask.rotate_right((self.head % SLOTS) as u32)
+    }
+
+    /// Appends an entry. Entries arrive in program order, each younger
+    /// than every entry present and within 64 sequence numbers of the
+    /// oldest; only a `s.q` store may lack its data. Panics when full
+    /// (caller checks) or when the entry breaks those rules.
     pub fn push(&mut self, e: LsqEntry) {
         assert!(!self.is_full(), "LSQ overflow");
-        self.n_data_known += e.data_known as usize;
-        self.n_performed += e.performed as usize;
-        self.entries.push_back(e);
+        if self.occupied != 0 {
+            let youngest = self.head + 63 - self.by_age(self.occupied).leading_zeros() as u64;
+            assert!(
+                e.seq > youngest && e.seq - self.head < SLOTS,
+                "LSQ entry {} out of order (entries {}..={youngest})",
+                e.seq,
+                self.head
+            );
+        } else {
+            self.head = e.seq;
+        }
+        assert!(
+            e.data_known || (e.is_store && e.data_queue.is_some()),
+            "only a s.q store may wait for its data"
+        );
+        let bit = slot_bit(e.seq);
+        self.occupied |= bit;
+        if e.is_store && !e.performed {
+            self.pending_stores |= bit;
+        }
+        if !e.data_known {
+            self.waiting |= bit;
+        }
+        if e.performed {
+            self.performed |= bit;
+        }
+        self.slots[slot(e.seq)] = e;
+    }
+
+    /// The slot of the entry owned by `seq`, if there is one.
+    fn find(&self, seq: u64) -> Option<usize> {
+        let i = slot(seq);
+        (self.occupied & slot_bit(seq) != 0 && self.slots[i].seq == seq).then_some(i)
     }
 
     /// Looks up by owning sequence number.
     pub fn get(&self, seq: u64) -> Option<&LsqEntry> {
-        self.entries.iter().find(|e| e.seq == seq)
-    }
-
-    /// Mutable lookup by owning sequence number.
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut LsqEntry> {
-        self.entries.iter_mut().find(|e| e.seq == seq)
+        self.find(seq).map(|i| &self.slots[i])
     }
 
     /// Removes the entry owned by `seq` (at commit).
     pub fn remove(&mut self, seq: u64) {
-        if let Some(i) = self.entries.iter().position(|e| e.seq == seq) {
-            let e = self.entries.remove(i).unwrap();
-            self.n_data_known -= e.data_known as usize;
-            self.n_performed -= e.performed as usize;
+        if self.find(seq).is_none() {
+            return;
+        }
+        let keep = !slot_bit(seq);
+        self.occupied &= keep;
+        self.pending_stores &= keep;
+        self.waiting &= keep;
+        self.performed &= keep;
+        if seq == self.head && self.occupied != 0 {
+            self.head += self.by_age(self.occupied).trailing_zeros() as u64;
         }
     }
 
     /// Marks the entry owned by `seq` as performed (store wrote memory /
-    /// load got its data). Keeps the flag counts exact — callers must use
-    /// this instead of flipping the field through `get_mut`.
+    /// load got its data).
     pub fn mark_performed(&mut self, seq: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
-            self.n_performed += !e.performed as usize;
-            e.performed = true;
+        if let Some(i) = self.find(seq) {
+            self.slots[i].performed = true;
+            self.performed |= slot_bit(seq);
+            self.pending_stores &= !slot_bit(seq);
         }
     }
 
-    /// `(data_known, performed)` flag counts, maintained across mutations —
+    /// `(data_known, performed)` flag counts — popcounts of the masks,
     /// equal by construction to what a full queue scan would count.
     pub fn flag_counts(&self) -> (usize, usize) {
-        (self.n_data_known, self.n_performed)
+        (
+            self.len() - self.waiting.count_ones() as usize,
+            self.performed.count_ones() as usize,
+        )
     }
 
     /// Checks a load at `(addr, width)` with sequence `seq` against older
     /// stores, youngest-first.
     pub fn check_load(&self, seq: u64, addr: u64, width: Width) -> LoadCheck {
-        for e in self.entries.iter().rev() {
-            if e.seq >= seq || !e.is_store {
-                continue;
-            }
-            if e.performed || !e.overlaps(addr, width) {
+        let stores = self.by_age(self.pending_stores);
+        // Bits below `seq - head` are the entries older than the load.
+        let mut older = match seq.saturating_sub(self.head) {
+            n if n >= SLOTS => stores,
+            n => stores & ((1 << n) - 1),
+        };
+        while older != 0 {
+            let i = 63 - older.leading_zeros() as u64;
+            older &= !(1 << i);
+            let e = &self.slots[slot(self.head + i)];
+            if !e.overlaps(addr, width) {
                 continue;
             }
             if e.covers_exactly(addr, width) && e.data_known {
@@ -221,25 +311,23 @@ impl Lsq {
         mut pop: impl FnMut(Queue) -> Option<u64>,
     ) -> usize {
         let mut n = 0;
-        for e in self.entries.iter_mut() {
-            if n >= max {
-                break;
-            }
-            if e.is_store && !e.data_known {
-                if let Some(q) = e.data_queue {
-                    match pop(q) {
-                        Some(v) => {
-                            e.value = v as i64;
-                            e.data_known = true;
-                            self.n_data_known += 1;
-                            n += 1;
-                        }
-                        // FIFO: a younger store for the same queue must not
-                        // overtake; stop scanning entirely (queue data
-                        // arrives in order).
-                        None => break,
-                    }
+        let mut rest = self.by_age(self.waiting);
+        while rest != 0 && n < max {
+            let seq = self.head + rest.trailing_zeros() as u64;
+            rest &= rest - 1;
+            let e = &mut self.slots[slot(seq)];
+            let q = e.data_queue.expect("a waiting store has a data queue");
+            match pop(q) {
+                Some(v) => {
+                    e.value = v as i64;
+                    e.data_known = true;
+                    self.waiting &= !slot_bit(seq);
+                    n += 1;
                 }
+                // FIFO: a younger store for the same queue must not
+                // overtake; stop scanning entirely (queue data arrives in
+                // order).
+                None => break,
             }
         }
         n
@@ -247,32 +335,42 @@ impl Lsq {
 
     /// Iterates entries oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &LsqEntry> {
-        self.entries.iter()
+        let mut rest = self.by_age(self.occupied);
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let i = rest.trailing_zeros() as u64;
+            rest &= rest - 1;
+            Some(&self.slots[slot(self.head + i)])
+        })
     }
 
     /// Serialises all in-flight entries (capacity comes from the config,
     /// which the checkpoint header pins).
     pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.entries.len());
-        for en in &self.entries {
-            e.u64(en.seq);
-            e.bool(en.is_store);
-            e.u64(en.addr);
-            e.u8(width_code(en.width));
-            e.i64(en.value);
-            e.bool(en.data_known);
-            e.u8(queue_opt_code(en.data_queue));
-            e.bool(en.performed);
+        e.usize(self.len());
+        for en in self.iter() {
+            en.save_state(e);
         }
     }
 
-    /// Restores from a [`save_state`](Self::save_state) stream; the flag
-    /// counts are recomputed.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
+    /// Restores from a [`save_state`](Self::save_state) stream against the
+    /// already-loaded window `ruu`; the masks are recomputed. Entries that
+    /// `save_state` could not have written are an error: more than the
+    /// capacity, sequence numbers not ascending, a sequence number outside
+    /// the window or owned by a non-memory instruction, a store flag,
+    /// width or data queue that disagrees with the instruction, data
+    /// missing where no queue supplies it — and so is a memory
+    /// instruction in the window with no entry.
+    pub fn load_state(&mut self, d: &mut Dec, ruu: &Ruu) -> WireResult<()> {
+        let bad = |what| WireError { pos: 0, what };
         let n = d.usize()?;
-        self.entries.clear();
-        self.n_data_known = 0;
-        self.n_performed = 0;
+        if n > self.capacity {
+            return Err(bad("lsq longer than its capacity"));
+        }
+        *self = Lsq::new(self.capacity);
+        let mut prev: Option<u64> = None;
         for _ in 0..n {
             let en = LsqEntry {
                 seq: d.u64()?,
@@ -284,9 +382,34 @@ impl Lsq {
                 data_queue: queue_opt_from(d.u8()?)?,
                 performed: d.bool()?,
             };
-            self.n_data_known += en.data_known as usize;
-            self.n_performed += en.performed as usize;
-            self.entries.push_back(en);
+            if prev.is_some_and(|p| p >= en.seq) {
+                return Err(bad("lsq sequence numbers not ascending"));
+            }
+            prev = Some(en.seq);
+            let instr = ruu
+                .get(en.seq)
+                .ok_or(bad("lsq entry outside the window"))?
+                .instr;
+            if !instr.is_mem() {
+                return Err(bad("lsq entry names a non-memory instruction"));
+            }
+            let data_queue = match instr {
+                Instr::StoreQ { q, .. } => Some(q),
+                _ => None,
+            };
+            if en.is_store != instr.is_store()
+                || Some(en.width) != instr.mem_width()
+                || en.data_queue != data_queue
+            {
+                return Err(bad("lsq entry disagrees with its instruction"));
+            }
+            if !en.data_known && en.data_queue.is_none() {
+                return Err(bad("lsq entry lacks data no queue supplies"));
+            }
+            self.push(en);
+        }
+        if ruu.iter().filter(|e| e.instr.is_mem()).count() != n {
+            return Err(bad("memory instruction in the window has no lsq entry"));
         }
         Ok(())
     }

@@ -1,12 +1,15 @@
 //! The Register Update Unit: the instruction window of the out-of-order
 //! core (SimpleScalar's RUU — a combined ROB/reservation-station array).
 //!
-//! Entries are kept in dispatch order; sequence numbers are contiguous, so
-//! an entry can be located by `seq - front_seq` in O(1).
+//! The window is a fixed ring of `SLOTS` (64) entries addressed by sequence
+//! number: the entry with sequence `seq` lives at slot `seq % 64`, the
+//! same slot the wakeup masks (`Wakeup`) and the LSQ use. Sequence
+//! numbers are contiguous and a window spans at most 64 of them, so a
+//! lookup is a range check against the head plus an index, and iteration
+//! walks the slots from the head's, oldest first.
 
 use hidisc_isa::instr::Instr;
 use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
-use std::collections::VecDeque;
 
 /// Timing state of an RUU entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +23,7 @@ pub enum EntryState {
 }
 
 /// One instruction in flight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RuuEntry {
     /// Sequence number (dispatch order, contiguous).
     pub seq: u64,
@@ -69,9 +72,14 @@ impl RuuEntry {
 /// The instruction window.
 #[derive(Debug, Clone)]
 pub struct Ruu {
-    entries: VecDeque<RuuEntry>,
+    /// Entry `seq` at slot `seq % SLOTS`; slots outside the window hold
+    /// stale entries that nothing reads.
+    slots: [RuuEntry; SLOTS as usize],
+    /// Sequence number of the oldest entry (the next to dispatch when
+    /// the window is empty).
+    head: u64,
+    len: usize,
     capacity: usize,
-    next_seq: u64,
     /// Entries in the `Waiting` state (maintained, not scanned).
     n_waiting: usize,
     /// Entries in the `Done` state (maintained, not scanned).
@@ -79,12 +87,17 @@ pub struct Ruu {
 }
 
 impl Ruu {
-    /// Creates an empty window of the given capacity.
+    /// Creates an empty window of the given capacity (at most 64).
     pub fn new(capacity: usize) -> Ruu {
+        assert!(
+            capacity as u64 <= SLOTS,
+            "RUU larger than its {SLOTS} slots"
+        );
         Ruu {
-            entries: VecDeque::with_capacity(capacity),
+            slots: [RuuEntry::new(0, 0, Instr::Nop); SLOTS as usize],
+            head: 0,
+            len: 0,
             capacity,
-            next_seq: 0,
             n_waiting: 0,
             n_done: 0,
         }
@@ -92,62 +105,66 @@ impl Ruu {
 
     /// True when no more instructions can dispatch.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
+        self.len >= self.capacity
     }
 
     /// True when the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Number of instructions in flight.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
+    }
+
+    /// The sequence number the next dispatched instruction gets.
+    fn next_seq(&self) -> u64 {
+        self.head + self.len as u64
     }
 
     /// Allocates an entry; returns its sequence number. Panics when full
     /// (caller checks `is_full`).
     pub fn push(&mut self, pc: u32, instr: Instr) -> u64 {
         assert!(!self.is_full(), "RUU overflow");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.push_back(RuuEntry::new(seq, pc, instr));
+        let seq = self.next_seq();
+        self.slots[slot(seq)] = RuuEntry::new(seq, pc, instr);
+        self.len += 1;
         self.n_waiting += 1;
         seq
     }
 
     /// The oldest entry.
     pub fn front(&self) -> Option<&RuuEntry> {
-        self.entries.front()
+        self.get(self.head)
     }
 
     /// Removes and returns the oldest entry.
     pub fn pop_front(&mut self) -> Option<RuuEntry> {
-        let e = self.entries.pop_front();
-        match e.as_ref().map(|e| e.state) {
-            Some(EntryState::Waiting) => self.n_waiting -= 1,
-            Some(EntryState::Done) => self.n_done -= 1,
-            _ => {}
+        let e = *self.front()?;
+        match e.state {
+            EntryState::Waiting => self.n_waiting -= 1,
+            EntryState::Done => self.n_done -= 1,
+            EntryState::Issued => {}
         }
-        e
+        self.head += 1;
+        self.len -= 1;
+        Some(e)
+    }
+
+    /// True when `seq` is in the window: dispatched and not committed.
+    fn holds(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.head) < self.len as u64
     }
 
     /// Looks up an entry by sequence number.
     pub fn get(&self, seq: u64) -> Option<&RuuEntry> {
-        let front = self.entries.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        self.entries.get((seq - front) as usize)
+        self.holds(seq).then(|| &self.slots[slot(seq)])
     }
 
     /// Mutable lookup by sequence number.
     pub fn get_mut(&mut self, seq: u64) -> Option<&mut RuuEntry> {
-        let front = self.entries.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        self.entries.get_mut((seq - front) as usize)
+        self.holds(seq).then(|| &mut self.slots[slot(seq)])
     }
 
     /// True if the producer with sequence `seq` has its result available at
@@ -160,13 +177,14 @@ impl Ruu {
     }
 
     /// Iterates entries oldest → youngest.
-    pub fn iter(&self) -> impl Iterator<Item = &RuuEntry> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &RuuEntry> + Clone {
+        self.iter_from(0)
     }
 
-    /// Mutable iteration oldest → youngest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RuuEntry> {
-        self.entries.iter_mut()
+    /// Iterates the entries from position `i` (0 = oldest) to the
+    /// youngest.
+    fn iter_from(&self, i: usize) -> impl Iterator<Item = &RuuEntry> + Clone {
+        (self.head + i as u64..self.next_seq()).map(move |seq| &self.slots[slot(seq)])
     }
 
     /// Marks `seq` as issued, completing at `complete_at`. The only legal
@@ -207,13 +225,13 @@ impl Ruu {
     /// without the scheduler keeping them in this form; a core that keeps
     /// no links (`linked == false`, the scan scheduler) stores none.
     fn links(&self, i: usize, linked: bool) -> (impl Iterator<Item = u64> + Clone + '_, u8) {
-        let p = &self.entries[i];
+        let p = &self.slots[slot(self.head + i as u64)];
         let from = if linked && p.state != EntryState::Done {
             i + 1
         } else {
-            self.entries.len()
+            self.len
         };
-        let consumers = self.entries.range(from..).flat_map(move |c| {
+        let consumers = self.iter_from(from).flat_map(move |c| {
             c.deps
                 .iter()
                 .filter(move |&&d| d == Some(p.seq))
@@ -236,7 +254,8 @@ impl Ruu {
     /// Promotes `Issued` entries whose completion time has passed to
     /// `Done`.
     pub fn harvest_completions(&mut self, now: u64) {
-        for e in self.entries.iter_mut() {
+        for seq in self.head..self.next_seq() {
+            let e = &mut self.slots[slot(seq)];
             if e.state == EntryState::Issued && e.complete_at <= now {
                 e.state = EntryState::Done;
                 self.n_done += 1;
@@ -251,9 +270,9 @@ impl Ruu {
     /// ready-list links; their consumer lists and pending counts are
     /// written as derived from the entries, not stored anywhere.
     pub fn save_state(&self, e: &mut Enc, linked: bool) {
-        e.u64(self.next_seq);
-        e.usize(self.entries.len());
-        for (i, en) in self.entries.iter().enumerate() {
+        e.u64(self.next_seq());
+        e.usize(self.len);
+        for (i, en) in self.iter().enumerate() {
             e.u64(en.seq);
             e.u32(en.pc);
             e.u8(match en.state {
@@ -299,18 +318,21 @@ impl Ruu {
         linked: bool,
     ) -> WireResult<()> {
         let bad = |what| WireError { pos: 0, what };
-        self.next_seq = d.u64()?;
+        let next_seq = d.u64()?;
         let n = d.usize()?;
         if n > self.capacity {
             return Err(bad("ruu longer than the window"));
         }
-        self.entries.clear();
+        self.head = next_seq
+            .checked_sub(n as u64)
+            .ok_or(bad("ruu sequence numbers not contiguous"))?;
+        self.len = 0;
         self.n_waiting = 0;
         self.n_done = 0;
         let mut stored_links = Vec::with_capacity(n);
         for i in 0..n {
             let seq = d.u64()?;
-            if seq.checked_add((n - i) as u64) != Some(self.next_seq) {
+            if seq.checked_add((n - i) as u64) != Some(next_seq) {
                 return Err(bad("ruu sequence numbers not contiguous"));
             }
             let pc = d.u32()?;
@@ -350,7 +372,8 @@ impl Ruu {
                 EntryState::Done => self.n_done += 1,
                 EntryState::Issued => {}
             }
-            self.entries.push_back(en);
+            self.slots[slot(seq)] = en;
+            self.len += 1;
         }
         for (i, (consumers, pending)) in stored_links.into_iter().enumerate() {
             let (want, want_pending) = self.links(i, linked);
@@ -369,6 +392,11 @@ impl Ruu {
 /// `u64`, at slot `seq % 64`. A window of at most this many entries spans
 /// fewer than 64 consecutive sequence numbers, so live slots are distinct.
 pub(crate) const SLOTS: u64 = 64;
+
+/// The window slot of sequence number `seq`.
+pub(crate) fn slot(seq: u64) -> usize {
+    (seq % SLOTS) as usize
+}
 
 /// The mask bit of sequence number `seq`.
 pub(crate) fn slot_bit(seq: u64) -> u64 {
@@ -407,10 +435,10 @@ impl Wakeup {
         let bit = slot_bit(seq);
         let mut wait = 0;
         for p in producers {
-            self.dependents[(p % SLOTS) as usize] |= bit;
+            self.dependents[slot(p)] |= bit;
             wait |= slot_bit(p);
         }
-        self.wait[(seq % SLOTS) as usize] = wait;
+        self.wait[slot(seq)] = wait;
         if wait == 0 {
             self.ready |= bit;
         }
@@ -420,7 +448,7 @@ impl Wakeup {
     /// waiting on it, and those left waiting on nothing become ready.
     pub(crate) fn complete(&mut self, seq: u64) {
         let bit = slot_bit(seq);
-        let mut woken = std::mem::take(&mut self.dependents[(seq % SLOTS) as usize]);
+        let mut woken = std::mem::take(&mut self.dependents[slot(seq)]);
         while woken != 0 {
             let c = woken.trailing_zeros() as usize;
             woken &= woken - 1;
@@ -487,6 +515,54 @@ mod tests {
         r.mark_issued(b, 9);
         r.harvest_completions(9);
         assert_eq!(r.state_counts(), (0, 1));
+    }
+
+    #[test]
+    fn ring_lookup_and_order_across_the_wrap() {
+        let mut r = Ruu::new(8);
+        // Move the head to seq 60 so the window straddles slot 63.
+        for pc in 0..60 {
+            r.push(pc, Instr::Nop);
+            r.pop_front();
+        }
+        let seqs: Vec<u64> = (0..8).map(|i| r.push(100 + i, Instr::Nop)).collect();
+        assert_eq!(seqs, (60..68).collect::<Vec<_>>());
+        assert!(r.is_full());
+        let in_order = |r: &Ruu| r.iter().map(|e| (e.seq, e.pc)).collect::<Vec<_>>();
+        assert_eq!(
+            in_order(&r),
+            (60..68).map(|s| (s, s as u32 + 40)).collect::<Vec<_>>()
+        );
+        for &s in &seqs {
+            assert_eq!(r.get(s).unwrap().seq, s);
+        }
+        // 65 sits at slot 1, the slot committed seq 1 used.
+        r.get_mut(65).unwrap().payload = 7;
+        assert_eq!(r.get(65).unwrap().payload, 7);
+        for gone in [1, 59] {
+            assert!(r.get(gone).is_none(), "committed seq {gone}");
+            assert!(r.producer_done(gone, 0), "committed seq {gone} is done");
+        }
+        for ahead in [68, 68 + 64, u64::MAX] {
+            assert!(r.get(ahead).is_none(), "undispatched seq {ahead}");
+            assert!(r.get_mut(ahead).is_none(), "undispatched seq {ahead}");
+        }
+        r.mark_issued(64, 10);
+        assert!(!r.producer_done(64, 20), "issued, not done");
+        assert!(!r.producer_done(63, 20), "waiting");
+        r.harvest_completions(10);
+        assert!(r.producer_done(64, 10));
+        assert_eq!(r.state_counts(), (7, 1));
+        for s in 60..64 {
+            assert_eq!(r.pop_front().unwrap().seq, s);
+        }
+        assert!(r.get(63).is_none());
+        assert_eq!(r.front().unwrap().seq, 64);
+        assert_eq!(r.push(0, Instr::Nop), 68);
+        assert_eq!(
+            in_order(&r).iter().map(|p| p.0).collect::<Vec<_>>(),
+            (64..69).collect::<Vec<_>>()
+        );
     }
 
     #[test]
