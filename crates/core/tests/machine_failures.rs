@@ -84,6 +84,22 @@ fn memory_instruction_on_cp_is_rejected() {
 }
 
 #[test]
+fn unsupported_instruction_never_dispatched_is_not_an_error() {
+    // The AP has no fp units, but this `add.d` sits behind a jump and
+    // never dispatches: only dispatching an unsupported instruction is an
+    // error, not having one in the program.
+    let w = bogus_workload("halt", "j over\nadd.d f1, f2, f3\nover:\nhalt");
+    let mut m = Machine::new(Model::CpAp, &w, &env(), MachineConfig::paper());
+    let stats = m.run(3).unwrap();
+    let committed: Vec<u64> = stats.cores.iter().map(|(_, s)| s.committed).collect();
+    assert_eq!(
+        committed,
+        [1, 2],
+        "CP commits its halt, AP the jump and halt"
+    );
+}
+
+#[test]
 fn mismatched_cq_direction_is_wrong_but_terminates_or_deadlocks() {
     // CS consumes two tokens, AS produces one: the second cbranch blocks
     // forever → watchdog.

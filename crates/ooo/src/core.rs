@@ -7,20 +7,29 @@
 //! Commit, issue and dispatch each return a small record of what they did
 //! and why they stopped; `account` turns a cycle's records into the
 //! statistics, for detailed and warm cycles alike.
+//!
+//! The fetch queue and the RUU carry a pc, not an instruction: the core
+//! decodes its program once, at construction, into a per-pc table
+//! (`decode.rs`) that fetch, dispatch, issue and commit read.
+//! Functional execution and the LSQ entry read the instruction from the
+//! program by pc.
 
 use crate::config::{CoreConfig, Scheduler};
-use crate::fu::{latency_of, FuPool};
+use crate::decode::{
+    decode, Decoded, CBRANCH, COND_BRANCH, HALT, JUMP, LOAD, MEM, NO_REG, PREFETCH, PUSH_CQ,
+    RENAME_SLOTS, SCQ_GET, STORE, TRIGGER, UNSUPPORTED,
+};
+use crate::fu::FuPool;
 use crate::lsq::{queue_opt_code, queue_opt_from, LoadCheck, Lsq, LsqEntry};
 use crate::predictor::Bimodal;
 use crate::queues::QueueFile;
 use crate::ruu::{slot_bit, EntryState, Ruu, Wakeup, SLOTS};
 use crate::stats::CoreStats;
-use hidisc_isa::instr::{FuClass, RegRef, Width};
+use hidisc_isa::instr::{FuClass, Width};
 use hidisc_isa::interp::{
     exec_reg_op, step_at, MemKind, PopResult, PushResult, QueueEnv, RegFile, Step,
 };
 use hidisc_isa::mem::Memory;
-use hidisc_isa::reg::{NUM_FP_REGS, NUM_INT_REGS};
 use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
@@ -149,17 +158,6 @@ impl Wheel {
     }
 }
 
-/// Rename-table slots: one per architectural register, integer file first.
-const RENAME_SLOTS: usize = NUM_INT_REGS + NUM_FP_REGS;
-
-/// Rename-table slot of a register reference.
-fn rename_slot(r: RegRef) -> usize {
-    match r {
-        RegRef::Int(r) => r.index(),
-        RegRef::Fp(r) => NUM_INT_REGS + r.index(),
-    }
-}
-
 /// A CMAS fork event produced when the Access Processor commits a trigger
 /// instruction: the CMP spawns a thread with this register context.
 #[derive(Debug, Clone)]
@@ -213,10 +211,11 @@ impl CoreCtx<'_> {
     }
 }
 
+/// A fetched instruction: its pc (the decoded table and the program say
+/// the rest) and the direction predicted for it at fetch.
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     pc: u32,
-    instr: Instr,
     predicted_taken: bool,
 }
 
@@ -235,7 +234,6 @@ impl Ifq {
     fn new(capacity: usize) -> Ifq {
         let empty = Fetched {
             pc: 0,
-            instr: Instr::Nop,
             predicted_taken: false,
         };
         Ifq {
@@ -358,6 +356,8 @@ pub struct OooCore {
     pub name: &'static str,
     cfg: CoreConfig,
     prog: Program,
+    /// `prog` decoded for this core: entry `pc` describes instruction `pc`.
+    decoded: Box<[Decoded]>,
     /// Architectural + speculative register file (functional execution is
     /// in-order at dispatch, so this is always program-order correct).
     pub regs: RegFile,
@@ -425,6 +425,7 @@ impl OooCore {
             warm: false,
             warm_pc: 0,
             regs: RegFile::new(),
+            decoded: decode(&prog, &cfg),
             cfg,
             prog,
         }
@@ -663,36 +664,30 @@ impl OooCore {
             if self.ifq.is_full() {
                 break;
             }
-            let Some(&instr) = self.prog.get(self.fetch_pc) else {
+            let pc = self.fetch_pc;
+            let Some(&d) = self.decoded.get(pc as usize) else {
                 self.fetch_halted = true;
                 break;
             };
-            let pc = self.fetch_pc;
             let mut predicted_taken = false;
-            match instr {
-                Instr::Branch { target, .. } | Instr::CBranch { target } => {
-                    predicted_taken = self.predictor.predict(pc);
-                    self.fetch_pc = if predicted_taken { target } else { pc + 1 };
-                }
-                Instr::Jump { target } => {
-                    self.fetch_pc = target;
-                }
-                Instr::Halt => {
-                    self.fetch_halted = true;
-                }
-                _ => {
-                    self.fetch_pc = pc + 1;
-                }
+            if d.is(COND_BRANCH) {
+                predicted_taken = self.predictor.predict(pc);
+                self.fetch_pc = if predicted_taken { d.target } else { pc + 1 };
+            } else if d.is(JUMP) {
+                self.fetch_pc = d.target;
+            } else if d.is(HALT) {
+                self.fetch_halted = true;
+            } else {
+                self.fetch_pc = pc + 1;
             }
             self.ifq.push_back(Fetched {
                 pc,
-                instr,
                 predicted_taken,
             });
             if trace.on(Category::Pipeline) {
                 trace.emit(EventData::Fetch { pc });
             }
-            if matches!(instr, Instr::Halt) {
+            if d.is(HALT) {
                 break;
             }
         }
@@ -714,7 +709,7 @@ impl OooCore {
             }
             self.ifq.pop_front();
             rec.dispatched += 1;
-            if matches!(f.instr, Instr::Halt) {
+            if self.decoded[f.pc as usize].is(HALT) {
                 break;
             }
         }
@@ -732,32 +727,19 @@ impl OooCore {
     ) -> Result<Outcome> {
         let Fetched {
             pc,
-            instr,
             predicted_taken,
         } = f;
+        let d = self.decoded[pc as usize];
         if self.ruu.is_full() {
             return Ok(Outcome::RuuFull);
         }
-        if instr.is_mem() {
-            if self.lsq.is_full() {
-                return Ok(Outcome::LsqFull);
-            }
-            if !self.fu.exists(FuClass::Mem) {
-                return Err(IsaError::Exec {
-                    pc,
-                    msg: format!(
-                        "memory instruction on core {} with no memory ports",
-                        self.name
-                    ),
-                });
-            }
+        if d.is(MEM) && self.lsq.is_full() {
+            return Ok(Outcome::LsqFull);
         }
-        if instr.is_fp() && !self.fu.exists(instr.fu_class()) {
-            return Err(IsaError::Exec {
-                pc,
-                msg: format!("fp instruction on core {} with no fp units", self.name),
-            });
+        if d.is(UNSUPPORTED) {
+            return Err(self.unsupported(pc));
         }
+        let instr = self.prog.instrs()[pc as usize];
         let mut payload: u64 = 0;
         let mut branch_actual = false;
         let mut correct_next = pc + 1;
@@ -838,7 +820,7 @@ impl OooCore {
             };
             Some(LsqEntry {
                 seq: 0, // patched below
-                is_store: instr.is_store(),
+                is_store: d.is(STORE),
                 addr,
                 width,
                 value,
@@ -851,19 +833,17 @@ impl OooCore {
         };
 
         // ---- allocate the RUU entry and capture timing dependences ----
-        let deps = {
-            let mut deps = [None; 3];
-            for (i, u) in instr.uses().into_iter().enumerate() {
-                if let Some(r) = u {
-                    deps[i] = self.last_producer(r);
-                }
-            }
-            deps
-        };
-        let seq = self.ruu.push(pc, instr);
+        let dep = |u: u8| (u != NO_REG).then(|| self.last_producer(u)).flatten();
+        let (d0, d1, d2) = (dep(d.uses[0]), dep(d.uses[1]), dep(d.uses[2]));
+        let seq = self.ruu.push(pc);
         {
             let e = self.ruu.get_mut(seq).expect("just pushed");
-            e.deps = deps;
+            // Stored one operand at a time: copied in whole, the array is
+            // read back from the stack with loads wider than the stores
+            // that built it, which stalls store-to-load forwarding.
+            e.deps[0] = d0;
+            e.deps[1] = d1;
+            e.deps[2] = d2;
             e.payload = payload;
             e.predicted_taken = predicted_taken;
             e.actual_taken = branch_actual;
@@ -873,7 +853,9 @@ impl OooCore {
             le.seq = seq;
             self.lsq.push(le);
         }
-        self.set_producer(instr, seq);
+        if d.def != NO_REG {
+            self.rename[d.def as usize] = Some(seq);
+        }
         if ctx.trace.on(Category::Pipeline) {
             ctx.trace.emit(EventData::Dispatch { seq, pc });
         }
@@ -881,18 +863,18 @@ impl OooCore {
         // Wakeup bookkeeping: a producer in `deps` is unavailable by
         // construction of `last_producer`.
         if self.cfg.scheduler == Scheduler::ReadyList {
-            self.wakeup.link(seq, deps.into_iter().flatten());
+            self.wakeup.link(seq, d0.into_iter().chain(d1).chain(d2));
         }
 
         // ---- branch outcome handling ----
-        if matches!(instr, Instr::Branch { .. } | Instr::CBranch { .. }) {
+        if d.is(COND_BRANCH) {
             self.predictor.update(pc, branch_actual, predicted_taken);
             if branch_actual != predicted_taken {
                 if ctx.trace.on(Category::Pipeline) {
                     ctx.trace.emit(EventData::Mispredict { pc });
                 }
                 self.ifq.clear();
-                if matches!(instr, Instr::CBranch { .. }) {
+                if d.is(CBRANCH) {
                     // The pop *is* the resolution: redirect immediately,
                     // paying only the front-end refill penalty.
                     rec.cq_redirects += 1;
@@ -909,39 +891,50 @@ impl OooCore {
         Ok(Outcome::Ok)
     }
 
-    /// Last in-flight producer of a register whose result is not yet
-    /// available, or `None` when the operand is ready. Ready-list mode
-    /// keeps a rename table (O(1)); scan mode derives it from the RUU,
-    /// oldest to youngest — the youngest def decides. The two agree: the
+    /// The error for dispatching an instruction this core has no unit
+    /// for (the decoded `UNSUPPORTED` bit).
+    #[cold]
+    #[inline(never)]
+    fn unsupported(&self, pc: u32) -> IsaError {
+        let instr = self.prog.instr(pc);
+        let msg = if instr.is_mem() && !self.fu.exists(FuClass::Mem) {
+            format!(
+                "memory instruction on core {} with no memory ports",
+                self.name
+            )
+        } else {
+            format!("fp instruction on core {} with no fp units", self.name)
+        };
+        IsaError::Exec { pc, msg }
+    }
+
+    /// Last in-flight producer of the register in rename slot `r` whose
+    /// result is not yet available, or `None` when the operand is ready.
+    /// Ready-list mode keeps a rename table (O(1)); scan mode derives it
+    /// from the RUU, oldest to youngest — the youngest def decides. The two agree: the
     /// table records every def in dispatch order, a recorded producer that
     /// has committed or completed fails the `producer_done` check the same
     /// way the scan's availability branch clears `newest`.
-    fn last_producer(&self, r: RegRef) -> Option<u64> {
+    fn last_producer(&self, r: u8) -> Option<u64> {
         match self.cfg.scheduler {
             Scheduler::ReadyList => {
-                self.rename[rename_slot(r)].filter(|&seq| !self.ruu.producer_done(seq, self.now))
+                self.rename[r as usize].filter(|&seq| !self.ruu.producer_done(seq, self.now))
             }
             Scheduler::Scan => {
                 let mut newest = None;
                 for e in self.ruu.iter() {
+                    let defines = self.decoded[e.pc as usize].def == r;
                     if e.state != EntryState::Done || e.complete_at > self.now {
-                        if e.instr.def() == Some(r) {
+                        if defines {
                             newest = Some(e.seq);
                         }
-                    } else if e.instr.def() == Some(r) {
+                    } else if defines {
                         // Completed but not yet committed: result available.
                         newest = None;
                     }
                 }
                 newest
             }
-        }
-    }
-
-    /// Records `seq` as the newest producer of its destination register.
-    fn set_producer(&mut self, instr: Instr, seq: u64) {
-        if let Some(r) = instr.def() {
-            self.rename[rename_slot(r)] = Some(seq);
         }
     }
 
@@ -1038,17 +1031,21 @@ impl OooCore {
     fn try_issue(&mut self, seq: u64, ctx: &mut CoreCtx<'_>, rec: &mut IssueRecord) -> Option<u64> {
         let now = self.now;
         let agen = self.cfg.lat.agen as u64;
-        let e = self.ruu.get(seq).unwrap();
-        let (instr, pc) = (e.instr, e.pc);
-        if instr.is_store() {
+        let pc = self
+            .ruu
+            .get(seq)
+            .expect("issue candidates are in the window")
+            .pc;
+        let d = self.decoded[pc as usize];
+        if d.is(STORE) {
             // Address generation only; the cache access happens at commit
             // through the write buffer.
             return self.fu.try_acquire(FuClass::IntAlu).then_some(now + agen);
         }
-        let prefetch = matches!(instr, Instr::Prefetch { .. });
-        if !instr.is_load() && !prefetch {
-            let done = now + latency_of(&instr, &self.cfg.lat) as u64;
-            return self.fu.try_acquire(instr.fu_class()).then_some(done);
+        let prefetch = d.is(PREFETCH);
+        if !d.is(LOAD) && !prefetch {
+            let done = now + d.latency as u64;
+            return self.fu.try_acquire(d.fu).then_some(done);
         }
         let le = self.lsq.get(seq).expect("load has LSQ entry");
         let (addr, width) = (le.addr, le.width);
@@ -1126,12 +1123,12 @@ impl OooCore {
             }
             let seq = front.seq;
             let pc = front.pc;
-            let instr = front.instr;
             let payload = front.payload;
             let actual_taken = front.actual_taken;
+            let d = self.decoded[pc as usize];
 
             // Stores: need data, then drain through the write buffer.
-            if instr.is_store() {
+            if d.is(STORE) {
                 let (addr, width, value, data_known, data_queue) = {
                     let le = self.lsq.get(seq).expect("store has LSQ entry");
                     (le.addr, le.width, le.value, le.data_known, le.data_queue)
@@ -1155,22 +1152,19 @@ impl OooCore {
             }
 
             // Queue pushes (all-or-nothing per entry).
-            if let Some(q) = instr.queue_push() {
+            if let Some(q) = d.push {
                 if !ctx.push_queue(q, payload) {
                     rec.stalled_on = Some(q);
                     break;
                 }
             }
-            if self.prog.annot(pc).push_cq
-                && instr.is_control()
-                && !ctx.push_queue(Queue::Cq, actual_taken as u64)
-            {
+            if d.is(PUSH_CQ) && !ctx.push_queue(Queue::Cq, actual_taken as u64) {
                 rec.stalled_on = Some(Queue::Cq);
                 break;
             }
 
-            self.retire(pc, instr, ctx, &mut rec);
-            if instr.is_mem() {
+            self.retire(d, ctx, &mut rec);
+            if d.is(MEM) {
                 self.lsq.remove(seq);
             }
             if ctx.trace.on(Category::Pipeline) {
@@ -1190,21 +1184,20 @@ impl OooCore {
     /// phase both retire through here (forced inline for the same reason
     /// as `account`).
     #[inline(always)]
-    fn retire(&mut self, pc: u32, instr: Instr, ctx: &mut CoreCtx<'_>, rec: &mut CommitRecord) {
-        let annot = *self.prog.annot(pc);
-        if annot.scq_get {
+    fn retire(&mut self, d: Decoded, ctx: &mut CoreCtx<'_>, rec: &mut CommitRecord) {
+        if d.is(SCQ_GET) {
             let _ = ctx.pop_queue(Queue::Scq);
         }
-        if let Some(cmas) = annot.trigger {
+        if d.is(TRIGGER) {
             ctx.triggers.push(TriggerFork {
-                cmas,
+                cmas: d.cmas,
                 regs: self.regs.clone(),
             });
             rec.triggers += 1;
         }
         rec.retired += 1;
-        rec.mem += instr.is_mem() as u64;
-        self.finished |= matches!(instr, Instr::Halt);
+        rec.mem += d.is(MEM) as u64;
+        self.finished |= d.is(HALT);
     }
 }
 
@@ -1349,13 +1342,13 @@ impl OooCore {
                 Step::Next(n) => Some(n),
                 Step::Halt => None,
             };
-            let instr = *self.prog.get(pc).expect("step_at validated pc");
-            if let (Some(n), Instr::Branch { .. } | Instr::CBranch { .. }) = (next, instr) {
+            let d = self.decoded[pc as usize];
+            if let (Some(n), true) = (next, d.is(COND_BRANCH)) {
                 let taken = n != pc + 1;
                 let predicted = self.predictor.predict(pc);
                 self.predictor.update(pc, taken, predicted);
             }
-            self.retire(pc, instr, ctx, &mut rec);
+            self.retire(d, ctx, &mut rec);
             if let Some(n) = next {
                 self.warm_pc = n;
             }
@@ -1477,10 +1470,9 @@ impl OooCore {
         let bad = |what| WireError { pos: 0, what };
         self.regs.load_state(d)?;
         self.predictor.load_state(d)?;
-        let prog = &self.prog;
         let linked = self.cfg.scheduler == Scheduler::ReadyList;
-        self.ruu.load_state(d, |pc| prog.get(pc).copied(), linked)?;
-        self.lsq.load_state(d, &self.ruu)?;
+        self.ruu.load_state(d, self.prog.len(), linked)?;
+        self.lsq.load_state(d, &self.ruu, &self.prog)?;
         let n = d.usize()?;
         if n > self.cfg.ifq_size as usize {
             return Err(bad("ifq longer than its capacity"));
@@ -1489,13 +1481,11 @@ impl OooCore {
         for _ in 0..n {
             let pc = d.u32()?;
             let predicted_taken = d.bool()?;
-            let instr = *self.prog.get(pc).ok_or(WireError {
-                pos: 0,
-                what: "ifq pc out of program range",
-            })?;
+            if pc >= self.prog.len() {
+                return Err(bad("ifq pc out of program range"));
+            }
             self.ifq.push_back(Fetched {
                 pc,
-                instr,
                 predicted_taken,
             });
         }
@@ -1850,7 +1840,9 @@ mod tests {
 
     /// The LSQ and IFQ sections of a checkpoint must agree with the window
     /// they are loaded against: an inconsistent one is a typed error at
-    /// load, not a panic at the first issue (`"load has LSQ entry"`).
+    /// load, not a panic at the first issue (`"load has LSQ entry"`). So
+    /// is a window or fetch-queue pc outside the program, which would
+    /// otherwise index past the decoded table.
     #[test]
     fn corrupt_lsq_or_ifq_is_an_error() {
         let src = "li r1, 0x1000\nld r2, 0(r1)\nadd r3, r2, r2\nhalt";
@@ -1877,7 +1869,12 @@ mod tests {
         }
         let le = *core.lsq.iter().next().unwrap();
         assert_eq!(core.ruu.get(le.seq).unwrap().state, EntryState::Waiting);
-        let other = core.ruu.iter().find(|e| !e.instr.is_mem()).unwrap().seq;
+        let other = core
+            .ruu
+            .iter()
+            .find(|e| !prog.instr(e.pc).is_mem())
+            .unwrap()
+            .seq;
 
         // The LSQ section sits after the registers, predictor and RUU.
         let mut pre = Enc::new();
@@ -1976,6 +1973,25 @@ mod tests {
             let err = load(&patched).expect_err("oversize ifq loaded");
             assert_eq!(err.what, "ifq longer than its capacity");
         }
+
+        // Window entries carry only a pc, which must name an instruction
+        // of the program: the RUU's first entry (after the section's next
+        // seq, length and the entry's seq) and an IFQ entry in place of
+        // the empty queue.
+        assert_eq!(core.ifq.len(), 0, "everything fetched has dispatched");
+        let past_end = prog.len().to_le_bytes();
+        let mut ruu_at = Enc::new();
+        core.regs.save_state(&mut ruu_at);
+        core.predictor.save_state(&mut ruu_at);
+        let ruu_pc = ruu_at.len() + 24;
+        let mut patched = bytes.clone();
+        patched[ruu_pc..ruu_pc + 4].copy_from_slice(&past_end);
+        let err = load(&patched).expect_err("ruu pc past the program loaded");
+        assert_eq!(err.what, "ruu pc out of program range");
+        let ifq = [&1u64.to_le_bytes()[..], &past_end, &[0]].concat();
+        let patched = [&bytes[..end], &ifq, &bytes[end + 8..]].concat();
+        let err = load(&patched).expect_err("ifq pc past the program loaded");
+        assert_eq!(err.what, "ifq pc out of program range");
     }
 }
 

@@ -34,6 +34,7 @@
 
 pub mod config;
 pub mod core;
+mod decode;
 pub mod fu;
 pub mod lsq;
 pub mod predictor;

@@ -18,7 +18,7 @@
 use crate::ruu::{slot, slot_bit, Ruu, SLOTS};
 use hidisc_isa::instr::{Instr, Width};
 use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
-use hidisc_isa::Queue;
+use hidisc_isa::{Program, Queue};
 
 fn width_code(w: Width) -> u8 {
     match w {
@@ -356,14 +356,15 @@ impl Lsq {
     }
 
     /// Restores from a [`save_state`](Self::save_state) stream against the
-    /// already-loaded window `ruu`; the masks are recomputed. Entries that
-    /// `save_state` could not have written are an error: more than the
-    /// capacity, sequence numbers not ascending, a sequence number outside
-    /// the window or owned by a non-memory instruction, a store flag,
-    /// width or data queue that disagrees with the instruction, data
-    /// missing where no queue supplies it — and so is a memory
-    /// instruction in the window with no entry.
-    pub fn load_state(&mut self, d: &mut Dec, ruu: &Ruu) -> WireResult<()> {
+    /// already-loaded window `ruu`, whose entries name instructions of
+    /// `prog` by pc; the masks are recomputed. Entries that `save_state`
+    /// could not have written are an error: more than the capacity,
+    /// sequence numbers not ascending, a sequence number outside the
+    /// window or owned by a non-memory instruction, a store flag, width or
+    /// data queue that disagrees with the instruction, data missing where
+    /// no queue supplies it — and so is a memory instruction in the window
+    /// with no entry.
+    pub fn load_state(&mut self, d: &mut Dec, ruu: &Ruu, prog: &Program) -> WireResult<()> {
         let bad = |what| WireError { pos: 0, what };
         let n = d.usize()?;
         if n > self.capacity {
@@ -386,14 +387,17 @@ impl Lsq {
                 return Err(bad("lsq sequence numbers not ascending"));
             }
             prev = Some(en.seq);
-            let instr = ruu
+            let pc = ruu
                 .get(en.seq)
                 .ok_or(bad("lsq entry outside the window"))?
-                .instr;
+                .pc;
+            let instr = prog
+                .get(pc)
+                .ok_or(bad("lsq entry names a pc outside the program"))?;
             if !instr.is_mem() {
                 return Err(bad("lsq entry names a non-memory instruction"));
             }
-            let data_queue = match instr {
+            let data_queue = match *instr {
                 Instr::StoreQ { q, .. } => Some(q),
                 _ => None,
             };
@@ -408,7 +412,8 @@ impl Lsq {
             }
             self.push(en);
         }
-        if ruu.iter().filter(|e| e.instr.is_mem()).count() != n {
+        let mem = |pc| prog.get(pc).is_some_and(|i| i.is_mem());
+        if ruu.iter().filter(|e| mem(e.pc)).count() != n {
             return Err(bad("memory instruction in the window has no lsq entry"));
         }
         Ok(())

@@ -7,8 +7,11 @@
 //! numbers are contiguous and a window spans at most 64 of them, so a
 //! lookup is a range check against the head plus an index, and iteration
 //! walks the slots from the head's, oldest first.
+//!
+//! An entry carries its instruction's pc, not the instruction: the owning
+//! core reads what it needs of the instruction from its decoded table (or
+//! from the program) by pc.
 
-use hidisc_isa::instr::Instr;
 use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
 
 /// Timing state of an RUU entry.
@@ -29,8 +32,6 @@ pub struct RuuEntry {
     pub seq: u64,
     /// Static instruction index.
     pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
     /// Timing state.
     pub state: EntryState,
     /// Cycle the result becomes available (valid once issued).
@@ -52,11 +53,10 @@ pub struct RuuEntry {
 
 impl RuuEntry {
     /// Creates a fresh entry in the `Waiting` state.
-    pub fn new(seq: u64, pc: u32, instr: Instr) -> RuuEntry {
+    pub fn new(seq: u64, pc: u32) -> RuuEntry {
         RuuEntry {
             seq,
             pc,
-            instr,
             state: EntryState::Waiting,
             complete_at: 0,
             deps: [None; 3],
@@ -94,7 +94,7 @@ impl Ruu {
             "RUU larger than its {SLOTS} slots"
         );
         Ruu {
-            slots: [RuuEntry::new(0, 0, Instr::Nop); SLOTS as usize],
+            slots: [RuuEntry::new(0, 0); SLOTS as usize],
             head: 0,
             len: 0,
             capacity,
@@ -123,12 +123,12 @@ impl Ruu {
         self.head + self.len as u64
     }
 
-    /// Allocates an entry; returns its sequence number. Panics when full
-    /// (caller checks `is_full`).
-    pub fn push(&mut self, pc: u32, instr: Instr) -> u64 {
+    /// Allocates an entry for the instruction at `pc`; returns its
+    /// sequence number. Panics when full (caller checks `is_full`).
+    pub fn push(&mut self, pc: u32) -> u64 {
         assert!(!self.is_full(), "RUU overflow");
         let seq = self.next_seq();
-        self.slots[slot(seq)] = RuuEntry::new(seq, pc, instr);
+        self.slots[slot(seq)] = RuuEntry::new(seq, pc);
         self.len += 1;
         self.n_waiting += 1;
         seq
@@ -139,9 +139,10 @@ impl Ruu {
         self.get(self.head)
     }
 
-    /// Removes and returns the oldest entry.
-    pub fn pop_front(&mut self) -> Option<RuuEntry> {
-        let e = *self.front()?;
+    /// Removes the oldest entry, if any (read it through
+    /// [`front`](Self::front) first).
+    pub fn pop_front(&mut self) {
+        let Some(e) = self.front() else { return };
         match e.state {
             EntryState::Waiting => self.n_waiting -= 1,
             EntryState::Done => self.n_done -= 1,
@@ -149,7 +150,6 @@ impl Ruu {
         }
         self.head += 1;
         self.len -= 1;
-        Some(e)
     }
 
     /// True when `seq` is in the window: dispatched and not committed.
@@ -263,12 +263,13 @@ impl Ruu {
         }
     }
 
-    /// Serialises the window. Instructions are *not* stored — only
-    /// correct-path instructions dispatch (functional execution is
-    /// in-order), so the loader re-derives them from the static program
-    /// by pc. `linked` says whether the owning core schedules through
-    /// ready-list links; their consumer lists and pending counts are
-    /// written as derived from the entries, not stored anywhere.
+    /// Serialises the window. Entries hold a pc, not an instruction, and
+    /// the static program is not part of a checkpoint: only correct-path
+    /// instructions dispatch (functional execution is in-order), so the
+    /// pc names the instruction in the program the loading core runs.
+    /// `linked` says whether the owning core schedules through ready-list
+    /// links; their consumer lists and pending counts are written as
+    /// derived from the entries, not stored anywhere.
     pub fn save_state(&self, e: &mut Enc, linked: bool) {
         e.u64(self.next_seq());
         e.usize(self.len);
@@ -304,19 +305,14 @@ impl Ruu {
         }
     }
 
-    /// Restores from a [`save_state`](Self::save_state) stream.
-    /// `instr_at` resolves a pc to the static instruction (the owning
-    /// core's program); state counts are recomputed. A window that
-    /// `save_state` could not have written — more entries than the
-    /// capacity, sequence numbers that are not contiguous, an operand
-    /// naming a producer that is not older, or stored links that differ
-    /// from what the entries imply — is an error.
-    pub fn load_state(
-        &mut self,
-        d: &mut Dec,
-        mut instr_at: impl FnMut(u32) -> Option<Instr>,
-        linked: bool,
-    ) -> WireResult<()> {
+    /// Restores from a [`save_state`](Self::save_state) stream for a core
+    /// whose program has `prog_len` instructions; state counts are
+    /// recomputed. A window that `save_state` could not have written —
+    /// more entries than the capacity, a pc outside the program, sequence
+    /// numbers that are not contiguous, an operand naming a producer that
+    /// is not older, or stored links that differ from what the entries
+    /// imply — is an error.
+    pub fn load_state(&mut self, d: &mut Dec, prog_len: u32, linked: bool) -> WireResult<()> {
         let bad = |what| WireError { pos: 0, what };
         let next_seq = d.u64()?;
         let n = d.usize()?;
@@ -336,11 +332,10 @@ impl Ruu {
                 return Err(bad("ruu sequence numbers not contiguous"));
             }
             let pc = d.u32()?;
-            let instr = instr_at(pc).ok_or(WireError {
-                pos: 0,
-                what: "ruu pc out of program range",
-            })?;
-            let mut en = RuuEntry::new(seq, pc, instr);
+            if pc >= prog_len {
+                return Err(bad("ruu pc out of program range"));
+            }
+            let mut en = RuuEntry::new(seq, pc);
             en.state = match d.u8()? {
                 0 => EntryState::Waiting,
                 1 => EntryState::Issued,
@@ -463,13 +458,12 @@ impl Wakeup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidisc_isa::Instr;
 
     #[test]
     fn seq_numbers_are_contiguous_and_lookup_works() {
         let mut r = Ruu::new(4);
-        let a = r.push(0, Instr::Nop);
-        let b = r.push(1, Instr::Nop);
+        let a = r.push(0);
+        let b = r.push(1);
         assert_eq!(b, a + 1);
         assert_eq!(r.get(a).unwrap().pc, 0);
         assert_eq!(r.get(b).unwrap().pc, 1);
@@ -481,16 +475,16 @@ mod tests {
     #[test]
     fn capacity_respected() {
         let mut r = Ruu::new(2);
-        r.push(0, Instr::Nop);
+        r.push(0);
         assert!(!r.is_full());
-        r.push(1, Instr::Nop);
+        r.push(1);
         assert!(r.is_full());
     }
 
     #[test]
     fn producer_done_semantics() {
         let mut r = Ruu::new(4);
-        let a = r.push(0, Instr::Nop);
+        let a = r.push(0);
         assert!(!r.producer_done(a, 10)); // Waiting
         r.mark_issued(a, 5);
         assert!(!r.producer_done(a, 4));
@@ -503,8 +497,8 @@ mod tests {
     #[test]
     fn state_counts_track_transitions() {
         let mut r = Ruu::new(4);
-        let a = r.push(0, Instr::Nop);
-        let b = r.push(1, Instr::Nop);
+        let a = r.push(0);
+        let b = r.push(1);
         assert_eq!(r.state_counts(), (2, 0));
         r.mark_issued(a, 3);
         assert_eq!(r.state_counts(), (1, 0));
@@ -522,10 +516,10 @@ mod tests {
         let mut r = Ruu::new(8);
         // Move the head to seq 60 so the window straddles slot 63.
         for pc in 0..60 {
-            r.push(pc, Instr::Nop);
+            r.push(pc);
             r.pop_front();
         }
-        let seqs: Vec<u64> = (0..8).map(|i| r.push(100 + i, Instr::Nop)).collect();
+        let seqs: Vec<u64> = (0..8).map(|i| r.push(100 + i)).collect();
         assert_eq!(seqs, (60..68).collect::<Vec<_>>());
         assert!(r.is_full());
         let in_order = |r: &Ruu| r.iter().map(|e| (e.seq, e.pc)).collect::<Vec<_>>();
@@ -554,11 +548,12 @@ mod tests {
         assert!(r.producer_done(64, 10));
         assert_eq!(r.state_counts(), (7, 1));
         for s in 60..64 {
-            assert_eq!(r.pop_front().unwrap().seq, s);
+            assert_eq!(r.front().unwrap().seq, s);
+            r.pop_front();
         }
         assert!(r.get(63).is_none());
         assert_eq!(r.front().unwrap().seq, 64);
-        assert_eq!(r.push(0, Instr::Nop), 68);
+        assert_eq!(r.push(0), 68);
         assert_eq!(
             in_order(&r).iter().map(|p| p.0).collect::<Vec<_>>(),
             (64..69).collect::<Vec<_>>()
@@ -597,7 +592,7 @@ mod tests {
     #[should_panic]
     fn push_past_capacity_panics() {
         let mut r = Ruu::new(1);
-        r.push(0, Instr::Nop);
-        r.push(1, Instr::Nop);
+        r.push(0);
+        r.push(1);
     }
 }
