@@ -15,9 +15,8 @@
 //! as they commit.
 
 use crate::dynamic::{DynamicConfig, SliceFilter, SlipController};
-use hidisc_isa::instr::Src;
-use hidisc_isa::interp::RegFile;
-use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
+use hidisc_isa::counters::Counters;
+use hidisc_isa::interp::{exec_reg_op, RegFile};
 use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::AccessKind;
 use hidisc_ooo::{CoreCtx, TriggerFork};
@@ -188,7 +187,7 @@ impl CmpEngine {
     /// round-robin pointer are excluded: both move on cycles where every
     /// thread is blocked.
     pub fn progress_token(&self) -> u64 {
-        use hidisc_isa::wire::token_mix as mix;
+        use hidisc_isa::counters::token_mix as mix;
         let mut h = mix(0, self.stats.instrs);
         h = mix(h, self.stats.forks);
         h = mix(h, self.stats.dropped_forks);
@@ -318,21 +317,12 @@ impl CmpEngine {
                 };
 
                 match instr {
-                    Instr::IntOp { op, dst, a, b } => {
-                        let bv = match b {
-                            Src::Reg(r) => th.regs.get_i(r),
-                            Src::Imm(v) => v,
-                        };
-                        let v = op.eval(th.regs.get_i(a), bv);
-                        th.regs.set_i(dst, v);
+                    Instr::IntOp { .. } | Instr::Li { .. } => {
+                        exec_reg_op(instr, &mut th.regs);
                         th.pc += 1;
-                        if self.cfg.int_latency > 1 {
+                        if matches!(instr, Instr::IntOp { .. }) && self.cfg.int_latency > 1 {
                             th.busy_until = now + self.cfg.int_latency as u64;
                         }
-                    }
-                    Instr::Li { dst, imm } => {
-                        th.regs.set_i(dst, imm);
-                        th.pc += 1;
                     }
                     Instr::Load { base, off, .. } | Instr::Prefetch { base, off } => {
                         if mem_issued >= mem_cap {
@@ -431,55 +421,6 @@ impl CmpEngine {
         } else {
             self.rr %= self.threads.len();
         }
-        Ok(())
-    }
-
-    /// Serialises the engine's dynamic state (thread contexts, round-robin
-    /// pointer, statistics and the dynamic controllers). The CMAS programs
-    /// are static and come from the workload, which the checkpoint header
-    /// pins.
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.threads.len());
-        for th in &self.threads {
-            e.usize(th.prog);
-            e.u32(th.pc);
-            th.regs.save_state(e);
-            e.u64(th.busy_until);
-        }
-        e.usize(self.rr);
-        self.stats.save_state(e);
-        self.slip.save_state(e);
-        self.filter.save_state(e);
-    }
-
-    /// Restores the state saved by [`CmpEngine::save_state`]; the receiver
-    /// must be built over the same CMAS programs.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        self.threads.clear();
-        for _ in 0..n {
-            let prog = d.usize()?;
-            if prog >= self.programs.len() {
-                return Err(WireError {
-                    pos: 0,
-                    what: "cmp thread program out of range",
-                });
-            }
-            let pc = d.u32()?;
-            let mut regs = RegFile::new();
-            regs.load_state(d)?;
-            let busy_until = d.u64()?;
-            self.threads.push(CmpThread {
-                prog,
-                pc,
-                regs,
-                busy_until,
-            });
-        }
-        self.rr = d.usize()?;
-        self.stats.load_state(d)?;
-        self.slip.load_state(d)?;
-        self.filter.load_state(d)?;
         Ok(())
     }
 }
@@ -677,19 +618,27 @@ mod tests {
 
     #[test]
     fn illegal_instruction_rejected() {
-        let prog = assemble("cmas", "sd r1, 0(r2)\nhalt").unwrap();
-        let mut e = CmpEngine::new(CmpConfig::default(), vec![prog]);
-        fork_with(&mut e, &[]);
-        let (mut ms, mut qf, mut mem, mut tr) = ctx_parts();
-        let mut tel = Telemetry::disabled();
-        let mut ctx = CoreCtx {
-            mem_sys: &mut ms,
-            queues: &mut qf,
-            data: &mut mem,
-            triggers: &mut tr,
-            trace: &mut tel,
-        };
-        assert!(e.step(0, &mut ctx).is_err());
+        // A store, and an fp form `exec_reg_op` would execute: the CMP
+        // runs integer and memory slices only.
+        for src in ["sd r1, 0(r2)\nhalt", "add.d f1, f2, f3\nhalt"] {
+            let prog = assemble("cmas", src).unwrap();
+            let mut e = CmpEngine::new(CmpConfig::default(), vec![prog]);
+            fork_with(&mut e, &[]);
+            let (mut ms, mut qf, mut mem, mut tr) = ctx_parts();
+            let mut tel = Telemetry::disabled();
+            let mut ctx = CoreCtx {
+                mem_sys: &mut ms,
+                queues: &mut qf,
+                data: &mut mem,
+                triggers: &mut tr,
+                trace: &mut tel,
+            };
+            let err = e.step(0, &mut ctx).unwrap_err();
+            assert!(
+                err.to_string().contains("illegal CMAS instruction"),
+                "{src}: {err}"
+            );
+        }
     }
 
     #[test]

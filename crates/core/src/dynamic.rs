@@ -15,7 +15,6 @@
 //!    in the L1 (the data was already resident) are suppressed, with
 //!    periodic probation so phase changes are noticed.
 
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
 use hidisc_mem::MemStats;
 
 /// Configuration for the dynamic extensions (all off by default — the
@@ -147,28 +146,6 @@ impl SlipController {
             self.adaptations += 1;
         }
     }
-
-    /// Serialises the controller's dynamic state (the config is pinned by
-    /// the checkpoint header).
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.limit);
-        e.u64(self.last_useful);
-        e.u64(self.last_late);
-        e.u64(self.seen_prefetches);
-        e.u64(self.next_sample_at);
-        e.u64(self.adaptations);
-    }
-
-    /// Restores the state saved by [`SlipController::save_state`].
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        self.limit = d.usize()?;
-        self.last_useful = d.u64()?;
-        self.last_late = d.u64()?;
-        self.seen_prefetches = d.u64()?;
-        self.next_sample_at = d.u64()?;
-        self.adaptations = d.u64()?;
-        Ok(())
-    }
 }
 
 /// Per-slice trigger filter (selective CMAS execution).
@@ -241,39 +218,6 @@ impl SliceFilter {
     /// True when slice `id` is currently suppressed.
     pub fn is_suppressed(&self, id: usize) -> bool {
         self.slices.get(id).map(|s| s.suppressed).unwrap_or(false)
-    }
-
-    /// Serialises the per-slice history (slice count comes from the
-    /// workload, which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.slices.len());
-        for s in &self.slices {
-            e.u64(s.issued);
-            e.u64(s.missed);
-            e.bool(s.suppressed);
-            e.u32(s.suppressed_forks);
-        }
-        e.u64(self.suppressed_forks);
-    }
-
-    /// Restores the state saved by [`SliceFilter::save_state`]; the
-    /// receiver must be built for the same number of slices.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        if n != self.slices.len() {
-            return Err(WireError {
-                pos: 0,
-                what: "slice filter size mismatch",
-            });
-        }
-        for s in &mut self.slices {
-            s.issued = d.u64()?;
-            s.missed = d.u64()?;
-            s.suppressed = d.bool()?;
-            s.suppressed_forks = d.u32()?;
-        }
-        self.suppressed_forks = d.u64()?;
-        Ok(())
     }
 }
 

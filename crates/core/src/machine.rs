@@ -5,9 +5,10 @@ use crate::cmp::{CmpEngine, CmpStats};
 use crate::config::{fnv1a, MachineConfig, Model, FNV_OFFSET};
 use crate::error::RunError;
 use crate::stats::MachineStats;
+use hidisc_isa::counters::Counters;
 use hidisc_isa::mem::Memory;
-use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
-use hidisc_isa::{Program, Queue};
+use hidisc_isa::reg::{NUM_FP_REGS, NUM_INT_REGS};
+use hidisc_isa::{FpReg, IntReg, Program, Queue};
 use hidisc_mem::{MemStats, MemSystem};
 use hidisc_ooo::queues::QueueStats;
 use hidisc_ooo::{CoreCtx, CoreStats, OooCore, QueueFile, TriggerFork};
@@ -289,7 +290,7 @@ impl Machine {
     /// cycle only repeated stalls (reject/stall counters move, nothing
     /// else). See DESIGN.md, "Idle-cycle fast-forward".
     fn progress_token(&self) -> u64 {
-        use hidisc_isa::wire::token_mix as mix;
+        use hidisc_isa::counters::token_mix as mix;
         let mut h = 0u64;
         for c in &self.cores {
             h = mix(h, c.progress_token());
@@ -706,131 +707,6 @@ impl Machine {
             ff_skipped_cycles: self.ff_skipped,
         }
     }
-}
-
-// ----------------------------------------------------------- checkpoints
-
-/// Magic bytes opening the on-disk checkpoint format.
-pub const CHECKPOINT_MAGIC: &[u8; 4] = b"HDCK";
-/// Version of the on-disk checkpoint format.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-impl Machine {
-    /// Serialises the machine's dynamic state (everything a cycle can
-    /// change). Static state — programs, configuration, telemetry settings
-    /// — is not stored: [`Machine::load_state`] rebuilds those through the
-    /// normal construction path and overwrites the dynamic state in place.
-    /// Host-side observability (wall-clock time, telemetry buffers) is
-    /// excluded, exactly like the `sim_eq` equivalence check.
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.cores.len());
-        for c in &self.cores {
-            c.save_state(e);
-        }
-        match &self.cmp {
-            None => e.bool(false),
-            Some(engine) => {
-                e.bool(true);
-                engine.save_state(e);
-            }
-        }
-        self.queues.save_state(e);
-        self.mem_sys.save_state(e);
-        self.data.save_state(e);
-        e.u64(self.now);
-        e.u64(self.ff_jumps);
-        e.u64(self.ff_skipped);
-    }
-
-    /// Restores dynamic state saved by [`Machine::save_state`] into a
-    /// machine built from the same workload and configuration.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        if n != self.cores.len() {
-            return Err(WireError {
-                pos: 0,
-                what: "core count mismatch",
-            });
-        }
-        for c in &mut self.cores {
-            c.load_state(d)?;
-        }
-        let has_cmp = d.bool()?;
-        match (&mut self.cmp, has_cmp) {
-            (Some(engine), true) => engine.load_state(d)?,
-            (None, false) => {}
-            _ => {
-                return Err(WireError {
-                    pos: 0,
-                    what: "cmp presence mismatch",
-                })
-            }
-        }
-        self.queues.load_state(d)?;
-        self.mem_sys.load_state(d)?;
-        self.data.load_state(d)?;
-        self.now = d.u64()?;
-        self.ff_jumps = d.u64()?;
-        self.ff_skipped = d.u64()?;
-        Ok(())
-    }
-
-    /// Serialises a self-describing disk checkpoint: a header binding the
-    /// bytes to this configuration (canonical hash), model and workload
-    /// (`workload_id`, caller-chosen — e.g. a hash of the workload name,
-    /// scale and seed), followed by [`Machine::save_state`].
-    pub fn save_checkpoint(&self, workload_id: u64) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.bytes(CHECKPOINT_MAGIC);
-        e.u32(CHECKPOINT_VERSION);
-        e.u64(self.cfg.canonical_hash());
-        e.u8(Model::ALL
-            .iter()
-            .position(|&m| m == self.model)
-            .unwrap_or(0) as u8);
-        e.u64(workload_id);
-        self.save_state(&mut e);
-        e.finish()
-    }
-
-    /// Restores a checkpoint produced by [`Machine::save_checkpoint`] into
-    /// a machine rebuilt from the same workload and configuration. Every
-    /// header mismatch (magic, version, config, model, workload) and every
-    /// truncated or corrupted payload is a typed error, never a panic.
-    pub fn load_checkpoint(&mut self, bytes: &[u8], workload_id: u64) -> WireResult<()> {
-        let mut d = Dec::new(bytes);
-        d.tag(CHECKPOINT_MAGIC, "checkpoint magic mismatch")?;
-        if d.u32()? != CHECKPOINT_VERSION {
-            return Err(WireError {
-                pos: 4,
-                what: "checkpoint version mismatch",
-            });
-        }
-        if d.u64()? != self.cfg.canonical_hash() {
-            return Err(WireError {
-                pos: 8,
-                what: "checkpoint config mismatch",
-            });
-        }
-        let model_code = Model::ALL
-            .iter()
-            .position(|&m| m == self.model)
-            .unwrap_or(0) as u8;
-        if d.u8()? != model_code {
-            return Err(WireError {
-                pos: 16,
-                what: "checkpoint model mismatch",
-            });
-        }
-        if d.u64()? != workload_id {
-            return Err(WireError {
-                pos: 17,
-                what: "checkpoint workload mismatch",
-            });
-        }
-        self.load_state(&mut d)?;
-        d.done()
-    }
 
     /// Fingerprint of the machine's *architectural* state: committed
     /// counts, register files and resume pcs of every core, in-flight
@@ -838,14 +714,20 @@ impl Machine {
     /// (stall cycles, cache statistics) are deliberately excluded, so two
     /// configurations diverge in this digest only when their visible
     /// execution state differs — the property `repro bisect` searches on.
+    /// Each core's fields are hashed as FNV-1a over their little-endian
+    /// bytes, in the order listed.
     pub fn state_digest(&self) -> u64 {
-        let mut e = Enc::new();
+        let mut h = FNV_OFFSET;
         for c in &self.cores {
-            e.u64(c.stats().committed);
-            e.u32(c.fetch_pc());
-            c.regs.save_state(&mut e);
+            h = fnv1a(h, &c.stats().committed.to_le_bytes());
+            h = fnv1a(h, &c.fetch_pc().to_le_bytes());
+            for r in 0..NUM_INT_REGS as u8 {
+                h = fnv1a(h, &c.regs.get_i(IntReg::new(r)).to_le_bytes());
+            }
+            for r in 0..NUM_FP_REGS as u8 {
+                h = fnv1a(h, &c.regs.get_f(FpReg::new(r)).to_bits().to_le_bytes());
+            }
         }
-        let mut h = fnv1a(FNV_OFFSET, &e.finish());
         h = self.queues.content_token(h);
         h ^= self.data.checksum();
         h

@@ -3,7 +3,7 @@
 
 use crate::cmp::CmpStats;
 use crate::config::Model;
-use hidisc_isa::wire::Counters;
+use hidisc_isa::counters::Counters;
 use hidisc_mem::MemStats;
 use hidisc_ooo::queues::QueueStats;
 use hidisc_ooo::CoreStats;

@@ -65,28 +65,6 @@ impl RegFile {
     pub fn set_f(&mut self, r: FpReg, v: f64) {
         self.fp[r.index()] = v;
     }
-
-    /// Serialises both register files for the checkpoint format.
-    pub fn save_state(&self, e: &mut crate::wire::Enc) {
-        for &v in &self.int {
-            e.i64(v);
-        }
-        for &v in &self.fp {
-            e.f64(v);
-        }
-    }
-
-    /// Restores both register files from a
-    /// [`save_state`](Self::save_state) stream.
-    pub fn load_state(&mut self, d: &mut crate::wire::Dec) -> crate::wire::WireResult<()> {
-        for v in self.int.iter_mut() {
-            *v = d.i64()?;
-        }
-        for v in self.fp.iter_mut() {
-            *v = d.f64()?;
-        }
-        Ok(())
-    }
 }
 
 /// Kind of memory event reported to tracing hooks.
@@ -186,7 +164,10 @@ pub fn f64_to_i64(v: f64) -> i64 {
 /// Executes a register-only instruction (`IntOp`, `Li` and the fp
 /// arithmetic, compare and convert forms) against `regs`. Returns false,
 /// changing nothing, for any other instruction. The one copy of these
-/// semantics: [`step_at`] and the out-of-order core's dispatch both call it.
+/// semantics, with three callers: [`step_at`], the out-of-order core's
+/// dispatch (`hidisc_ooo::OooCore`) and the CMP engine
+/// (`hidisc::cmp::CmpEngine`), which executes only the `IntOp` and `Li`
+/// forms and rejects the fp ones.
 #[inline]
 pub fn exec_reg_op(instr: Instr, regs: &mut RegFile) -> bool {
     match instr {

@@ -28,6 +28,7 @@
 
 pub mod annot;
 pub mod asm;
+pub mod counters;
 pub mod instr;
 pub mod interp;
 pub mod mem;
@@ -35,7 +36,6 @@ pub mod op;
 pub mod program;
 pub mod reg;
 pub mod testgen;
-pub mod wire;
 
 pub use annot::{Annot, SpecDir, SquashHazard, Stream};
 pub use instr::{AddrForm, BranchCond, Instr, RegRef, Src, Width};

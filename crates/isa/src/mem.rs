@@ -9,7 +9,6 @@
 //! must be naturally aligned (as on MIPS/PISA); unaligned accesses return
 //! [`IsaError::Mem`].
 
-use crate::wire::{Dec, Enc, WireError, WireResult};
 use crate::{IsaError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -210,48 +209,6 @@ impl Memory {
         }
         h
     }
-
-    /// Serialises all touched pages (sorted by base address) for the
-    /// checkpoint format.
-    pub fn save_state(&self, e: &mut Enc) {
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        e.usize(keys.len());
-        for k in keys {
-            e.u64(k);
-            e.bytes(&self.pages[&k][..]);
-        }
-    }
-
-    /// Replaces the entire contents from a [`save_state`](Self::save_state)
-    /// stream. A page count the stream cannot hold is a
-    /// [`WireError`], never an allocation of that
-    /// size; so is a page key `save_state` could not have written — one
-    /// that is not page-aligned, or not above the key before it (a
-    /// duplicate would silently replace the earlier page).
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let bad = |what| WireError { pos: 0, what };
-        let n = d.usize()?;
-        // The count is untrusted: reserve no more pages than remain encoded.
-        let mut pages = HashMap::with_capacity(n.min(d.remaining() / (8 + PAGE_SIZE as usize)));
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let k = d.u64()?;
-            if k & PAGE_MASK != 0 {
-                return Err(bad("memory page key not page-aligned"));
-            }
-            if prev.is_some_and(|p| p >= k) {
-                return Err(bad("memory page keys not strictly ascending"));
-            }
-            prev = Some(k);
-            let bytes = d.bytes(PAGE_SIZE as usize)?;
-            let mut page = [0u8; PAGE_SIZE as usize];
-            page.copy_from_slice(bytes);
-            pages.insert(k, Arc::new(page));
-        }
-        self.pages = pages;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -342,82 +299,6 @@ mod tests {
         assert_eq!(a.read_u64(0x1000).unwrap(), 99);
         // ...and untouched pages stay physically shared.
         assert_eq!(snap.read_u64(0x9000).unwrap(), 22);
-    }
-
-    #[test]
-    fn save_load_round_trips() {
-        let mut a = Memory::new();
-        a.write_u64(0x1000, 0xdead_beef).unwrap();
-        a.write_u8(0x5001, 7);
-        let mut e = crate::wire::Enc::new();
-        a.save_state(&mut e);
-        let buf = e.finish();
-        let mut b = Memory::new();
-        b.write_u64(0x7777_7000, 1).unwrap(); // stale state must vanish
-        let mut d = crate::wire::Dec::new(&buf);
-        b.load_state(&mut d).unwrap();
-        d.done().unwrap();
-        assert_eq!(b.checksum(), a.checksum());
-        assert_eq!(b.read_u8(0x5001), 7);
-        assert_eq!(b.read_u64(0x7777_7000).unwrap(), 0);
-    }
-
-    #[test]
-    fn corrupt_page_count_is_an_error() {
-        let mut a = Memory::new();
-        a.write_u64(0x1000, 5).unwrap();
-        for count in [1u64 << 36, 1 << 60] {
-            let mut e = crate::wire::Enc::new();
-            e.u64(count);
-            e.u64(0x1000);
-            e.bytes(&[0; PAGE_SIZE as usize]);
-            let buf = e.finish();
-            let mut b = a.clone();
-            assert!(b.load_state(&mut crate::wire::Dec::new(&buf)).is_err());
-            assert_eq!(
-                b.read_u64(0x1000).unwrap(),
-                5,
-                "failed load left memory alone"
-            );
-        }
-    }
-
-    /// Encodes a page section with the given keys, page `i` filled with
-    /// byte `i + 1`.
-    fn pages_with_keys(keys: &[u64]) -> Vec<u8> {
-        let mut e = crate::wire::Enc::new();
-        e.usize(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            e.u64(k);
-            e.bytes(&[i as u8 + 1; PAGE_SIZE as usize]);
-        }
-        e.finish()
-    }
-
-    #[test]
-    fn unaligned_page_key_is_an_error() {
-        let buf = pages_with_keys(&[0x1000, 0x2008]);
-        let mut b = Memory::new();
-        let err = b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap_err();
-        assert_eq!(err.what, "memory page key not page-aligned");
-        assert!(b.pages.is_empty(), "failed load left memory alone");
-    }
-
-    #[test]
-    fn duplicate_or_descending_page_keys_are_an_error() {
-        for keys in [[0x1000, 0x1000], [0x2000, 0x1000]] {
-            let buf = pages_with_keys(&keys);
-            let mut b = Memory::new();
-            let err = b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap_err();
-            assert_eq!(err.what, "memory page keys not strictly ascending");
-            assert!(b.pages.is_empty(), "failed load left memory alone");
-        }
-        // Ascending, aligned keys are what `save_state` writes.
-        let buf = pages_with_keys(&[0x1000, 0x2000]);
-        let mut b = Memory::new();
-        b.load_state(&mut crate::wire::Dec::new(&buf)).unwrap();
-        assert_eq!(b.read_u8(0x1000), 1);
-        assert_eq!(b.read_u8(0x2fff), 2);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
-use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
@@ -165,43 +164,6 @@ impl Cache {
         self.lines.fill(Line::default());
         self.tick = 0;
         self.stats = CacheStats::default();
-    }
-
-    /// Serialises the dynamic state (lines, LRU clock, statistics). The
-    /// geometry is not stored: the checkpoint header pins the config and
-    /// the receiving cache must be built with the same one.
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.lines.len());
-        for l in &self.lines {
-            e.bool(l.valid);
-            e.bool(l.dirty);
-            e.bool(l.prefetched);
-            e.u64(l.tag);
-            e.u64(l.lru);
-        }
-        e.u64(self.tick);
-        self.stats.save_state(e);
-    }
-
-    /// Restores the dynamic state saved by [`Cache::save_state`]; the
-    /// receiver must have the same geometry.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        if n != self.lines.len() {
-            return Err(WireError {
-                pos: 0,
-                what: "cache line count mismatch",
-            });
-        }
-        for l in &mut self.lines {
-            l.valid = d.bool()?;
-            l.dirty = d.bool()?;
-            l.prefetched = d.bool()?;
-            l.tag = d.u64()?;
-            l.lru = d.u64()?;
-        }
-        self.tick = d.u64()?;
-        self.stats.load_state(d)
     }
 }
 

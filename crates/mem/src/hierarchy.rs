@@ -15,7 +15,7 @@
 use crate::cache::Cache;
 use crate::config::MemConfig;
 use crate::stats::MemStats;
-use hidisc_isa::wire::{token_mix as mix, Counters, Dec, Enc, WireResult};
+use hidisc_isa::counters::{token_mix as mix, Counters};
 use hidisc_telemetry::{Category, EventData, MissKind, Telemetry};
 use std::slice::from_mut as one;
 
@@ -74,7 +74,7 @@ struct Mshr {
     was_prefetch: bool,
 }
 
-/// The system-level counters outside the two caches, in wire order.
+/// The system-level counters outside the two caches, in field order.
 /// [`MemSystem::stats`] folds the late prefetch hits into the L1 record,
 /// and `late_merge_misses` into its demand misses.
 #[derive(Debug, Clone, Copy, Default)]
@@ -352,40 +352,6 @@ impl MemSystem {
         }
     }
 
-    /// Serialises the dynamic state: both cache levels, the in-flight
-    /// MSHRs (in allocation order) and the system-level counters.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.l1.save_state(e);
-        self.l2.save_state(e);
-        e.usize(self.mshrs.len());
-        for m in &self.mshrs {
-            e.u64(m.block);
-            e.u64(m.ready_at);
-            e.bool(m.was_prefetch);
-        }
-        self.counters.save_state(e);
-    }
-
-    /// Restores the state saved by [`MemSystem::save_state`]; the receiver
-    /// must have the same configuration.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        self.l1.load_state(d)?;
-        self.l2.load_state(d)?;
-        let n = d.usize()?;
-        self.mshrs.clear();
-        for _ in 0..n {
-            let block = d.u64()?;
-            let ready_at = d.u64()?;
-            let was_prefetch = d.bool()?;
-            self.mshrs.push(Mshr {
-                block,
-                ready_at,
-                was_prefetch,
-            });
-        }
-        self.counters.load_state(d)
-    }
-
     /// Clears cache contents and statistics.
     pub fn reset(&mut self) {
         self.l1.reset();
@@ -505,29 +471,5 @@ mod tests {
         s.access(0x0, AccessKind::Load, 0).unwrap();
         assert_eq!(s.outstanding(5), 1);
         assert_eq!(s.outstanding(1000), 0);
-    }
-
-    #[test]
-    fn save_load_round_trips_behaviour() {
-        let mut s = sys();
-        s.access(0x1000, AccessKind::Prefetch, 0).unwrap();
-        s.access(0x1000, AccessKind::Load, 10).unwrap();
-        s.access(0x2000, AccessKind::Load, 20).unwrap();
-        let mut e = hidisc_isa::wire::Enc::new();
-        s.save_state(&mut e);
-        let bytes = e.finish();
-
-        // Restore into a *fresh* system and check observable equivalence:
-        // same stats, same outstanding fills, same behaviour afterwards.
-        let mut t = sys();
-        let mut d = hidisc_isa::wire::Dec::new(&bytes);
-        t.load_state(&mut d).unwrap();
-        d.done().unwrap();
-        assert_eq!(t.stats(), s.stats());
-        assert_eq!(t.next_event(20), s.next_event(20));
-        let a = s.access(0x1000, AccessKind::Load, 500).unwrap();
-        let b = t.access(0x1000, AccessKind::Load, 500).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(t.progress_token(), s.progress_token());
     }
 }

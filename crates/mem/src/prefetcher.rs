@@ -17,7 +17,7 @@
 //! Prefetches are emitted only in the *steady* state, `distance` strides
 //! ahead of the current access.
 
-use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
+use hidisc_isa::counters::Counters;
 use std::slice::from_mut as one;
 
 /// RPT configuration.
@@ -159,56 +159,6 @@ impl StridePrefetcher {
         } else {
             None
         }
-    }
-
-    /// Serialises the table and statistics (geometry comes from the
-    /// config, which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.table.len());
-        for entry in &self.table {
-            e.u32(entry.pc);
-            e.bool(entry.valid);
-            e.u64(entry.last_addr);
-            e.i64(entry.stride);
-            e.u8(match entry.state {
-                State::Initial => 0,
-                State::Transient => 1,
-                State::Steady => 2,
-                State::NoPred => 3,
-            });
-        }
-        self.stats.save_state(e);
-    }
-
-    /// Restores the state saved by [`StridePrefetcher::save_state`]; the
-    /// receiver must have the same table size.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        if n != self.table.len() {
-            return Err(WireError {
-                pos: 0,
-                what: "prefetch table size mismatch",
-            });
-        }
-        for entry in &mut self.table {
-            entry.pc = d.u32()?;
-            entry.valid = d.bool()?;
-            entry.last_addr = d.u64()?;
-            entry.stride = d.i64()?;
-            entry.state = match d.u8()? {
-                0 => State::Initial,
-                1 => State::Transient,
-                2 => State::Steady,
-                3 => State::NoPred,
-                _ => {
-                    return Err(WireError {
-                        pos: 0,
-                        what: "prefetch entry state out of range",
-                    })
-                }
-            };
-        }
-        self.stats.load_state(d)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cache and memory-system statistics.
 
-use hidisc_isa::wire::Counters;
+use hidisc_isa::counters::Counters;
 use std::slice::from_mut as one;
 
 /// Counters for one cache level.

@@ -20,17 +20,17 @@ use crate::decode::{
     RENAME_SLOTS, SCQ_GET, STORE, TRIGGER, UNSUPPORTED,
 };
 use crate::fu::FuPool;
-use crate::lsq::{queue_opt_code, queue_opt_from, LoadCheck, Lsq, LsqEntry};
+use crate::lsq::{LoadCheck, Lsq, LsqEntry};
 use crate::predictor::Bimodal;
 use crate::queues::QueueFile;
 use crate::ruu::{slot_bit, EntryState, Ruu, Wakeup, SLOTS};
 use crate::stats::CoreStats;
+use hidisc_isa::counters::Counters;
 use hidisc_isa::instr::{FuClass, Width};
 use hidisc_isa::interp::{
     exec_reg_op, step_at, MemKind, PopResult, PushResult, QueueEnv, RegFile, Step,
 };
 use hidisc_isa::mem::Memory;
-use hidisc_isa::wire::{Counters, Dec, Enc, WireError, WireResult};
 use hidisc_isa::{Instr, IsaError, Program, Queue, Result};
 use hidisc_mem::{AccessKind, MemSystem, StridePrefetcher};
 use hidisc_telemetry::{Category, EventData, Telemetry};
@@ -279,10 +279,6 @@ impl Ifq {
     fn clear(&mut self) {
         self.len = 0;
     }
-
-    fn iter(&self) -> impl Iterator<Item = &Fetched> {
-        (0..self.len).map(|i| &self.slots[self.at(i)])
-    }
 }
 
 /// Sign/zero-extends a raw stored value to the load's width.
@@ -513,7 +509,7 @@ impl OooCore {
     /// `hidisc::Machine`). Counters that move on no-progress cycles
     /// (`cycles`, stall/retry counters) are deliberately excluded.
     pub fn progress_token(&self) -> u64 {
-        use hidisc_isa::wire::token_mix as mix;
+        use hidisc_isa::counters::token_mix as mix;
         let mut h = mix(0, self.stats.committed);
         h = mix(h, self.stats.dispatched);
         h = mix(h, self.finished as u64);
@@ -1363,231 +1359,6 @@ impl OooCore {
     }
 }
 
-// ---------------------------------------------------------- checkpointing
-
-impl OooCore {
-    /// Serialises the core's dynamic state. Static state (program,
-    /// configuration, name) is *not* stored: the checkpoint loader rebuilds
-    /// the machine through the normal construction path and overwrites the
-    /// dynamic state in place, with the checkpoint header pinning the
-    /// config hash. Functional units hold no cross-cycle state
-    /// (`begin_cycle` resets them), so they are skipped.
-    pub fn save_state(&self, e: &mut Enc) {
-        self.regs.save_state(e);
-        self.predictor.save_state(e);
-        let linked = self.cfg.scheduler == Scheduler::ReadyList;
-        self.ruu.save_state(e, linked);
-        self.lsq.save_state(e);
-        e.usize(self.ifq.len());
-        for f in self.ifq.iter() {
-            e.u32(f.pc);
-            e.bool(f.predicted_taken);
-        }
-        e.u32(self.fetch_pc);
-        e.bool(self.fetch_halted);
-        e.u64(self.frontend_ready_at);
-        match self.mispredict_pending {
-            None => e.bool(false),
-            Some((seq, next)) => {
-                e.bool(true);
-                e.u64(seq);
-                e.u32(next);
-            }
-        }
-        e.bool(self.finished);
-        e.u64(self.now);
-        self.stats.save_state(e);
-        e.u8(queue_opt_code(self.stalled_on));
-        match &self.rpt {
-            None => e.bool(false),
-            Some(rpt) => {
-                e.bool(true);
-                rpt.save_state(e);
-            }
-        }
-        for slot in &self.rename {
-            match slot {
-                None => e.bool(false),
-                Some(seq) => {
-                    e.bool(true);
-                    e.u64(*seq);
-                }
-            }
-        }
-        // The ready list and the completions, derived from the window as
-        // the scheduler state is (see `load_state`).
-        let ready = self.derived_ready_list();
-        e.usize(ready.len());
-        for seq in ready {
-            e.u64(seq);
-        }
-        let comps = self.derived_completions();
-        e.usize(comps.len());
-        for (t, seq) in comps {
-            e.u64(t);
-            e.u64(seq);
-        }
-        e.bool(self.fetch_paused);
-        e.bool(self.warm);
-        e.u32(self.warm_pc);
-    }
-
-    /// Ready-list scheduling: the `Waiting` entries with no unfinished
-    /// producer, oldest first — the ready set as the checkpoint stores it.
-    fn derived_ready_list(&self) -> Vec<u64> {
-        if self.cfg.scheduler != Scheduler::ReadyList {
-            return Vec::new();
-        }
-        self.ruu
-            .iter()
-            .filter(|e| {
-                e.state == EntryState::Waiting && self.ruu.unfinished_deps(e).next().is_none()
-            })
-            .map(|e| e.seq)
-            .collect()
-    }
-
-    /// Ready-list scheduling: the issued entries as `(complete_at, seq)`,
-    /// ascending — the completions as the checkpoint stores them.
-    fn derived_completions(&self) -> Vec<(u64, u64)> {
-        if self.cfg.scheduler != Scheduler::ReadyList {
-            return Vec::new();
-        }
-        let mut comps: Vec<(u64, u64)> = self
-            .ruu
-            .iter()
-            .filter(|e| e.state == EntryState::Issued)
-            .map(|e| (e.complete_at, e.seq))
-            .collect();
-        comps.sort_unstable();
-        comps
-    }
-
-    /// Restores the dynamic state written by
-    /// [`save_state`](Self::save_state) into an identically configured
-    /// core.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let bad = |what| WireError { pos: 0, what };
-        self.regs.load_state(d)?;
-        self.predictor.load_state(d)?;
-        let linked = self.cfg.scheduler == Scheduler::ReadyList;
-        self.ruu.load_state(d, self.prog.len(), linked)?;
-        self.lsq.load_state(d, &self.ruu, &self.prog)?;
-        let n = d.usize()?;
-        if n > self.cfg.ifq_size as usize {
-            return Err(bad("ifq longer than its capacity"));
-        }
-        self.ifq.clear();
-        for _ in 0..n {
-            let pc = d.u32()?;
-            let predicted_taken = d.bool()?;
-            if pc >= self.prog.len() {
-                return Err(bad("ifq pc out of program range"));
-            }
-            self.ifq.push_back(Fetched {
-                pc,
-                predicted_taken,
-            });
-        }
-        self.fetch_pc = d.u32()?;
-        self.fetch_halted = d.bool()?;
-        self.frontend_ready_at = d.u64()?;
-        self.mispredict_pending = if d.bool()? {
-            Some((d.u64()?, d.u32()?))
-        } else {
-            None
-        };
-        self.finished = d.bool()?;
-        self.now = d.u64()?;
-        self.stats.load_state(d)?;
-        self.stalled_on = queue_opt_from(d.u8()?)?;
-        let has_rpt = d.bool()?;
-        match (&mut self.rpt, has_rpt) {
-            (Some(rpt), true) => rpt.load_state(d)?,
-            (None, false) => {}
-            _ => {
-                return Err(WireError {
-                    pos: 0,
-                    what: "prefetcher presence mismatch",
-                })
-            }
-        }
-        for slot in self.rename.iter_mut() {
-            *slot = if d.bool()? { Some(d.u64()?) } else { None };
-        }
-        // The scheduler state is derived from the window, so the stored
-        // ready list and completions must be exactly what `save_state`
-        // derives: anything else is an error, not something to repair.
-        let n = d.usize()?;
-        if n > self.cfg.ruu_size as usize {
-            return Err(bad("ready list longer than the window"));
-        }
-        let mut ready = Vec::with_capacity(n);
-        for _ in 0..n {
-            let seq = d.u64()?;
-            if ready.last().is_some_and(|&prev| prev >= seq) {
-                return Err(bad("ready list not strictly ascending"));
-            }
-            if self.ruu.get(seq).map(|e| e.state) != Some(EntryState::Waiting) {
-                return Err(bad("ready list names an entry that is not waiting"));
-            }
-            ready.push(seq);
-        }
-        if ready != self.derived_ready_list() {
-            return Err(bad("ready list disagrees with the window"));
-        }
-        let n = d.usize()?;
-        if n > self.cfg.ruu_size as usize {
-            return Err(bad("completion list longer than the window"));
-        }
-        let mut comps = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = d.u64()?;
-            let seq = d.u64()?;
-            match self.ruu.get(seq) {
-                None => return Err(bad("completion names a seq outside the window")),
-                Some(e) if e.state != EntryState::Issued => {
-                    return Err(bad("completion names an entry that is not issued"))
-                }
-                Some(_) => comps.push((t, seq)),
-            }
-        }
-        if comps != self.derived_completions() {
-            return Err(bad("completion list disagrees with the window"));
-        }
-        self.rebuild_scheduler()?;
-        self.fetch_paused = d.bool()?;
-        self.warm = d.bool()?;
-        self.warm_pc = d.u32()?;
-        Ok(())
-    }
-
-    /// Rebuilds the ready-list masks and the completion wheel from the
-    /// window of a just-loaded core. The last harvest was at `now`, so
-    /// every issued entry must be due after it.
-    fn rebuild_scheduler(&mut self) -> WireResult<()> {
-        self.wakeup = Wakeup::default();
-        self.completions = Wheel::new(self.now + 1);
-        if self.cfg.scheduler != Scheduler::ReadyList {
-            return Ok(());
-        }
-        for e in self.ruu.iter() {
-            match e.state {
-                EntryState::Waiting => self.wakeup.link(e.seq, self.ruu.unfinished_deps(e)),
-                EntryState::Issued if e.complete_at <= self.now => {
-                    return Err(WireError {
-                        pos: 0,
-                        what: "issued entry due before the core's clock",
-                    })
-                }
-                EntryState::Issued => self.completions.insert(e.complete_at, e.seq),
-                EntryState::Done => {}
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1836,162 +1607,6 @@ mod tests {
         let (core, _, _) = run("halt", &[], &[]);
         assert!(core.is_done());
         assert_eq!(core.stats().committed, 1);
-    }
-
-    /// The LSQ and IFQ sections of a checkpoint must agree with the window
-    /// they are loaded against: an inconsistent one is a typed error at
-    /// load, not a panic at the first issue (`"load has LSQ entry"`). So
-    /// is a window or fetch-queue pc outside the program, which would
-    /// otherwise index past the decoded table.
-    #[test]
-    fn corrupt_lsq_or_ifq_is_an_error() {
-        let src = "li r1, 0x1000\nld r2, 0(r1)\nadd r3, r2, r2\nhalt";
-        let prog = assemble("t", src).unwrap();
-        let cfg = CoreConfig::paper_superscalar();
-        let mut core = OooCore::new("t", cfg, prog.clone());
-        let mut mem = Memory::new();
-        let mut mem_sys = MemSystem::new(MemConfig::paper());
-        let mut queues = QueueFile::new(QueueConfig::paper());
-        let mut triggers = Vec::new();
-        let mut tel = Telemetry::disabled();
-        let mut now = 0;
-        // Stop at the cycle the load dispatches: it waits in the window.
-        while core.lsq.is_empty() {
-            let mut ctx = CoreCtx {
-                mem_sys: &mut mem_sys,
-                queues: &mut queues,
-                data: &mut mem,
-                triggers: &mut triggers,
-                trace: &mut tel,
-            };
-            core.step(now, &mut ctx).unwrap();
-            now += 1;
-        }
-        let le = *core.lsq.iter().next().unwrap();
-        assert_eq!(core.ruu.get(le.seq).unwrap().state, EntryState::Waiting);
-        let other = core
-            .ruu
-            .iter()
-            .find(|e| !prog.instr(e.pc).is_mem())
-            .unwrap()
-            .seq;
-
-        // The LSQ section sits after the registers, predictor and RUU.
-        let mut pre = Enc::new();
-        core.regs.save_state(&mut pre);
-        core.predictor.save_state(&mut pre);
-        core.ruu.save_state(&mut pre, true);
-        let at = pre.len();
-        let mut section = Enc::new();
-        core.lsq.save_state(&mut section);
-        let end = at + section.len();
-        let mut full = Enc::new();
-        core.save_state(&mut full);
-        let bytes = full.finish();
-        assert_eq!(bytes[at..end], section.finish()[..], "lsq section offset");
-        let with_lsq = |count: usize, entries: &[LsqEntry]| {
-            let mut e = Enc::new();
-            e.usize(count);
-            for en in entries {
-                en.save_state(&mut e);
-            }
-            [&bytes[..at], &e.finish()[..], &bytes[end..]].concat()
-        };
-        let load = |patched: &[u8]| {
-            let mut fresh = OooCore::new("t", cfg, prog.clone());
-            fresh.load_state(&mut Dec::new(patched)).map(|_| fresh)
-        };
-        assert!(load(&bytes).is_ok(), "pristine bytes");
-
-        let cases: [(usize, Vec<LsqEntry>, &str); 9] = [
-            (
-                0,
-                vec![],
-                "memory instruction in the window has no lsq entry",
-            ),
-            (
-                cfg.lsq_size as usize + 1,
-                vec![le],
-                "lsq longer than its capacity",
-            ),
-            (2, vec![le, le], "lsq sequence numbers not ascending"),
-            (
-                1,
-                vec![LsqEntry {
-                    seq: le.seq + 64,
-                    ..le
-                }],
-                "lsq entry outside the window",
-            ),
-            (
-                1,
-                vec![LsqEntry { seq: other, ..le }],
-                "lsq entry names a non-memory instruction",
-            ),
-            (
-                1,
-                vec![LsqEntry {
-                    is_store: true,
-                    ..le
-                }],
-                "lsq entry disagrees with its instruction",
-            ),
-            (
-                1,
-                vec![LsqEntry {
-                    width: Width::W,
-                    ..le
-                }],
-                "lsq entry disagrees with its instruction",
-            ),
-            (
-                1,
-                vec![LsqEntry {
-                    data_queue: Some(Queue::Sdq),
-                    ..le
-                }],
-                "lsq entry disagrees with its instruction",
-            ),
-            (
-                1,
-                vec![LsqEntry {
-                    data_known: false,
-                    ..le
-                }],
-                "lsq entry lacks data no queue supplies",
-            ),
-        ];
-        for (count, entries, what) in cases {
-            let err = load(&with_lsq(count, &entries)).expect_err(what);
-            assert_eq!(err.what, what);
-        }
-
-        // The IFQ count follows the LSQ section.
-        for count in [cfg.ifq_size as u64 + 1, 1 << 60] {
-            let mut patched = bytes.clone();
-            patched[end..end + 8].copy_from_slice(&count.to_le_bytes());
-            let err = load(&patched).expect_err("oversize ifq loaded");
-            assert_eq!(err.what, "ifq longer than its capacity");
-        }
-
-        // Window entries carry only a pc, which must name an instruction
-        // of the program: the RUU's first entry (after the section's next
-        // seq, length and the entry's seq) and an IFQ entry in place of
-        // the empty queue.
-        assert_eq!(core.ifq.len(), 0, "everything fetched has dispatched");
-        let past_end = prog.len().to_le_bytes();
-        let mut ruu_at = Enc::new();
-        core.regs.save_state(&mut ruu_at);
-        core.predictor.save_state(&mut ruu_at);
-        let ruu_pc = ruu_at.len() + 24;
-        let mut patched = bytes.clone();
-        patched[ruu_pc..ruu_pc + 4].copy_from_slice(&past_end);
-        let err = load(&patched).expect_err("ruu pc past the program loaded");
-        assert_eq!(err.what, "ruu pc out of program range");
-        let ifq = [&1u64.to_le_bytes()[..], &past_end, &[0]].concat();
-        let patched = [&bytes[..end], &ifq, &bytes[end + 8..]].concat();
-        let err = load(&patched).expect_err("ifq pc past the program loaded");
-        assert_eq!(err.what, "ifq pc out of program range");
     }
 }
 

@@ -15,55 +15,9 @@
 //! visits only the entries that can matter, and lookup and removal are
 //! O(1).
 
-use crate::ruu::{slot, slot_bit, Ruu, SLOTS};
-use hidisc_isa::instr::{Instr, Width};
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
-use hidisc_isa::{Program, Queue};
-
-fn width_code(w: Width) -> u8 {
-    match w {
-        Width::B => 0,
-        Width::H => 1,
-        Width::W => 2,
-        Width::D => 3,
-    }
-}
-
-fn width_from(code: u8) -> WireResult<Width> {
-    Ok(match code {
-        0 => Width::B,
-        1 => Width::H,
-        2 => Width::W,
-        3 => Width::D,
-        _ => {
-            return Err(WireError {
-                pos: 0,
-                what: "width out of range",
-            })
-        }
-    })
-}
-
-/// Encodes an optional queue as one byte (0 = none, else index+1 in
-/// [`Queue::ALL`] order). Shared by the LSQ and core serialisers.
-pub(crate) fn queue_opt_code(q: Option<Queue>) -> u8 {
-    match q {
-        None => 0,
-        Some(q) => q.index() as u8 + 1,
-    }
-}
-
-/// Inverse of [`queue_opt_code`].
-pub(crate) fn queue_opt_from(code: u8) -> WireResult<Option<Queue>> {
-    match code {
-        0 => Ok(None),
-        n if (n as usize) <= Queue::ALL.len() => Ok(Some(Queue::ALL[n as usize - 1])),
-        _ => Err(WireError {
-            pos: 0,
-            what: "queue out of range",
-        }),
-    }
-}
+use crate::ruu::{slot, slot_bit, SLOTS};
+use hidisc_isa::instr::Width;
+use hidisc_isa::Queue;
 
 /// One in-flight memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,18 +59,6 @@ impl LsqEntry {
     /// same width).
     pub fn covers_exactly(&self, addr: u64, width: Width) -> bool {
         self.addr == addr && self.width == width
-    }
-
-    /// Serialises one entry, as [`Lsq::save_state`] writes it.
-    pub(crate) fn save_state(&self, e: &mut Enc) {
-        e.u64(self.seq);
-        e.bool(self.is_store);
-        e.u64(self.addr);
-        e.u8(width_code(self.width));
-        e.i64(self.value);
-        e.bool(self.data_known);
-        e.u8(queue_opt_code(self.data_queue));
-        e.bool(self.performed);
     }
 }
 
@@ -344,79 +286,6 @@ impl Lsq {
             rest &= rest - 1;
             Some(&self.slots[slot(self.head + i)])
         })
-    }
-
-    /// Serialises all in-flight entries (capacity comes from the config,
-    /// which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.len());
-        for en in self.iter() {
-            en.save_state(e);
-        }
-    }
-
-    /// Restores from a [`save_state`](Self::save_state) stream against the
-    /// already-loaded window `ruu`, whose entries name instructions of
-    /// `prog` by pc; the masks are recomputed. Entries that `save_state`
-    /// could not have written are an error: more than the capacity,
-    /// sequence numbers not ascending, a sequence number outside the
-    /// window or owned by a non-memory instruction, a store flag, width or
-    /// data queue that disagrees with the instruction, data missing where
-    /// no queue supplies it — and so is a memory instruction in the window
-    /// with no entry.
-    pub fn load_state(&mut self, d: &mut Dec, ruu: &Ruu, prog: &Program) -> WireResult<()> {
-        let bad = |what| WireError { pos: 0, what };
-        let n = d.usize()?;
-        if n > self.capacity {
-            return Err(bad("lsq longer than its capacity"));
-        }
-        *self = Lsq::new(self.capacity);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let en = LsqEntry {
-                seq: d.u64()?,
-                is_store: d.bool()?,
-                addr: d.u64()?,
-                width: width_from(d.u8()?)?,
-                value: d.i64()?,
-                data_known: d.bool()?,
-                data_queue: queue_opt_from(d.u8()?)?,
-                performed: d.bool()?,
-            };
-            if prev.is_some_and(|p| p >= en.seq) {
-                return Err(bad("lsq sequence numbers not ascending"));
-            }
-            prev = Some(en.seq);
-            let pc = ruu
-                .get(en.seq)
-                .ok_or(bad("lsq entry outside the window"))?
-                .pc;
-            let instr = prog
-                .get(pc)
-                .ok_or(bad("lsq entry names a pc outside the program"))?;
-            if !instr.is_mem() {
-                return Err(bad("lsq entry names a non-memory instruction"));
-            }
-            let data_queue = match *instr {
-                Instr::StoreQ { q, .. } => Some(q),
-                _ => None,
-            };
-            if en.is_store != instr.is_store()
-                || Some(en.width) != instr.mem_width()
-                || en.data_queue != data_queue
-            {
-                return Err(bad("lsq entry disagrees with its instruction"));
-            }
-            if !en.data_known && en.data_queue.is_none() {
-                return Err(bad("lsq entry lacks data no queue supplies"));
-            }
-            self.push(en);
-        }
-        let mem = |pc| prog.get(pc).is_some_and(|i| i.is_mem());
-        if ruu.iter().filter(|e| mem(e.pc)).count() != n {
-            return Err(bad("memory instruction in the window has no lsq entry"));
-        }
-        Ok(())
     }
 }
 

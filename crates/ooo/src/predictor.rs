@@ -1,8 +1,6 @@
 //! Bimodal branch predictor (Table 1: "Branch predict mode: Bimodal,
 //! branch table size 2048").
 
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
-
 /// A table of 2-bit saturating counters indexed by instruction index.
 #[derive(Debug, Clone)]
 pub struct Bimodal {
@@ -59,31 +57,6 @@ impl Bimodal {
     /// `(predictions, mispredictions)` so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.predictions, self.mispredictions)
-    }
-
-    /// Serialises the predictor's dynamic state (the table size comes
-    /// from the config, which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        e.usize(self.table.len());
-        e.bytes(&self.table);
-        e.u64(self.predictions);
-        e.u64(self.mispredictions);
-    }
-
-    /// Restores the dynamic state; the receiver must already have the
-    /// same table size.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        let n = d.usize()?;
-        if n != self.table.len() {
-            return Err(WireError {
-                pos: 0,
-                what: "predictor table size mismatch",
-            });
-        }
-        self.table.copy_from_slice(d.bytes(n)?);
-        self.predictions = d.u64()?;
-        self.mispredictions = d.u64()?;
-        Ok(())
     }
 }
 

@@ -10,7 +10,7 @@
 //! queue, which plays exactly the SAQ role (address buffered, store
 //! performs when the SDQ provides data).
 
-use hidisc_isa::wire::{token_mix, Counters, Dec, Enc, WireResult};
+use hidisc_isa::counters::{token_mix, Counters};
 use hidisc_isa::Queue;
 use std::collections::VecDeque;
 use std::slice::from_mut as one;
@@ -191,36 +191,6 @@ impl QueueFile {
         for (s, d) in self.stats.iter_mut().zip(delta) {
             s.add_idle_scaled(d, k);
         }
-    }
-
-    /// Serialises contents and statistics (capacities come from the
-    /// config, which the checkpoint header pins).
-    pub fn save_state(&self, e: &mut Enc) {
-        for q in &self.queues {
-            e.usize(q.len());
-            for &v in q {
-                e.u64(v);
-            }
-        }
-        for s in &self.stats {
-            s.save_state(e);
-        }
-    }
-
-    /// Restores contents and statistics from a
-    /// [`save_state`](Self::save_state) stream.
-    pub fn load_state(&mut self, d: &mut Dec) -> WireResult<()> {
-        for q in self.queues.iter_mut() {
-            let n = d.usize()?;
-            q.clear();
-            for _ in 0..n {
-                q.push_back(d.u64()?);
-            }
-        }
-        for s in self.stats.iter_mut() {
-            s.load_state(d)?;
-        }
-        Ok(())
     }
 }
 

@@ -12,8 +12,6 @@
 //! core reads what it needs of the instruction from its decoded table (or
 //! from the program) by pc.
 
-use hidisc_isa::wire::{Dec, Enc, WireError, WireResult};
-
 /// Timing state of an RUU entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryState {
@@ -178,13 +176,7 @@ impl Ruu {
 
     /// Iterates entries oldest → youngest.
     pub fn iter(&self) -> impl Iterator<Item = &RuuEntry> + Clone {
-        self.iter_from(0)
-    }
-
-    /// Iterates the entries from position `i` (0 = oldest) to the
-    /// youngest.
-    fn iter_from(&self, i: usize) -> impl Iterator<Item = &RuuEntry> + Clone {
-        (self.head + i as u64..self.next_seq()).map(move |seq| &self.slots[slot(seq)])
+        (self.head..self.next_seq()).map(move |seq| &self.slots[slot(seq)])
     }
 
     /// Marks `seq` as issued, completing at `complete_at`. The only legal
@@ -206,45 +198,6 @@ impl Ruu {
         e.state = EntryState::Done;
     }
 
-    /// Source operands of `e` whose producer has not completed: still in
-    /// the window and not `Done` (a producer that left the window
-    /// committed, so it is done).
-    pub(crate) fn unfinished_deps<'a>(&'a self, e: &'a RuuEntry) -> impl Iterator<Item = u64> + 'a {
-        e.deps
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|&d| self.get(d).is_some_and(|p| p.state != EntryState::Done))
-    }
-
-    /// The ready-list links of the entry at position `i`, derived from
-    /// the window: its consumers — each younger entry once per source
-    /// operand naming it, oldest first, while it is not `Done` — and its
-    /// count of unfinished producers. These are exactly the links dispatch
-    /// registers and harvest consumes, so the checkpoint stores them
-    /// without the scheduler keeping them in this form; a core that keeps
-    /// no links (`linked == false`, the scan scheduler) stores none.
-    fn links(&self, i: usize, linked: bool) -> (impl Iterator<Item = u64> + Clone + '_, u8) {
-        let p = &self.slots[slot(self.head + i as u64)];
-        let from = if linked && p.state != EntryState::Done {
-            i + 1
-        } else {
-            self.len
-        };
-        let consumers = self.iter_from(from).flat_map(move |c| {
-            c.deps
-                .iter()
-                .filter(move |&&d| d == Some(p.seq))
-                .map(move |_| c.seq)
-        });
-        let pending = if linked {
-            self.unfinished_deps(p).count() as u8
-        } else {
-            0
-        };
-        (consumers, pending)
-    }
-
     /// `(waiting, done)` counts, maintained across state transitions —
     /// equal by construction to what a full window scan would count.
     pub fn state_counts(&self) -> (usize, usize) {
@@ -261,125 +214,6 @@ impl Ruu {
                 self.n_done += 1;
             }
         }
-    }
-
-    /// Serialises the window. Entries hold a pc, not an instruction, and
-    /// the static program is not part of a checkpoint: only correct-path
-    /// instructions dispatch (functional execution is in-order), so the
-    /// pc names the instruction in the program the loading core runs.
-    /// `linked` says whether the owning core schedules through ready-list
-    /// links; their consumer lists and pending counts are written as
-    /// derived from the entries, not stored anywhere.
-    pub fn save_state(&self, e: &mut Enc, linked: bool) {
-        e.u64(self.next_seq());
-        e.usize(self.len);
-        for (i, en) in self.iter().enumerate() {
-            e.u64(en.seq);
-            e.u32(en.pc);
-            e.u8(match en.state {
-                EntryState::Waiting => 0,
-                EntryState::Issued => 1,
-                EntryState::Done => 2,
-            });
-            e.u64(en.complete_at);
-            for dep in en.deps {
-                match dep {
-                    None => e.bool(false),
-                    Some(s) => {
-                        e.bool(true);
-                        e.u64(s);
-                    }
-                }
-            }
-            e.u64(en.payload);
-            e.bool(en.predicted_taken);
-            e.bool(en.actual_taken);
-            e.u32(en.correct_next);
-            e.bool(en.mispredicted);
-            let (consumers, pending) = self.links(i, linked);
-            e.usize(consumers.clone().count());
-            for c in consumers {
-                e.u64(c);
-            }
-            e.u8(pending);
-        }
-    }
-
-    /// Restores from a [`save_state`](Self::save_state) stream for a core
-    /// whose program has `prog_len` instructions; state counts are
-    /// recomputed. A window that `save_state` could not have written —
-    /// more entries than the capacity, a pc outside the program, sequence
-    /// numbers that are not contiguous, an operand naming a producer that
-    /// is not older, or stored links that differ from what the entries
-    /// imply — is an error.
-    pub fn load_state(&mut self, d: &mut Dec, prog_len: u32, linked: bool) -> WireResult<()> {
-        let bad = |what| WireError { pos: 0, what };
-        let next_seq = d.u64()?;
-        let n = d.usize()?;
-        if n > self.capacity {
-            return Err(bad("ruu longer than the window"));
-        }
-        self.head = next_seq
-            .checked_sub(n as u64)
-            .ok_or(bad("ruu sequence numbers not contiguous"))?;
-        self.len = 0;
-        self.n_waiting = 0;
-        self.n_done = 0;
-        let mut stored_links = Vec::with_capacity(n);
-        for i in 0..n {
-            let seq = d.u64()?;
-            if seq.checked_add((n - i) as u64) != Some(next_seq) {
-                return Err(bad("ruu sequence numbers not contiguous"));
-            }
-            let pc = d.u32()?;
-            if pc >= prog_len {
-                return Err(bad("ruu pc out of program range"));
-            }
-            let mut en = RuuEntry::new(seq, pc);
-            en.state = match d.u8()? {
-                0 => EntryState::Waiting,
-                1 => EntryState::Issued,
-                2 => EntryState::Done,
-                _ => {
-                    return Err(WireError {
-                        pos: 0,
-                        what: "ruu state out of range",
-                    })
-                }
-            };
-            en.complete_at = d.u64()?;
-            for dep in en.deps.iter_mut() {
-                *dep = if d.bool()? { Some(d.u64()?) } else { None };
-                if dep.is_some_and(|p| p >= seq) {
-                    return Err(bad("ruu operand names a producer that is not older"));
-                }
-            }
-            en.payload = d.u64()?;
-            en.predicted_taken = d.bool()?;
-            en.actual_taken = d.bool()?;
-            en.correct_next = d.u32()?;
-            en.mispredicted = d.bool()?;
-            let nc = d.usize()?;
-            let consumers = (0..nc).map(|_| d.u64()).collect::<WireResult<Vec<_>>>()?;
-            stored_links.push((consumers, d.u8()?));
-            match en.state {
-                EntryState::Waiting => self.n_waiting += 1,
-                EntryState::Done => self.n_done += 1,
-                EntryState::Issued => {}
-            }
-            self.slots[slot(seq)] = en;
-            self.len += 1;
-        }
-        for (i, (consumers, pending)) in stored_links.into_iter().enumerate() {
-            let (want, want_pending) = self.links(i, linked);
-            if !want.eq(consumers) {
-                return Err(bad("ruu consumer links disagree with the window"));
-            }
-            if pending != want_pending {
-                return Err(bad("ruu pending count disagrees with the window"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -423,9 +257,9 @@ impl Default for Wakeup {
 }
 
 impl Wakeup {
-    /// Registers a dispatched (or reloaded) `Waiting` entry with its
-    /// unfinished producers; with none it is ready at once. The slot's
-    /// previous occupant committed, so its masks are already clear.
+    /// Registers a dispatched `Waiting` entry with its unfinished
+    /// producers; with none it is ready at once. The slot's previous
+    /// occupant committed, so its masks are already clear.
     pub(crate) fn link(&mut self, seq: u64, producers: impl Iterator<Item = u64>) {
         let bit = slot_bit(seq);
         let mut wait = 0;

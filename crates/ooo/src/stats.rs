@@ -1,6 +1,6 @@
 //! Per-core execution statistics.
 
-use hidisc_isa::wire::Counters;
+use hidisc_isa::counters::Counters;
 use hidisc_isa::Queue;
 use std::slice::from_mut as one;
 

@@ -1,14 +1,46 @@
 //! The out-of-order core must be architecturally equivalent to the
 //! reference interpreter on arbitrary structured programs: same final
 //! registers (observed through the arena stores) and same final memory.
+//! Its pipeline trace must also show that it dispatches only what it
+//! commits, in the same order.
 
 use hidisc_isa::interp::Interp;
 use hidisc_isa::mem::Memory;
 use hidisc_isa::testgen::{random_program, GenConfig};
 use hidisc_mem::{MemConfig, MemSystem};
 use hidisc_ooo::{CoreConfig, CoreCtx, OooCore, QueueConfig, QueueFile};
-use hidisc_telemetry::Telemetry;
+use hidisc_telemetry::{Category, EventData, Telemetry, TraceConfig, TraceEvent, TraceSink};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// Holds the pipeline trace's `Dispatch` and `Commit` events to one
+/// `(seq, pc)` sequence: every commit retires the oldest dispatched
+/// instruction not yet committed. So no wrong-path instruction ever
+/// dispatches, and dispatch order is program order.
+#[derive(Default)]
+struct DispatchIsCommitOrder {
+    in_flight: VecDeque<(u64, u32)>,
+    commits: u64,
+}
+
+impl TraceSink for DispatchIsCommitOrder {
+    fn event(&mut self, e: &TraceEvent) {
+        match e.data {
+            EventData::Dispatch { seq, pc } => self.in_flight.push_back((seq, pc)),
+            EventData::Commit { seq, pc } => {
+                assert_eq!(
+                    self.in_flight.pop_front(),
+                    Some((seq, pc)),
+                    "cycle {}: commit #{} is not the oldest dispatch",
+                    e.cycle,
+                    self.commits
+                );
+                self.commits += 1;
+            }
+            _ => {}
+        }
+    }
+}
 
 fn run_core(cfg: CoreConfig, seed: u64, gen: GenConfig) -> (u64, u64, u64) {
     let (prog, mem, regs) = random_program(seed, gen);
@@ -30,7 +62,11 @@ fn run_core(cfg: CoreConfig, seed: u64, gen: GenConfig) -> (u64, u64, u64) {
     let mut mem_sys = MemSystem::new(MemConfig::paper());
     let mut queues = QueueFile::new(QueueConfig::paper());
     let mut triggers = Vec::new();
-    let mut trace = Telemetry::disabled();
+    let mut trace = Telemetry::new(TraceConfig {
+        mask: Category::Pipeline.bit(),
+        ..TraceConfig::OFF
+    });
+    let mut order = DispatchIsCommitOrder::default();
     let mut now = 0u64;
     while !core.is_done() {
         let mut ctx = CoreCtx {
@@ -41,9 +77,20 @@ fn run_core(cfg: CoreConfig, seed: u64, gen: GenConfig) -> (u64, u64, u64) {
             trace: &mut trace,
         };
         core.step(now, &mut ctx).unwrap();
+        trace.drain_into(&mut order);
         now += 1;
         assert!(now < 80_000_000, "runaway core simulation (seed {seed})");
     }
+    assert_eq!(trace.dropped(), 0, "seed {seed}: trace events dropped");
+    assert!(
+        order.in_flight.is_empty(),
+        "seed {seed}: dispatched but never committed: {:?}",
+        order.in_flight
+    );
+    assert_eq!(
+        order.commits, ref_stats.instrs,
+        "seed {seed}: commit events"
+    );
     assert_eq!(data.checksum(), want, "seed {seed}: memory diverged");
     assert_eq!(
         core.stats().committed,
