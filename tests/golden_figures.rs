@@ -25,7 +25,7 @@ fn assert_matches_golden(args: &[&str], file: &str, golden: &str) {
         args.join(" "),
         String::from_utf8_lossy(&out.stderr)
     );
-    let got = String::from_utf8(out.stdout).expect("CSV is UTF-8");
+    let got = String::from_utf8(out.stdout).expect("repro output is UTF-8");
     if got != golden {
         let line = got
             .lines()
@@ -90,4 +90,25 @@ fn repro_study_csvs_match_golden() {
     for (args, file, golden) in &cases {
         assert_matches_golden(args, file, golden);
     }
+}
+
+/// The two per-cycle readers of a run: `repro diag` (the CMP thread peak
+/// is taken on every cycle) and `repro trace` (one line per traced
+/// cycle, then the run finishes with fast-forward free to engage).
+/// Neither prints host time. Regenerate with
+/// `repro diag pointer --scale test > tests/golden/diag_pointer_test.txt`
+/// and `repro trace update > tests/golden/trace_update.txt`, only for an
+/// intended behaviour change.
+#[test]
+fn repro_diag_and_trace_text_match_golden() {
+    assert_matches_golden(
+        &["diag", "pointer", "--scale", "test"],
+        "diag_pointer_test.txt",
+        include_str!("golden/diag_pointer_test.txt"),
+    );
+    assert_matches_golden(
+        &["trace", "update"],
+        "trace_update.txt",
+        include_str!("golden/trace_update.txt"),
+    );
 }
