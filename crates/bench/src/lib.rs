@@ -1427,35 +1427,11 @@ pub fn separation_report(name: &str, scale: Scale, seed: u64) -> String {
     hidisc_slicer::report::render(&c)
 }
 
-/// Per-cycle observer behind [`diagnostics`]: records live-machine peaks
-/// that the end-of-run statistics cannot reconstruct — the high-water
-/// mark of speculative CMP threads and the cycle it was first reached.
-/// Passed to [`Machine::run_observed`] as `|m: &Machine| obs.on_cycle(m)`.
-#[derive(Debug, Default)]
-pub struct CmpPeakObserver {
-    /// Highest live CMP thread count seen so far.
-    pub peak_threads: usize,
-    /// Cycle at which the peak was first reached.
-    pub peak_cycle: u64,
-}
-
-impl CmpPeakObserver {
-    /// The per-cycle hook; always keeps observing.
-    pub fn on_cycle(&mut self, m: &Machine) -> bool {
-        if let Some(t) = m.cmp_threads() {
-            if t > self.peak_threads {
-                self.peak_threads = t;
-                self.peak_cycle = m.now();
-            }
-        }
-        true
-    }
-}
-
 /// Runs every model on one workload and renders the machine-level
 /// diagnostics (stall breakdowns, queue traffic, CMP behaviour). Each run
-/// is observed cycle-by-cycle with a [`CmpPeakObserver`] so the report
-/// includes live-occupancy peaks alongside the end-of-run counters.
+/// is stepped cycle by cycle (fast-forward never engages) so the report
+/// includes the peak of live CMP threads, and the cycle it was first
+/// reached, alongside the end-of-run counters.
 pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
     use std::fmt::Write;
     // Queue-category telemetry feeds the peak-depth column; recording is
@@ -1468,14 +1444,20 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
     let prep = |name: &&str| (prepare_named(name, scale, seed).1, ());
     let (name, cells) = grid(&[name], prep, Model::ALL.len(), |p, _, i| {
         let m = Model::ALL[i];
-        let mut obs = CmpPeakObserver::default();
         let mut machine = Machine::new(m, &p.compiled, &p.env, cfg);
-        let st = machine
-            .run_observed(p.compiled.profile.dyn_instrs, |mach: &Machine| {
-                obs.on_cycle(mach)
-            })
-            .unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name));
-        (st, (obs, machine.telemetry().queue_peaks()))
+        // (live threads, cycle first reached)
+        let mut peak = (0, 0);
+        while machine
+            .step()
+            .unwrap_or_else(|e| panic!("{} on {m}: {e}", p.name))
+        {
+            match machine.cmp_threads() {
+                Some(t) if t > peak.0 => peak = (t, machine.now()),
+                _ => {}
+            }
+        }
+        let st = machine.stats(p.compiled.profile.dyn_instrs);
+        (st, (peak, machine.telemetry().queue_peaks()))
     })
     .pop()
     .expect("one workload");
@@ -1513,7 +1495,7 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
             let _ = writeln!(
                 out,
                 "  cmp  peak live threads {} (cycle {})",
-                peak.peak_threads, peak.peak_cycle
+                peak.0, peak.1
             );
         }
         let _ = writeln!(
@@ -1564,62 +1546,36 @@ pub fn diagnostics(name: &str, scale: Scale, seed: u64) -> String {
     out
 }
 
-/// Per-cycle observer behind [`pipeline_trace`]: renders one line per
-/// cycle (the pipeline snapshot of every core plus the live CMP thread
-/// count) and stops observing — not the simulation — after `limit`
-/// cycles.
-#[derive(Debug)]
-pub struct TraceObserver {
-    out: String,
-    limit: u64,
-}
-
-impl TraceObserver {
-    /// A tracer that observes the first `limit` cycles.
-    pub fn new(limit: u64) -> Self {
-        TraceObserver {
-            out: String::new(),
-            limit,
-        }
-    }
-
-    /// The per-cycle hook; `false` once `limit` cycles are traced.
-    pub fn on_cycle(&mut self, m: &Machine) -> bool {
-        use std::fmt::Write;
-        let _ = write!(self.out, "cycle {:>6}", m.now());
-        for s in m.snapshots() {
-            let _ = write!(self.out, " | {s}");
-        }
-        if let Some(t) = m.cmp_threads() {
-            let _ = write!(self.out, " | CMP threads {t}");
-        }
-        let _ = writeln!(self.out);
-        m.now() < self.limit
-    }
-
-    /// Closes the trace with the end-of-run summary line.
-    pub fn finish(mut self, st: &MachineStats) -> String {
-        use std::fmt::Write;
-        let _ = writeln!(
-            self.out,
-            "... ran to completion in {} cycles (IPC {:.3})",
-            st.cycles,
-            st.ipc()
-        );
-        self.out
-    }
-}
-
 /// Renders the first `cycles` cycles of a HiDISC run as a pipeline trace
-/// (one line per cycle per core), behind `repro trace`.
+/// (one line per cycle: the pipeline snapshot of every core plus the live
+/// CMP thread count), behind `repro trace`. The run then finishes with
+/// fast-forward free to engage and closes the trace with a summary line.
 pub fn pipeline_trace(name: &str, scale: Scale, seed: u64, cycles: u64) -> String {
+    use std::fmt::Write;
     let (_, env, c) = compile_named(name, scale, seed);
     let mut m = Machine::new(Model::HiDisc, &c, &env, MachineConfig::paper());
-    let mut tracer = TraceObserver::new(cycles);
-    let st = m
-        .run_observed(c.profile.dyn_instrs, |mach: &Machine| tracer.on_cycle(mach))
-        .unwrap();
-    tracer.finish(&st)
+    let mut out = String::new();
+    for _ in 0..cycles {
+        if !m.step().unwrap() {
+            break;
+        }
+        let _ = write!(out, "cycle {:>6}", m.now());
+        for s in m.snapshots() {
+            let _ = write!(out, " | {s}");
+        }
+        if let Some(t) = m.cmp_threads() {
+            let _ = write!(out, " | CMP threads {t}");
+        }
+        let _ = writeln!(out);
+    }
+    let st = m.run(c.profile.dyn_instrs).unwrap();
+    let _ = writeln!(
+        out,
+        "... ran to completion in {} cycles (IPC {:.3})",
+        st.cycles,
+        st.ipc()
+    );
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1935,7 +1891,7 @@ mod telemetry_tests {
 }
 
 #[cfg(test)]
-mod observer_tests {
+mod inspection_tests {
     use super::*;
 
     #[test]
@@ -1949,11 +1905,11 @@ mod observer_tests {
     }
 
     #[test]
-    fn trace_observer_renders_and_stops() {
+    fn pipeline_trace_renders_then_runs_to_completion() {
         let out = pipeline_trace("update", Scale::Test, 3, 10);
         assert!(out.starts_with("cycle"));
         assert!(out.contains("ran to completion"));
-        // One line per observed cycle (10) plus the summary line.
+        // One line per traced cycle (10) plus the summary line.
         assert_eq!(out.lines().count(), 11);
     }
 

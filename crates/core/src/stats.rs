@@ -29,8 +29,8 @@ pub struct MachineStats {
     pub queues: [QueueStats; 5],
     /// Checksum of the final data memory (for cross-model validation).
     pub mem_checksum: u64,
-    /// Host wall-clock time spent inside `run`/`run_observed`, in
-    /// nanoseconds (simulator performance, not a simulated quantity).
+    /// Host wall-clock time spent inside the `run*` calls (not `step`),
+    /// in nanoseconds (simulator performance, not a simulated quantity).
     pub host_wall_ns: u64,
     /// Fast-forward jumps taken (0 when fast-forward is disabled).
     pub ff_jumps: u64,

@@ -34,6 +34,7 @@ fn unmatched_recv_deadlocks_with_diagnosis() {
     let w = bogus_workload("recv r1, LDQ\nhalt", "nop\nhalt");
     let mut cfg = MachineConfig::paper();
     cfg.deadlock_cycles = 2_000;
+    cfg.max_cycles = 50_000;
     let mut m = Machine::new(Model::CpAp, &w, &env(), cfg);
     let err = m.run(2).unwrap_err();
     let msg = format!("{err}");
@@ -41,6 +42,20 @@ fn unmatched_recv_deadlocks_with_diagnosis() {
         msg.contains("no progress") || msg.contains("deadlock"),
         "{msg}"
     );
+
+    // The watchdog belongs to the machine, not to one call: segments
+    // shorter than `deadlock_cycles` must trip it on the same cycle, with
+    // the same idle count and pc, instead of running into the budget.
+    let mut m = Machine::new(Model::CpAp, &w, &env(), cfg);
+    let mut stop = 0;
+    let segmented = loop {
+        stop += 500;
+        match m.run_to_cycle(stop) {
+            Ok(false) => continue,
+            done => break done,
+        }
+    };
+    assert_eq!(segmented, Err(err));
 }
 
 #[test]

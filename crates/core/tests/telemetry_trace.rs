@@ -1,11 +1,12 @@
-//! Chrome-trace export and observer early-stop semantics.
+//! Chrome-trace export and stepping semantics.
 //!
 //! The golden test pins the exact JSON the [`StreamingSink`] emits for
 //! a hand-built event sequence; the workload test validates a full run's
 //! trace with a minimal JSON grammar checker (no parser dependency) and
-//! proves the export is deterministic. The observer tests pin the
-//! contract that stopping observation mid-stall-window never loses an
-//! observation point to fast-forward.
+//! proves the export is deterministic. The stepping test pins the
+//! contract that a caller stepping into a stall window sees every cycle
+//! (fast-forward never skips one under `step`), and that a `run`
+//! afterwards may jump without changing the result.
 
 use hidisc::telemetry::{
     EventData, MissKind, StreamingSink, Telemetry, TraceConfig, SOURCE_CMP, SOURCE_MACHINE,
@@ -253,11 +254,11 @@ fn dm_workload_trace_is_valid_and_deterministic() {
     assert_eq!(doc, doc2, "trace export is not deterministic");
 }
 
-/// Satellite contract: an observer that stops (`false`) in the middle of
-/// a stall window — exactly where fast-forward wants to jump — must still
-/// have been called on every cycle up to and including its stop point,
-/// in order and without gaps, and the rest of the run (now free to jump)
-/// must finish with unchanged simulation statistics.
+/// A caller that steps the machine into the middle of a stall window —
+/// exactly where fast-forward wants to jump — must see every cycle up to
+/// its stop point, one per `step`, in order and without gaps; the rest of
+/// the run (now free to jump) must finish with unchanged simulation
+/// statistics.
 #[test]
 fn early_stop_mid_stall_window_observes_every_cycle_up_to_stop() {
     let w = suite(Scale::Test, 7)
@@ -270,24 +271,19 @@ fn early_stop_mid_stall_window_observes_every_cycle_up_to_stop() {
     cfg.fast_forward = true;
 
     let stop_at: u64 = 400;
-    let mut seen: Vec<u64> = Vec::new();
-    let observed = Machine::new(Model::HiDisc, &compiled, &env, cfg)
-        .with_ff_check()
-        .run_observed(compiled.profile.dyn_instrs, |m: &Machine| {
-            seen.push(m.now());
-            m.now() < stop_at
-        })
-        .unwrap();
-
-    let expect: Vec<u64> = (1..=stop_at.min(observed.cycles)).collect();
-    assert_eq!(seen, expect, "observation points skipped or reordered");
+    let mut m = Machine::new(Model::HiDisc, &compiled, &env, cfg).with_ff_check();
+    for cycle in 1..=stop_at {
+        assert!(m.step().unwrap(), "the workload halted at cycle {cycle}");
+        assert_eq!(m.now(), cycle, "a step skipped or repeated a cycle");
+    }
+    let observed = m.run(compiled.profile.dyn_instrs).unwrap();
     assert!(
         observed.cycles > stop_at,
-        "workload too short to stop observation mid-run"
+        "workload too short to stop stepping mid-run"
     );
     assert!(
         observed.ff_jumps > 0,
-        "fast-forward never engaged after observation stopped (vacuous test)"
+        "fast-forward never engaged after stepping stopped (vacuous test)"
     );
 
     let plain = Machine::new(Model::HiDisc, &compiled, &env, cfg)
@@ -295,7 +291,7 @@ fn early_stop_mid_stall_window_observes_every_cycle_up_to_stop() {
         .unwrap();
     assert!(
         plain.sim_eq(&observed),
-        "early-stopped observed run diverged from plain run"
+        "stepped-then-run machine diverged from plain run"
     );
     assert_eq!(plain.cycles, observed.cycles);
 }

@@ -1231,11 +1231,6 @@ impl QueueEnv for WarmQueues<'_> {
 }
 
 impl OooCore {
-    /// Pauses or resumes instruction fetch (sampled-mode drain control).
-    pub fn set_fetch_paused(&mut self, paused: bool) {
-        self.fetch_paused = paused;
-    }
-
     /// True while the core is in the functional warm phase.
     pub fn is_warm(&self) -> bool {
         self.warm
@@ -1245,17 +1240,20 @@ impl OooCore {
     /// committed and no mispredict redirect is pending. (The fetch queue
     /// may still hold undispatched instructions — they are the resume
     /// point.)
-    pub fn pipeline_drained(&self) -> bool {
+    fn pipeline_drained(&self) -> bool {
         self.ruu.is_empty() && self.lsq.is_empty() && self.mispredict_pending.is_none()
     }
 
-    /// Switches a drained core into the warm phase. Returns true once the
-    /// core is warm (idempotent); false while the pipeline still holds
-    /// in-flight instructions. Call with fetch paused.
+    /// Moves the core into the warm phase: pauses fetch so the pipeline
+    /// drains, and switches to warm once nothing is in flight. Returns true
+    /// once the core is warm (idempotent) or finished; false while the
+    /// pipeline still holds in-flight instructions — keep stepping and
+    /// call again. [`OooCore::exit_warm`] resumes fetch.
     pub fn try_enter_warm(&mut self) -> bool {
         if self.warm || self.finished {
             return true;
         }
+        self.fetch_paused = true;
         if !self.pipeline_drained() {
             return false;
         }

@@ -351,7 +351,6 @@ fn warm_and_detailed_cycles_count_a_retired_instruction_the_same_way() {
             rig.queues.try_push(Queue::Scq, 1);
         }
         if warm {
-            core.set_fetch_paused(true);
             assert!(core.try_enter_warm());
             while !core.is_done() {
                 rig.warm_step(&mut core);
